@@ -102,7 +102,7 @@ use ms_bench::servecmd::{self, ServeOptions};
 use ms_bench::sweeps::{run_sweep, SweepSpec, SWEEP_NAMES};
 use ms_bench::tracecmd::trace_selection;
 use ms_bench::{run_selection, BenchError, DEFAULT_TRACE_INSTS};
-use ms_conform::{CheckEngine, FuzzParams};
+use ms_conform::FuzzParams;
 use ms_ir::Program;
 use ms_prof::jsonv::Value;
 use ms_prof::ledger::{ProgressSink, ProgressSnapshot, RunLedger, RunMeta};
@@ -220,16 +220,10 @@ fn unknown_benchmark(name: &str) -> i32 {
 /// `run -- fuzz`: the differential conformance fuzz loop (see
 /// `docs/CONFORMANCE.md`), minimal repros written under `<out>/fuzz/`.
 fn run_fuzz(flags: &Flags, led: &mut Option<RunLedger>) -> i32 {
-    let engine = match flags.engine {
-        cli::EngineChoice::Batch => CheckEngine::Batch,
-        cli::EngineChoice::Scalar => CheckEngine::Scalar,
-        cli::EngineChoice::Both => CheckEngine::Both,
-    };
     let params = FuzzParams {
         max_blocks: flags.max_blocks,
         insts: flags.insts.unwrap_or(FuzzParams::default().insts),
         inject: flags.inject,
-        engine,
     };
     let report = fuzzcmd::run_fuzz(flags.seeds, flags.seed, &params, flags.jobs, &flags.out);
     for (path, body) in &report.artifacts {
@@ -357,10 +351,6 @@ fn run_sweeps(
     led: &mut Option<RunLedger>,
 ) -> (i32, ProgressSnapshot) {
     let sink = ProgressSink::new(flags.jobs.max(1));
-    let Some(engine) = flags.engine.sweep_engine() else {
-        eprintln!("error: --engine both is only meaningful to `run -- fuzz`");
-        return (2, sink.snapshot());
-    };
     let label = if specs.len() == 1 { specs[0].name() } else { "sweeps" };
     let line = ProgressLine::stderr(label, flags.quiet);
     let tick = || line.tick(&sink);
@@ -383,7 +373,7 @@ fn run_sweeps(
         if i > 0 {
             println!();
         }
-        match run_sweep(*spec, flags.jobs, &flags.out, &obs, engine) {
+        match run_sweep(*spec, flags.jobs, &flags.out, &obs) {
             Ok(report) => {
                 line.finish();
                 print!("{}", report.text);
@@ -432,13 +422,9 @@ fn run_perf(flags: &Flags, led: &mut Option<RunLedger>) -> i32 {
 }
 
 fn perf_inner(flags: &Flags, led: &mut Option<RunLedger>) -> Result<i32, String> {
-    let Some(engine) = flags.engine.sweep_engine() else {
-        return Err("--engine both is only meaningful to `run -- fuzz`".to_string());
-    };
     let opts = PerfOptions {
         reps: flags.reps,
         insts: flags.insts.unwrap_or(PerfOptions::default().insts),
-        engine,
     };
     let doc = perfcmd::run_perf(&opts);
     print!("{}", doc.summary);

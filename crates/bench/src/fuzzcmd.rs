@@ -63,10 +63,9 @@ pub fn run_fuzz(
     }
     if failures.is_empty() {
         text.push_str(&format!(
-            "fuzz: {seeds} seed(s) x {} policies conform on engine `{}` \
+            "fuzz: {seeds} seed(s) x {} policies conform \
              (base seed {base_seed:#x}, max {} blocks, {} insts/run)\n",
             ms_conform::strategies().len(),
-            params.engine.label(),
             params.max_blocks,
             params.insts
         ));
@@ -95,8 +94,7 @@ mod tests {
 
     #[test]
     fn injected_bug_produces_repro_artifacts() {
-        let params =
-            FuzzParams { max_blocks: 8, insts: 1_000, inject: true, ..FuzzParams::default() };
+        let params = FuzzParams { max_blocks: 8, insts: 1_000, inject: true };
         let report = run_fuzz(8, 0, &params, 2, Path::new("/tmp/exp"));
         assert!(!report.failures.is_empty());
         assert_eq!(report.artifacts.len(), report.failures.len());
@@ -108,12 +106,7 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_sweeps_agree() {
-        let params = FuzzParams {
-            max_blocks: 8,
-            insts: 1_000,
-            inject: true,
-            engine: ms_conform::CheckEngine::Both,
-        };
+        let params = FuzzParams { max_blocks: 8, insts: 1_000, inject: true };
         let serial = run_fuzz(6, 1, &params, 1, Path::new("x"));
         let parallel = run_fuzz(6, 1, &params, 4, Path::new("x"));
         let key = |r: &FuzzReport| -> Vec<(u64, &'static str, usize)> {

@@ -28,7 +28,7 @@ use ms_prof::Report;
 
 use crate::json::{escape, JsonObj};
 use crate::microbench::median;
-use crate::sweeps::{CellJob, Engine, SWEEP_TRACE_INSTS};
+use crate::sweeps::{CellJob, SWEEP_TRACE_INSTS};
 use crate::Heuristic;
 
 /// Version of the `BENCH_*.json` perf document schema (bump on any
@@ -72,17 +72,11 @@ pub struct PerfOptions {
     pub reps: usize,
     /// Dynamic instruction budget per cell.
     pub insts: usize,
-    /// Execution engine the cells run on (`--engine`). The canonical
-    /// cells are distinct (workload, heuristic) points, so batching
-    /// amortises nothing across them — but the engines share one hot
-    /// loop, and measuring the default sweep path keeps the committed
-    /// `BENCH_*.json` trajectory honest about what sweeps actually run.
-    pub engine: Engine,
 }
 
 impl Default for PerfOptions {
     fn default() -> Self {
-        PerfOptions { reps: DEFAULT_PERF_REPS, insts: SWEEP_TRACE_INSTS, engine: Engine::default() }
+        PerfOptions { reps: DEFAULT_PERF_REPS, insts: SWEEP_TRACE_INSTS }
     }
 }
 
@@ -109,7 +103,7 @@ pub fn run_perf(opts: &PerfOptions) -> PerfDoc {
     // Shared timing policy (crate::microbench): one untimed warm-up
     // repetition, then medians over the timed ones.
     for (_, job) in &grid {
-        let _ = job.run_engine(opts.engine);
+        let _ = job.run();
     }
     let mut totals = Vec::with_capacity(opts.reps);
     let mut reports = Vec::with_capacity(opts.reps);
@@ -118,7 +112,7 @@ pub fn run_perf(opts: &PerfOptions) -> PerfDoc {
         let t0 = Instant::now();
         for (id, job) in &grid {
             let _cell = ms_prof::span_owned(format!("cell:{id}"));
-            let _ = job.run_engine(opts.engine);
+            let _ = job.run();
         }
         totals.push(t0.elapsed().as_nanos() as u64);
         reports.push(ms_prof::disable().expect("collector was enabled"));

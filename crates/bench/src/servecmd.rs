@@ -42,7 +42,7 @@ use crate::cache::CellCache;
 use crate::error::BenchError;
 use crate::perfcmd;
 use crate::progress::SweepObserver;
-use crate::sweeps::{run_sweep, Engine};
+use crate::sweeps::run_sweep;
 
 /// How the daemon runs: where it listens, where artifacts and the
 /// cache live, and how wide the per-job worker pool is.
@@ -368,7 +368,7 @@ fn run_job(inner: &Arc<Inner>, idx: usize, stream: UnixStream) {
             &mut stream.borrow_mut(),
             &JobEvent::SweepStarted { job: job_id.clone(), sweep: spec.name().to_string() },
         );
-        match run_sweep(*spec, workers, &out_root, &obs, Engine::default()) {
+        match run_sweep(*spec, workers, &out_root, &obs) {
             Ok(report) => {
                 let after = sink.snapshot();
                 let _ = send_line(

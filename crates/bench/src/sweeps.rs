@@ -17,7 +17,9 @@
 //! share one [`ProgramContext`], so each CFG analysis is computed once
 //! per program per sweep instead of once per cell; cached analyses are
 //! values a fresh computation would also produce, keeping artifacts
-//! byte-identical to a from-scratch run.
+//! byte-identical to a from-scratch run. Cells that differ only in
+//! machine configuration go one step further and share one selection,
+//! trace and decoded [`ProgramImage`], simulated one cell after another.
 
 use std::fs;
 use std::path::Path;
@@ -25,7 +27,7 @@ use std::sync::OnceLock;
 
 use ms_analysis::ProgramContext;
 use ms_ir::Program;
-use ms_sim::{BatchEngine, ProgramImage, SimConfig, SimStats, Simulator};
+use ms_sim::{ProgramImage, SimConfig, SimStats, Simulator};
 use ms_tasksel::{if_convert, PartitionStats, SelectorBuilder, Strategy, TaskSizeParams};
 use ms_trace::TraceGenerator;
 use ms_workloads::{by_name, fp_suite, integer_suite};
@@ -129,32 +131,6 @@ impl SweepSpec {
                 suggestion: closest(name, &SWEEP_NAMES),
             }
         })
-    }
-}
-
-/// Which execution engine a sweep drives its cells through. Artifacts
-/// are byte-identical either way — the batch engine's statistics are
-/// bit-identical to the scalar `Simulator`'s (pinned by
-/// `tests/engine_identity.rs` and `run -- fuzz --engine both`) — so the
-/// choice is purely a throughput knob and the content-addressed cell
-/// cache needs no engine component in its keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// [`BatchEngine`]: cells sharing a (program, partition, trace)
-    /// triple are decoded once and advanced together (the default).
-    #[default]
-    Batch,
-    /// One scalar [`Simulator`] per cell (the historical path).
-    Scalar,
-}
-
-impl Engine {
-    /// The engine's CLI spelling (`--engine batch|scalar`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Batch => "batch",
-            Engine::Scalar => "scalar",
-        }
     }
 }
 
@@ -275,43 +251,13 @@ impl CellJob {
     /// identical to [`CellJob::run`]'s — the context only caches values
     /// a fresh computation would also produce.
     pub fn run_in(&self, ctx: &ProgramContext) -> CellOutput {
-        let selector = match self.ts_thresh {
-            Some(t) => SelectorBuilder::new(Strategy::DataDependence)
-                .max_targets(self.targets)
-                .task_size(TaskSizeParams { call_thresh: t, loop_thresh: t as usize })
-                .build(),
-            None => self.heuristic.selector(self.targets),
-        };
-        let sel = selector.select(ctx);
-        let partition = PartitionStats::compute(
-            &sel.program,
-            &sel.partition,
-            sel.context().profile(),
-            self.targets,
-        );
-        let cfg = self.sim_config();
-        let trace = TraceGenerator::new(&sel.program, self.seed).generate(self.insts);
-        let sim = Simulator::new(cfg, &sel.program, &sel.partition).run(&trace);
-        CellOutput { sim, partition }
-    }
-
-    /// Runs the cell through the chosen [`Engine`]; output is identical
-    /// to [`CellJob::run`] either way.
-    pub fn run_engine(&self, engine: Engine) -> CellOutput {
-        match engine {
-            Engine::Scalar => self.run(),
-            Engine::Batch => {
-                let ctx = self.context();
-                CellJob::run_batch(&[self], &ctx).pop().expect("one cell in, one out")
-            }
-        }
+        CellJob::run_group(&[self], ctx).pop().expect("one cell in, one out")
     }
 
     /// The fields that determine a cell's selection, partition
     /// statistics and trace — everything but the machine configuration.
-    /// Cells with equal batch keys can share one decoded
-    /// [`ProgramImage`] in a [`BatchEngine`] pass.
-    fn batch_key(
+    /// Cells with equal image keys share one decoded [`ProgramImage`].
+    fn image_key(
         &self,
     ) -> (&'static str, Option<usize>, Heuristic, usize, Option<u64>, usize, u64) {
         (
@@ -325,16 +271,16 @@ impl CellJob {
         )
     }
 
-    /// Runs a group of cells sharing one [`CellJob::batch_key`] through
-    /// the [`BatchEngine`]: select, partition statistics, trace and
-    /// decode once, then one engine cell per machine configuration.
-    /// Outputs are in input order and bit-identical to
-    /// [`CellJob::run_in`] on each cell.
-    fn run_batch(cells: &[&CellJob], ctx: &ProgramContext) -> Vec<CellOutput> {
+    /// Runs a group of cells sharing one [`CellJob::image_key`]: select,
+    /// partition statistics, trace and decode once, then simulate one
+    /// machine configuration after another over the shared image.
+    /// Outputs are in input order; each equals what the cell would
+    /// produce in a group of its own.
+    fn run_group(cells: &[&CellJob], ctx: &ProgramContext) -> Vec<CellOutput> {
         let lead = cells[0];
         debug_assert!(
-            cells.iter().all(|c| c.batch_key() == lead.batch_key()),
-            "batch groups share selection, partition and trace"
+            cells.iter().all(|c| c.image_key() == lead.image_key()),
+            "a group shares selection, partition and trace"
         );
         let selector = match lead.ts_thresh {
             Some(t) => SelectorBuilder::new(Strategy::DataDependence)
@@ -352,11 +298,12 @@ impl CellJob {
         );
         let trace = TraceGenerator::new(&sel.program, lead.seed).generate(lead.insts);
         let image = ProgramImage::new(&sel.program, &sel.partition, &trace);
-        let configs: Vec<SimConfig> = cells.iter().map(|c| c.sim_config()).collect();
-        BatchEngine::new(&image)
-            .run(&configs)
-            .into_iter()
-            .map(|sim| CellOutput { sim, partition: partition.clone() })
+        cells
+            .iter()
+            .map(|c| CellOutput {
+                sim: Simulator::new(c.sim_config(), &sel.program, &sel.partition).run_image(&image),
+                partition: partition.clone(),
+            })
             .collect()
     }
 
@@ -445,17 +392,16 @@ pub fn run_sweep(
     jobs: usize,
     out_root: &Path,
     obs: &SweepObserver,
-    engine: Engine,
 ) -> Result<SweepReport, BenchError> {
     match spec {
-        SweepSpec::Figure5 => figure5(jobs, out_root, obs, engine),
-        SweepSpec::Table1 => table1(jobs, out_root, obs, engine),
-        SweepSpec::Targets => targets(jobs, out_root, obs, engine),
-        SweepSpec::Thresholds => thresholds(jobs, out_root, obs, engine),
-        SweepSpec::Pus => pus(jobs, out_root, obs, engine),
-        SweepSpec::Forwarding => forwarding(jobs, out_root, obs, engine),
-        SweepSpec::Predication => predication(jobs, out_root, obs, engine),
-        SweepSpec::Hardware => hardware(jobs, out_root, obs, engine),
+        SweepSpec::Figure5 => figure5(jobs, out_root, obs),
+        SweepSpec::Table1 => table1(jobs, out_root, obs),
+        SweepSpec::Targets => targets(jobs, out_root, obs),
+        SweepSpec::Thresholds => thresholds(jobs, out_root, obs),
+        SweepSpec::Pus => pus(jobs, out_root, obs),
+        SweepSpec::Forwarding => forwarding(jobs, out_root, obs),
+        SweepSpec::Predication => predication(jobs, out_root, obs),
+        SweepSpec::Hardware => hardware(jobs, out_root, obs),
     }
 }
 
@@ -465,9 +411,7 @@ enum SweepWork {
     /// Stage 1 — build + analyse one distinct pre-selection program.
     Warm(usize),
     /// Stage 2 — simulate a group of grid cells (indices into the
-    /// grid) sharing one [`CellJob::batch_key`]. The scalar engine
-    /// runs singleton groups; the batch engine runs one decoded image
-    /// per group.
+    /// grid) sharing one [`CellJob::image_key`] over one decoded image.
     Group(Vec<usize>),
 }
 
@@ -498,7 +442,6 @@ fn run_cells(
     grid: Vec<(String, CellJob)>,
     out_root: &Path,
     obs: &SweepObserver,
-    engine: Engine,
 ) -> Result<Vec<(String, CellJob, CellOutput)>, BenchError> {
     obs.sink.add_queued(grid.len() as u64);
     // Stage 0 — probe the content-addressed cache (coordinator only;
@@ -563,22 +506,15 @@ fn run_cells(
             ctx
         })
     };
-    // Group the misses: under the batch engine, cells sharing one
-    // batch key (same selection, partition and trace; only the machine
-    // configuration differs) become one work item over one decoded
-    // image. The scalar engine runs singleton groups — the historical
-    // one-cell-one-simulator path.
+    // Group the misses: cells sharing one image key (same selection,
+    // partition and trace; only the machine configuration differs)
+    // become one work item over one decoded image.
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    match engine {
-        Engine::Scalar => groups.extend(misses.iter().map(|&i| vec![i])),
-        Engine::Batch => {
-            for &i in &misses {
-                let key = grid[i].1.batch_key();
-                match groups.iter_mut().find(|g| grid[g[0]].1.batch_key() == key) {
-                    Some(g) => g.push(i),
-                    None => groups.push(vec![i]),
-                }
-            }
+    for &i in &misses {
+        let key = grid[i].1.image_key();
+        match groups.iter_mut().find(|g| grid[g[0]].1.image_key() == key) {
+            Some(g) => g.push(i),
+            None => groups.push(vec![i]),
         }
     }
     let work: Vec<SweepWork> = (0..keys.len())
@@ -606,11 +542,7 @@ fn run_cells(
                         obs.sink.warm_hit();
                     }
                 }
-                let ctx = ctx_of(ki);
-                let outs = match engine {
-                    Engine::Scalar => jobs.iter().map(|j| j.run_in(ctx)).collect(),
-                    Engine::Batch => CellJob::run_batch(&jobs, ctx),
-                };
+                let outs = CellJob::run_group(&jobs, ctx_of(ki));
                 for _ in cells {
                     obs.sink.cell_finished();
                 }
@@ -677,12 +609,7 @@ fn responds_to_task_size(name: &str) -> bool {
 
 // ---------------------------------------------------------------- sweeps
 
-fn figure5(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-    engine: Engine,
-) -> Result<SweepReport, BenchError> {
+fn figure5(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let mut grid = Vec::new();
     for in_order in [false, true] {
@@ -713,7 +640,7 @@ fn figure5(
         }
     }
     let cells = grid.len();
-    let results = run_cells("figure5", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("figure5", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Figure 5 — impact of the compiler heuristics on the SPEC95-shaped suite")
@@ -782,12 +709,7 @@ fn figure5(
     Ok(report)
 }
 
-fn table1(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-    engine: Engine,
-) -> Result<SweepReport, BenchError> {
+fn table1(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let mut grid = Vec::new();
     for w in ms_workloads::suite() {
@@ -798,7 +720,7 @@ fn table1(
         }
     }
     let cells = grid.len();
-    let results = run_cells("table1", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("table1", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(
@@ -864,12 +786,7 @@ fn table1(
     Ok(report)
 }
 
-fn targets(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-    engine: Engine,
-) -> Result<SweepReport, BenchError> {
+fn targets(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let benches = ["go", "m88ksim", "perl", "hydro2d", "applu"];
     let ns = [2usize, 4, 6, 8];
@@ -882,7 +799,7 @@ fn targets(
         }
     }
     let cells = grid.len();
-    let results = run_cells("targets", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("targets", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: control-flow heuristic target limit N (4 PUs, out-of-order)")
@@ -908,7 +825,6 @@ fn thresholds(
     jobs: usize,
     out_root: &Path,
     obs: &SweepObserver,
-    engine: Engine,
 ) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let benches = ["compress", "fpppp"];
@@ -927,7 +843,7 @@ fn thresholds(
         }
     }
     let cells = grid.len();
-    let results = run_cells("thresholds", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("thresholds", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: CALL_THRESH / LOOP_THRESH sweep (dd tasks + task size, 8 PUs)")
@@ -956,12 +872,7 @@ fn thresholds(
     Ok(report)
 }
 
-fn pus(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-    engine: Engine,
-) -> Result<SweepReport, BenchError> {
+fn pus(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let benches = ["m88ksim", "perl", "tomcatv", "applu", "wave5"];
     let counts = [1usize, 2, 4, 8, 16];
@@ -975,7 +886,7 @@ fn pus(
         }
     }
     let cells = grid.len();
-    let results = run_cells("pus", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("pus", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: PU count sweep (data dependence tasks, out-of-order)").unwrap();
@@ -1002,7 +913,6 @@ fn forwarding(
     jobs: usize,
     out_root: &Path,
     obs: &SweepObserver,
-    engine: Engine,
 ) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let benches = ["m88ksim", "perl", "tomcatv", "applu", "wave5", "go"];
@@ -1018,7 +928,7 @@ fn forwarding(
         ));
     }
     let cells = grid.len();
-    let results = run_cells("forwarding", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("forwarding", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: dead register analysis for ring forwards (dd tasks, 8 PUs)").unwrap();
@@ -1054,7 +964,6 @@ fn predication(
     jobs: usize,
     out_root: &Path,
     obs: &SweepObserver,
-    engine: Engine,
 ) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let benches = ["go", "gcc", "li", "perl", "vortex", "hydro2d"];
@@ -1070,7 +979,7 @@ fn predication(
         }
     }
     let cells = grid.len();
-    let results = run_cells("predication", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("predication", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: if-conversion before task selection (cf tasks, 4 PUs)").unwrap();
@@ -1105,12 +1014,7 @@ fn predication(
     Ok(report)
 }
 
-fn hardware(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-    engine: Engine,
-) -> Result<SweepReport, BenchError> {
+fn hardware(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let bw_benches = ["m88ksim", "go", "applu", "wave5"];
     let bws = [1u32, 2, 4, 8];
@@ -1157,7 +1061,7 @@ fn hardware(
         }
     }
     let cells = grid.len();
-    let results = run_cells("hardware", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("hardware", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: ring bandwidth (values/cycle/link, paper: 2), 8 PUs, IPC").unwrap();
@@ -1245,6 +1149,25 @@ mod tests {
         assert_eq!(cf.run_in(&shared), cf.run());
         assert_eq!(dd.run_in(&shared), dd.run());
         assert!(shared.cache_stats().hits > 0, "second cell reuses cached analyses");
+    }
+
+    #[test]
+    fn grouped_cells_match_cells_run_alone() {
+        // Cells that differ only in machine configuration share one
+        // decoded image; each must still equal its own standalone run.
+        let base = CellJob { insts: 3_000, ..CellJob::new("go", Heuristic::DataDependence) };
+        let cells = [
+            CellJob { pus: 1, ..base.clone() },
+            CellJob { pus: 8, in_order: true, ..base.clone() },
+            CellJob { ring_bandwidth: Some(1), dead_reg: false, ..base.clone() },
+            CellJob { arb_entries_per_pu: Some(8), sync_table_entries: Some(0), ..base.clone() },
+        ];
+        let group: Vec<&CellJob> = cells.iter().collect();
+        let outs = CellJob::run_group(&group, &base.context());
+        assert_eq!(outs.len(), cells.len());
+        for (cell, out) in cells.iter().zip(outs) {
+            assert_eq!(out, cell.run(), "{cell:?}");
+        }
     }
 
     #[test]

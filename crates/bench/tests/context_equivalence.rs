@@ -6,7 +6,7 @@
 
 use ms_analysis::ProgramContext;
 use ms_bench::progress::SweepObserver;
-use ms_bench::sweeps::{cell_json, run_sweep, CellJob, Engine, SweepSpec};
+use ms_bench::sweeps::{cell_json, run_sweep, CellJob, SweepSpec};
 use ms_bench::Heuristic;
 
 /// Every (benchmark, heuristic, threshold) shape the grids use, run both
@@ -54,14 +54,16 @@ fn if_converted_cells_use_their_own_context() {
 }
 
 /// One real sweep, run end-to-end at `--jobs 1` and `--jobs 4`: every
-/// artifact file must be bit-identical.
+/// artifact file must be bit-identical. The forwarding grid pairs each
+/// benchmark's cells into one shared-image group, so grouping is
+/// exercised too.
 #[test]
 fn sweep_artifacts_are_bit_identical_across_jobs() {
     let root1 = tempdir("ctx-equiv-j1");
     let root4 = tempdir("ctx-equiv-j4");
-    run_sweep(SweepSpec::Targets, 1, &root1, &SweepObserver::silent(), Engine::default())
+    run_sweep(SweepSpec::Forwarding, 1, &root1, &SweepObserver::silent())
         .expect("serial sweep runs");
-    run_sweep(SweepSpec::Targets, 4, &root4, &SweepObserver::silent(), Engine::default())
+    run_sweep(SweepSpec::Forwarding, 4, &root4, &SweepObserver::silent())
         .expect("parallel sweep runs");
 
     let files1 = artifact_files(&root1);

@@ -9,8 +9,7 @@ use std::process::Command;
 use ms_bench::perfcmd::{self, PerfOptions};
 use ms_prof::jsonv::{self, Value};
 
-const SMOKE: PerfOptions =
-    PerfOptions { reps: 2, insts: 2_000, engine: ms_bench::sweeps::Engine::Batch };
+const SMOKE: PerfOptions = PerfOptions { reps: 2, insts: 2_000 };
 
 #[test]
 fn perf_doc_reconciles_and_validates() {

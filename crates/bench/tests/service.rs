@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use ms_bench::api::{JobState, SweepRequest};
 use ms_bench::progress::SweepObserver;
 use ms_bench::servecmd::{self, ServeOptions, Server};
-use ms_bench::sweeps::{run_sweep, Engine, SweepSpec};
+use ms_bench::sweeps::{run_sweep, SweepSpec};
 
 fn fresh_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("ms-service-{tag}-{}", std::process::id()));
@@ -78,9 +78,7 @@ fn served_jobs_match_one_shot_artifacts_and_resubmits_are_pure_cache_hits() {
 
     // The reference: a one-shot CLI run of the same sweep (no cache).
     let oneshot = root.join("oneshot");
-    let report =
-        run_sweep(SweepSpec::Thresholds, 2, &oneshot, &SweepObserver::silent(), Engine::default())
-            .unwrap();
+    let report = run_sweep(SweepSpec::Thresholds, 2, &oneshot, &SweepObserver::silent()).unwrap();
     let cells = report.cells as u64;
     assert!(cells > 0);
 

@@ -45,7 +45,7 @@ fn injected_bug_passes_internal_checks_but_fails_the_diff() {
 
 #[test]
 fn fuzzer_finds_the_injected_bug_and_shrinks_it() {
-    let params = FuzzParams { max_blocks: 8, insts: 2_000, inject: true, ..FuzzParams::default() };
+    let params = FuzzParams { max_blocks: 8, insts: 2_000, inject: true };
     let mut caught = None;
     for seed in 0..16 {
         let failures = fuzz_seed(seed, &params);
@@ -71,11 +71,11 @@ fn fuzzer_finds_the_injected_bug_and_shrinks_it() {
 #[test]
 fn clean_engine_passes_where_the_injected_one_fails() {
     // Control: the same seeds with injection off find nothing.
-    let params = FuzzParams { max_blocks: 8, insts: 2_000, inject: false, ..FuzzParams::default() };
+    let params = FuzzParams { max_blocks: 8, insts: 2_000, inject: false };
     for seed in 0..4 {
         assert!(fuzz_seed(seed, &params).is_empty());
     }
-    let params = FuzzParams { max_blocks: 8, insts: 2_000, inject: true, ..FuzzParams::default() };
+    let params = FuzzParams { max_blocks: 8, insts: 2_000, inject: true };
     let run = |inject: bool| {
         let program = ms_workloads::by_name("li").unwrap().build();
         let sel = SelectorBuilder::new(Strategy::DataDependence)

@@ -46,6 +46,7 @@ mod block;
 mod builder;
 mod display;
 mod error;
+mod fxhash;
 pub mod gen;
 mod inst;
 mod mem;
@@ -57,6 +58,7 @@ pub mod text;
 pub use block::{BasicBlock, BranchBehavior, Terminator};
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use error::{BuildError, IrError};
+pub use fxhash::{FxHasher, FxMap};
 pub use inst::{FuClass, Inst, Opcode};
 pub use mem::{AddrGenId, AddrSpec};
 pub use program::{BlockId, BlockRef, FuncId, Function, Program};

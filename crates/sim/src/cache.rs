@@ -5,8 +5,9 @@
 //! memory. Bandwidth contention is not modelled (the paper's caches are
 //! fully pipelined and banked one bank per PU).
 
+use ms_ir::FxMap;
+
 use crate::config::CacheParams;
-use crate::fxmap::FxMap;
 
 /// Way storage: `(tag, last-use stamp)` pairs, `assoc` per set. Stamp 0
 /// marks an empty way (the stamp counter starts at 1), and empty ways

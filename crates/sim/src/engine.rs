@@ -27,19 +27,18 @@
 //! held by a [`crate::ProgramImage`], register write sets travel as
 //! single-`u64` SWAR masks ([`crate::swar`]), ARB line membership is a
 //! lane-packed byte-tag probe, and per-PU mutable state is cache-line
-//! aligned. One engine advances one cell task by task
-//! ([`Engine::step`]), which is what lets [`crate::BatchEngine`]
-//! interleave many independent cells over one shared decoded image.
+//! aligned. An image is immutable once decoded, so cells that differ
+//! only in machine configuration can run one after another over one
+//! image ([`Simulator::run_image`]) and pay for the decode once.
 
 use ms_analysis::Liveness;
-use ms_ir::{BlockRef, Program, NUM_REGS};
+use ms_ir::{BlockRef, FxMap, Program, NUM_REGS};
 use ms_tasksel::{TaskPartition, TaskTarget};
 use ms_trace::{split_tasks, CtOutcome, DynExit, DynTask, Trace};
 
 use crate::cache::{Cache, Hierarchy};
 use crate::config::SimConfig;
 use crate::event::{NullSink, SimEvent, SquashCause, TraceSink};
-use crate::fxmap::FxMap;
 use crate::predictor::{Gshare, TaskPredictor};
 use crate::sink::TimelineSink;
 use crate::stats::{CycleBreakdown, SimStats};
@@ -146,11 +145,25 @@ impl<'a> Simulator<'a> {
         self.run_image_with_sink(&image, sink)
     }
 
+    /// Runs an already-decoded image, so cells that differ only in
+    /// machine configuration share one decode. The image must come from
+    /// this simulator's program and partition.
+    pub fn run_image(&self, image: &ProgramImage<'_>) -> SimStats {
+        self.run_image_with_sink(image, &mut NullSink)
+    }
+
+    /// [`Simulator::run_image`] with an event sink — the one place an
+    /// engine is driven; every `run*` method ends here.
     fn run_image_with_sink<S: TraceSink>(
         &self,
         image: &ProgramImage<'_>,
         sink: &mut S,
     ) -> SimStats {
+        debug_assert!(
+            std::ptr::eq(image.program, self.program)
+                && std::ptr::eq(image.partition, self.partition),
+            "image decoded from a different program or partition"
+        );
         // The span wraps the whole engine run; the per-instruction loop
         // inside stays untouched (the `prof_null` test pins that the
         // disabled profiler adds no allocations here).
@@ -177,8 +190,8 @@ impl<'a> Simulator<'a> {
 
 /// A decoded program image: the trace's dynamic task split plus the
 /// struct-of-arrays instruction table, built once and shared by every
-/// engine that executes the trace — every squash re-attempt of the
-/// scalar path, and every cell of a [`crate::BatchEngine`] batch.
+/// squash re-attempt of a run, and by every run over the same trace
+/// ([`Simulator::run_image`]).
 #[derive(Debug)]
 pub struct ProgramImage<'a> {
     pub(crate) program: &'a Program,
@@ -272,21 +285,6 @@ impl<'a> ProgramImage<'a> {
             task_live_filter,
         }
     }
-
-    /// Number of dynamic tasks the image's trace splits into.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// The program the image was decoded from.
-    pub fn program(&self) -> &'a Program {
-        self.program
-    }
-
-    /// The task partition the trace was split with.
-    pub fn partition(&self) -> &'a TaskPartition {
-        self.partition
-    }
 }
 
 /// The most recent writer of an architectural register.
@@ -373,8 +371,8 @@ impl Attempt {
     }
 }
 
-/// Per-PU mutable state, cache-line aligned so the round-robin walk of
-/// a batch pass never false-shares neighbouring PUs.
+/// Per-PU mutable state, cache-line aligned so neighbouring PUs never
+/// share a line.
 #[repr(align(64))]
 #[derive(Debug)]
 struct PuState {
@@ -445,7 +443,7 @@ pub(crate) struct Engine<'e> {
 }
 
 impl<'e> Engine<'e> {
-    pub(crate) fn new(cfg: &'e SimConfig, img: &'e ProgramImage<'e>) -> Self {
+    fn new(cfg: &'e SimConfig, img: &'e ProgramImage<'e>) -> Self {
         Engine {
             cfg,
             img,
@@ -484,7 +482,7 @@ impl<'e> Engine<'e> {
         }
     }
 
-    pub(crate) fn run_all<S: TraceSink>(&mut self, sink: &mut S) -> SimStats {
+    fn run_all<S: TraceSink>(&mut self, sink: &mut S) -> SimStats {
         for k in 0..self.img.tasks.len() {
             self.step(k, sink);
         }
@@ -494,7 +492,7 @@ impl<'e> Engine<'e> {
     /// Advances the cell by one dynamic task: dispatch, execute (with
     /// squash re-attempts), retire, commit architectural effects,
     /// predict the exit.
-    pub(crate) fn step<S: TraceSink>(&mut self, k: usize, sink: &mut S) {
+    fn step<S: TraceSink>(&mut self, k: usize, sink: &mut S) {
         let dt = self.img.tasks[k].clone();
         let p = self.cfg.num_pus;
         let pu = k % p;
@@ -698,7 +696,7 @@ impl<'e> Engine<'e> {
     }
 
     /// Final accounting after the last task stepped.
-    pub(crate) fn finish<S: TraceSink>(&mut self, sink: &mut S) -> SimStats {
+    fn finish<S: TraceSink>(&mut self, sink: &mut S) -> SimStats {
         let p = self.cfg.num_pus;
         self.stats.total_cycles = self.retire.last().copied().unwrap_or(0);
         if sink.enabled() {

@@ -39,41 +39,35 @@
 //!   Event semantics and the reconciliation invariants against
 //!   [`SimStats`] are documented in `docs/TRACING.md`.
 //!
-//! # Execution engines
+//! # Execution
 //!
 //! The hot loop is data-oriented: instructions are decoded once per
 //! (program, trace) into a struct-of-arrays table held by a
 //! [`ProgramImage`], register write sets travel as single-`u64` SWAR
 //! masks ([`swar`]), and ARB line membership is a lane-packed byte-tag
-//! probe. Two drivers share that loop:
-//!
-//! * [`Simulator`] — the scalar path: one configuration, one cell.
-//! * [`BatchEngine`] — N independent cells advanced in lockstep over
-//!   one shared decoded image (the default sweep path in `ms-bench`).
-//!   Statistics and event streams are bit-identical to the scalar
-//!   path; `run -- fuzz --engine both` differentially enforces that.
+//! probe. [`Simulator`] is the one driver: each `run*` call simulates
+//! one configuration. Sweeps whose cells differ only in machine
+//! configuration decode one image and pass it to
+//! [`Simulator::run_image`] once per cell.
 //!
 //! Entry points: [`SimConfig`] (presets [`SimConfig::four_pu`],
 //! [`SimConfig::eight_pu`], [`SimConfig::single_pu`]), [`Simulator`],
-//! [`BatchEngine`], [`SimStats`].
+//! [`SimStats`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod cache;
 mod check;
 mod config;
 mod engine;
 mod event;
-mod fxmap;
 mod predictor;
 mod sink;
 mod stats;
 pub mod swar;
 mod table;
 
-pub use batch::BatchEngine;
 pub use cache::{Cache, Hierarchy};
 pub use check::{CheckSink, CommitRec, DispatchRec, MemSquashRec};
 pub use config::{CacheParams, FuCounts, SimConfig};
@@ -84,7 +78,7 @@ pub use engine::{ProgramImage, Simulator, TaskTiming};
 /// caches keyed on program and configuration also key on this, so a
 /// model change can never serve stale cached results. Version 2: the
 /// data-oriented engine rewrite (struct-of-arrays decode, SWAR masks,
-/// batch mode) — statistics are bit-identical to version 1, but the
+/// shared decoded images) — statistics are bit-identical to version 1, but the
 /// bump conservatively invalidates cached cells across the rewrite.
 pub const ENGINE_VERSION: u32 = 2;
 pub use event::{NullSink, SimEvent, SquashCause, Tee, TraceSink, TRACE_SCHEMA_VERSION};

@@ -1,6 +1,6 @@
 //! Struct-of-arrays dynamic instruction storage, decoded once per
-//! (program, trace) and shared by every attempt — and, in batch mode,
-//! every cell — that executes the trace.
+//! (program, trace) and shared by every attempt — and every run over a
+//! shared [`crate::ProgramImage`] — that executes the trace.
 //!
 //! The engine's previous hot loop re-derived each instruction from the
 //! IR on every squash re-attempt of every task: a

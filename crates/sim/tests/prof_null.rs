@@ -4,25 +4,37 @@
 //! exactly the allocations the uninstrumented simulation performs —
 //! byte-for-byte the same count, run to run — mirroring the `NullSink`
 //! guarantee the event-tracing tests pin.
+//!
+//! Counts are kept per thread: the harness runs the two tests on
+//! parallel threads, and a process-wide counter would also see the
+//! sibling test's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ms_analysis::ProgramContext;
 use ms_sim::{SimConfig, SimStats, Simulator};
 use ms_tasksel::{SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
 
-/// The system allocator with a global allocation counter.
+/// The system allocator with a per-thread allocation counter.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A `const` initialiser with no destructor: touching it never
+    // allocates, so the allocator may use it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no further side effects.
+// thread-local cell with no further side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -31,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,8 +51,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far on the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.get()
 }
 
 /// One full simulation of the compress workload (trace pre-generated so

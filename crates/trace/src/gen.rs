@@ -6,9 +6,9 @@
 //! correct-path dynamic stream a value-level interpreter would produce,
 //! without interpreting values. Fully deterministic for a given seed.
 
-use crate::fxhash::FxMap;
-
-use ms_ir::{AddrSpec, BlockId, BlockRef, BranchBehavior, FuncId, Program, SplitMix64, Terminator};
+use ms_ir::{
+    AddrSpec, BlockId, BlockRef, BranchBehavior, FuncId, FxMap, Program, SplitMix64, Terminator,
+};
 
 use crate::step::{CtOutcome, Trace, TraceStep};
 

@@ -59,7 +59,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fxhash;
 mod gen;
 mod split;
 mod stats;

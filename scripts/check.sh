@@ -36,16 +36,12 @@
 #    involved — the committed trajectory must be free of cumulative
 #    drift vs best-ever (MS_PERF_ACCEPT_REGRESSION=1 reports instead),
 # 9. conformance fuzz smoke: 25 random programs x every registered
-#    selection policy must match the sequential reference model on
-#    BOTH execution engines (--engine both: scalar and batch paths
-#    checked differentially, bit-identical stats demanded;
-#    docs/CONFORMANCE.md),
+#    selection policy must match the sequential reference model
+#    (docs/CONFORMANCE.md),
 # 10. run-ledger smoke: a small sweep must leave a run record that
 #    passes `run -- runs-validate` and shows up in `run -- runs`;
-#    the same grid re-run under --engine scalar must be byte-identical
-#    to the batch-engine artifacts (the engine-identity contract,
-#    DESIGN.md section 6); target/experiments/runs/ is pruned to the
-#    newest 50 records (docs/OBSERVABILITY.md),
+#    target/experiments/runs/ is pruned to the newest 50 records
+#    (docs/OBSERVABILITY.md),
 # 11. sweep-service smoke: a daemon (`run -- serve`) must accept two
 #    identical submissions, serve the second one entirely from the
 #    content-addressed cell cache (zero cells simulated), produce
@@ -166,12 +162,11 @@ for artifact in "$smoke_dir/perf/history.html" "$smoke_dir/perf/history.json"; d
 done
 cargo run -p ms-bench --release --bin run -q -- perf-validate "$smoke_dir/perf/history.json"
 
-echo "==> conformance fuzz smoke (run -- fuzz --seeds 25 --engine both)"
-# Differential check: BOTH execution engines vs the sequential reference
-# model on random programs under every selection policy, plus
-# bit-identical stats demanded across the engines; failures shrink to
+echo "==> conformance fuzz smoke (run -- fuzz --seeds 25)"
+# Differential check: the engine vs the sequential reference model on
+# random programs under every selection policy; failures shrink to
 # .msir repros.
-cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 25 --engine both --out target/fuzz-smoke
+cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 25 --out target/fuzz-smoke
 
 echo "==> run-ledger smoke (run -- runs, docs/OBSERVABILITY.md)"
 # The perf/perf-history/fuzz steps above each left a run record; add the
@@ -179,12 +174,6 @@ echo "==> run-ledger smoke (run -- runs, docs/OBSERVABILITY.md)"
 # too, then assert the ledger round-trips: every record validates and
 # the listing surfaces the sweep we just ran.
 cargo run -p ms-bench --release --bin run -q -- forwarding --jobs 2 --out target/ledger-smoke
-# Engine identity at the artifact level: the same grid through the
-# scalar engine must be byte-for-byte the batch-engine tree above.
-cargo run -p ms-bench --release --bin run -q -- forwarding --jobs 2 --engine scalar \
-    --out target/ledger-smoke-scalar
-diff -r target/ledger-smoke/forwarding target/ledger-smoke-scalar/forwarding \
-    || { echo "batch and scalar engines emitted different sweep artifacts"; exit 1; }
 cargo run -p ms-bench --release --bin run -q -- runs-validate
 # Filter by command: record ids have one-second resolution, and several
 # smoke steps can finish inside the same second.
