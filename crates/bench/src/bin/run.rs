@@ -56,17 +56,13 @@
 //! cargo run -p ms-bench --release --bin run -- gap all --oracle-max-blocks 12
 //! ```
 //!
-//! Service mode (the daemon and its clients — see `docs/SERVICE.md`):
-//! a long-running local-socket sweep service with a FIFO job queue and
-//! a content-addressed cell cache, so repeated and overlapping grids
-//! from any number of clients cost near-zero; artifacts are
-//! byte-identical to the one-shot path:
+//! Cached sweeps (the content-addressed cell cache — see
+//! `EXPERIMENTS.md`): a repeated grid is re-rendered from the cache
+//! without simulating, and its artifacts are byte-identical to an
+//! uncached run:
 //!
 //! ```text
-//! cargo run -p ms-bench --release --bin run -- serve &
-//! cargo run -p ms-bench --release --bin run -- submit figure5 table1
-//! cargo run -p ms-bench --release --bin run -- jobs
-//! cargo run -p ms-bench --release --bin run -- shutdown
+//! cargo run -p ms-bench --release --bin run -- sweeps --cache-dir target/experiments/cellcache
 //! ```
 //!
 //! Observability (see `docs/OBSERVABILITY.md`): every sweep / perf /
@@ -88,7 +84,6 @@
 use std::path::Path;
 
 use ms_analysis::ProgramContext;
-use ms_bench::api::SweepRequest;
 use ms_bench::cache::CellCache;
 use ms_bench::cli::{self, Flags};
 use ms_bench::error::closest;
@@ -98,7 +93,6 @@ use ms_bench::historycmd::{self, BaselineEntry};
 use ms_bench::perfcmd::{self, PerfOptions};
 use ms_bench::progress::{ProgressLine, SweepObserver};
 use ms_bench::runscmd;
-use ms_bench::servecmd::{self, ServeOptions};
 use ms_bench::sweeps::{run_sweep, SweepSpec, SWEEP_NAMES};
 use ms_bench::tracecmd::trace_selection;
 use ms_bench::{run_selection, BenchError, DEFAULT_TRACE_INSTS};
@@ -354,9 +348,8 @@ fn run_sweeps(
     let label = if specs.len() == 1 { specs[0].name() } else { "sweeps" };
     let line = ProgressLine::stderr(label, flags.quiet);
     let tick = || line.tick(&sink);
-    // `--cache-dir` opts the one-shot path into the same
-    // content-addressed cell cache the service daemon uses; without it
-    // every cell simulates (the historical behaviour).
+    // `--cache-dir` opts into the content-addressed cell cache; without
+    // it every cell simulates.
     let cache = match &flags.cache_dir {
         Some(dir) => match CellCache::at(dir) {
             Ok(c) => Some(c),
@@ -367,8 +360,7 @@ fn run_sweeps(
         },
         None => None,
     };
-    let obs =
-        SweepObserver { sink: &sink, on_tick: &tick, cache: cache.as_ref(), on_cell: &|_| {} };
+    let obs = SweepObserver { sink: &sink, on_tick: &tick, cache: cache.as_ref() };
     for (i, spec) in specs.iter().enumerate() {
         if i > 0 {
             println!();
@@ -657,84 +649,6 @@ fn run_perf_validate(path: &str) -> i32 {
     0
 }
 
-// ------------------------------------------------------------ service
-
-/// The socket the daemon listens on / the clients dial: `--socket`, or
-/// `<out>/serve.sock`.
-fn socket_path(flags: &Flags) -> std::path::PathBuf {
-    flags.socket.clone().unwrap_or_else(|| flags.out.join("serve.sock"))
-}
-
-/// `run -- serve`: the foreground sweep service daemon (see
-/// `docs/SERVICE.md`). Exits when a client sends `shutdown` and the
-/// queue has drained.
-fn run_serve(flags: &Flags) -> i32 {
-    let opts = ServeOptions {
-        socket: socket_path(flags),
-        jobs: flags.jobs,
-        out: flags.out.clone(),
-        cache_dir: flags.cache_dir.clone().unwrap_or_else(|| flags.out.join("cellcache")),
-        runs_dir: runscmd::runs_dir(),
-        quiet: flags.quiet,
-    };
-    let socket = opts.socket.clone();
-    let cache_dir = opts.cache_dir.clone();
-    match servecmd::Server::start(opts) {
-        Ok(server) => {
-            if !flags.quiet {
-                println!(
-                    "serve: listening on {} (cell cache {}; `run -- shutdown` to stop)",
-                    socket.display(),
-                    cache_dir.display()
-                );
-            }
-            match server.join() {
-                Ok(jobs) => {
-                    if !flags.quiet {
-                        println!("serve: exiting after {jobs} job(s)");
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-/// `run -- submit <sweep>... | all`: send a [`SweepRequest`] to the
-/// daemon and stream the job's events until it completes.
-fn run_submit(positionals: &[String], flags: &Flags) -> i32 {
-    let mut sweeps: Vec<String> = positionals[1..].to_vec();
-    if sweeps.iter().any(|s| s == "all") {
-        sweeps = SWEEP_NAMES.iter().map(|s| s.to_string()).collect();
-    }
-    if sweeps.is_empty() {
-        eprintln!("error: submit needs at least one sweep name or `all` (see `run -- list`)");
-        return 2;
-    }
-    let req = SweepRequest { sweeps, jobs: Some(flags.jobs) };
-    // Resolve locally first: a typo earns its suggestion without a
-    // round-trip (the daemon re-validates anyway).
-    if let Err(e) = req.resolve() {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    match servecmd::submit(&socket_path(flags), &req, flags.quiet) {
-        Ok(_status) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
-        }
-    }
-}
-
 /// `run -- runs [show <id>]`: query the run ledger.
 fn run_runs(positionals: &[String], flags: &Flags) -> i32 {
     let dir = runscmd::runs_dir();
@@ -819,31 +733,6 @@ fn real_main() -> i32 {
             print!("{}", cli::policies_text());
             0
         }
-        "serve" => run_serve(&flags),
-        "submit" => run_submit(&positionals, &flags),
-        "jobs" => {
-            match servecmd::jobs_table(&socket_path(&flags), positionals.get(1).map(String::as_str))
-            {
-                Ok(table) => {
-                    print!("{table}");
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    2
-                }
-            }
-        }
-        "shutdown" => match servecmd::shutdown(&socket_path(&flags)) {
-            Ok(()) => {
-                println!("daemon at {} is shutting down", socket_path(&flags).display());
-                0
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                2
-            }
-        },
         "runs" => run_runs(&positionals, &flags),
         "runs-validate" => {
             let (text, code) = runscmd::validate_runs(
@@ -880,11 +769,8 @@ fn real_main() -> i32 {
             code
         }
         name if SWEEP_NAMES.contains(&name) => {
-            // The one-shot path speaks the same typed request vocabulary
-            // as the daemon's `submit` verb (see `ms_bench::api`).
-            let req = SweepRequest { sweeps: vec![name.to_string()], jobs: Some(flags.jobs) };
-            let specs = req.resolve().expect("name is in SWEEP_NAMES");
-            let (code, snap) = run_sweeps(&specs, &flags, &mut led);
+            let spec = SweepSpec::parse(name).expect("name is in SWEEP_NAMES");
+            let (code, snap) = run_sweeps(&[spec], &flags, &mut led);
             progress = snap;
             code
         }

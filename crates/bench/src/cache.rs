@@ -17,13 +17,13 @@
 //! and `PartitionStats` counter), not rendered artifact bytes: the
 //! artifact JSON embeds the sweep and cell names, which are *not* part
 //! of the cell's identity. Re-rendering a decoded output through
-//! [`crate::sweeps::cell_json`] reproduces the one-shot artifact
+//! [`crate::sweeps::cell_json`] reproduces the uncached artifact
 //! byte-for-byte (floats use shortest-round-trip formatting both ways),
-//! which the service tests pin.
+//! which `tests/context_equivalence.rs` pins.
 //!
-//! Lookups count into per-cache atomics (surfaced by the daemon's job
-//! telemetry), the scheduler's `ProgressSink` (run ledger + progress
-//! line) and the `ms-prof` counters `sweep.cache.hit` /
+//! Lookups count into per-cache atomics ([`CellCache::hits`] /
+//! [`CellCache::misses`]), the scheduler's `ProgressSink` (run ledger +
+//! progress line) and the `ms-prof` counters `sweep.cache.hit` /
 //! `sweep.cache.miss` (visible under `run -- perf`). A corrupt,
 //! truncated or schema-incompatible entry is treated as a miss and
 //! recomputed, never trusted.
@@ -85,8 +85,8 @@ pub fn cell_key(job: &CellJob, program_hash: u64, engine_version: u32) -> String
     format!("{hi:016x}{lo:016x}")
 }
 
-/// A directory of memoized cell results, shared by every job of a
-/// daemon (and usable by the one-shot path via `--cache-dir`). Safe to
+/// A directory of memoized cell results, opened by sweeps run with
+/// `--cache-dir` and shared by every run that names it. Safe to
 /// share across threads: lookups and stores touch independent files
 /// named by content key, so concurrent writers of the same key write
 /// identical bytes.
@@ -392,7 +392,7 @@ mod tests {
         let back = cache.lookup(&key).expect("stored entry decodes");
         // Field-exact equality: with `cell_json` being a pure function
         // of (names, job, output), this is what makes served artifacts
-        // byte-identical to one-shot ones.
+        // byte-identical to uncached ones.
         assert_eq!(back, out);
         assert_eq!(
             crate::sweeps::cell_json("s", "c", &job, &back),

@@ -87,12 +87,8 @@ pub struct Flags {
     pub last: usize,
     /// `--cmd NAME`: filter `runs` to one subcommand's records.
     pub cmd_filter: Option<String>,
-    /// `--socket PATH`: where the service daemon listens / where the
-    /// client subcommands connect (default `<out>/serve.sock`).
-    pub socket: Option<PathBuf>,
-    /// `--cache-dir DIR`: the content-addressed cell cache. `serve`
-    /// defaults to `<out>/cellcache`; one-shot sweeps run uncached
-    /// unless this is given.
+    /// `--cache-dir DIR`: the content-addressed cell cache; sweeps run
+    /// uncached unless this is given.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -127,7 +123,6 @@ impl Default for Flags {
             quiet: false,
             last: 20,
             cmd_filter: None,
-            socket: None,
             cache_dir: None,
         }
     }
@@ -150,8 +145,6 @@ pub enum FlagGroup {
     Gap,
     /// The run-ledger queries.
     Runs,
-    /// The sweep service daemon and its clients.
-    Serve,
 }
 
 impl FlagGroup {
@@ -163,18 +156,16 @@ impl FlagGroup {
             FlagGroup::Fuzz => "fuzz flags",
             FlagGroup::Gap => "gap flags",
             FlagGroup::Runs => "runs flags",
-            FlagGroup::Serve => "serve / submit / jobs / shutdown flags",
         }
     }
 
-    const ORDER: [FlagGroup; 7] = [
+    const ORDER: [FlagGroup; 6] = [
         FlagGroup::Shared,
         FlagGroup::SingleRun,
         FlagGroup::Perf,
         FlagGroup::Fuzz,
         FlagGroup::Gap,
         FlagGroup::Runs,
-        FlagGroup::Serve,
     ];
 }
 
@@ -250,6 +241,17 @@ pub static FLAGS: &[FlagSpec] = &[
         help: "no live progress line (MS_NO_PROGRESS=1 equivalent)",
         default: None,
         apply: Apply::Switch(|f| f.quiet = true),
+    },
+    FlagSpec {
+        name: "--cache-dir",
+        metavar: Some("DIR"),
+        group: FlagGroup::Shared,
+        help: "content-addressed cell cache: sweeps reuse finished cells",
+        default: Some(|| "off".to_string()),
+        apply: Apply::Value(|f, v| {
+            f.cache_dir = Some(PathBuf::from(v));
+            Ok(())
+        }),
     },
     FlagSpec {
         name: "--strategy",
@@ -492,28 +494,6 @@ pub static FLAGS: &[FlagSpec] = &[
             Ok(())
         }),
     },
-    FlagSpec {
-        name: "--socket",
-        metavar: Some("PATH"),
-        group: FlagGroup::Serve,
-        help: "daemon listen / client connect socket",
-        default: Some(|| "<out>/serve.sock".to_string()),
-        apply: Apply::Value(|f, v| {
-            f.socket = Some(PathBuf::from(v));
-            Ok(())
-        }),
-    },
-    FlagSpec {
-        name: "--cache-dir",
-        metavar: Some("DIR"),
-        group: FlagGroup::Serve,
-        help: "content-addressed cell cache (also enables it for one-shot sweeps)",
-        default: Some(|| "serve: <out>/cellcache; one-shot: off".to_string()),
-        apply: Apply::Value(|f, v| {
-            f.cache_dir = Some(PathBuf::from(v));
-            Ok(())
-        }),
-    },
 ];
 
 // ----------------------------------------------------- subcommand table
@@ -531,8 +511,6 @@ pub enum SchemaRef {
     History,
     /// Run-ledger records (`ms_prof::ledger::LEDGER_SCHEMA_VERSION`).
     Ledger,
-    /// Service wire protocol (`crate::api::API_SCHEMA_VERSION`).
-    Api,
 }
 
 impl SchemaRef {
@@ -547,13 +525,12 @@ impl SchemaRef {
             SchemaRef::Ledger => {
                 format!("ledger schema v{}", ms_prof::ledger::LEDGER_SCHEMA_VERSION)
             }
-            SchemaRef::Api => format!("api schema v{}", crate::api::API_SCHEMA_VERSION),
         }
     }
 }
 
 /// One entry of the subcommand registry: invocation syntax, help lines,
-/// and the schema version of what it writes or speaks. `run -- help`
+/// and the schema version of what it writes. `run -- help`
 /// and the driver's unknown-name suggestions are generated from
 /// [`SUBCOMMANDS`].
 pub struct SubcommandSpec {
@@ -651,39 +628,11 @@ pub static SUBCOMMANDS: &[SubcommandSpec] = &[
         schema: None,
     },
     SubcommandSpec {
-        name: "serve",
-        operands: "",
-        about: &[
-            "sweep service daemon on a local socket: queued jobs share one",
-            "worker pool and one content-addressed cell cache, results",
-            "stream back per cell (docs/SERVICE.md)",
-        ],
-        schema: Some(SchemaRef::Api),
-    },
-    SubcommandSpec {
-        name: "submit",
-        operands: "<sweep>... | all",
-        about: &["submit a sweep job to the daemon and stream its results"],
-        schema: Some(SchemaRef::Api),
-    },
-    SubcommandSpec {
-        name: "jobs",
-        operands: "[id]",
-        about: &["the daemon's job table (or one job's status)"],
-        schema: None,
-    },
-    SubcommandSpec {
-        name: "shutdown",
-        operands: "",
-        about: &["drain the daemon's queue and stop it"],
-        schema: None,
-    },
-    SubcommandSpec {
         name: "runs",
         operands: "[show <id>]",
         about: &[
             "list recorded runs, newest first (sweep/perf/perf-history/",
-            "trace/fuzz/gap/serve invocations leave JSONL records under",
+            "trace/fuzz/gap invocations leave JSONL records under",
             "target/experiments/runs/); `show` replays one record",
         ],
         schema: Some(SchemaRef::Ledger),
@@ -756,9 +705,8 @@ pub fn parse(args: impl Iterator<Item = String>) -> Result<(Vec<String>, Flags),
 // ----------------------------------------------------------------- help
 
 /// The `run -- help` text, generated from [`SUBCOMMANDS`] and [`FLAGS`]:
-/// every subcommand with the schema version of the artifact it writes
-/// (or protocol it speaks), then every flag grouped by subcommand
-/// family with its default.
+/// every subcommand with the schema version of the artifact it writes,
+/// then every flag grouped by subcommand family with its default.
 pub fn help_text() -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -802,11 +750,6 @@ best` to auto-select the best-ever comparable committed baseline) exits non-zero
 if any phase slower than the noise floor regressed by more than --max-regress
 percent; `run -- perf-history` additionally gates drift accumulated across the
 whole trajectory (docs/PROFILING.md, docs/PERF-HISTORY.md).
-
-The sweep service: `run -- serve` then `run -- submit figure5 table1` from any
-number of clients; identical cells are served from the content-addressed cell
-cache, artifacts are byte-identical to the one-shot path, and every job leaves
-a run-ledger record (docs/SERVICE.md).
 ",
     );
     out
@@ -871,7 +814,7 @@ mod tests {
 
     #[test]
     fn every_subcommand_shares_out_and_jobs() {
-        for cmd in ["sweeps", "figure5", "trace", "perf", "compress", "serve", "submit"] {
+        for cmd in ["sweeps", "figure5", "trace", "perf", "compress"] {
             let (pos, flags) = parse_ok(&[cmd, "--out", "/tmp/x", "--jobs", "3"]);
             assert_eq!(pos[0], cmd);
             assert_eq!(flags.out, PathBuf::from("/tmp/x"));
@@ -911,21 +854,19 @@ mod tests {
 
     #[test]
     fn unknown_flags_get_nearest_match_suggestions() {
-        let err = parse(["serve".to_string(), "--sokcet".to_string()].into_iter()).unwrap_err();
-        assert!(err.to_string().contains("did you mean `--socket`?"), "{err}");
+        let err =
+            parse(["figure5".to_string(), "--cache-dri".to_string()].into_iter()).unwrap_err();
+        assert!(err.to_string().contains("did you mean `--cache-dir`?"), "{err}");
         let err = parse(["--jbos".to_string()].into_iter()).unwrap_err();
         assert!(err.to_string().contains("did you mean `--jobs`?"), "{err}");
     }
 
     #[test]
-    fn serve_flags_parse() {
-        let (pos, flags) =
-            parse_ok(&["submit", "figure5", "--socket", "/tmp/s.sock", "--cache-dir", "/tmp/cc"]);
-        assert_eq!(pos, ["submit", "figure5"]);
-        assert_eq!(flags.socket, Some(PathBuf::from("/tmp/s.sock")));
+    fn cache_dir_parses_and_defaults_off() {
+        let (pos, flags) = parse_ok(&["figure5", "--cache-dir", "/tmp/cc"]);
+        assert_eq!(pos, ["figure5"]);
         assert_eq!(flags.cache_dir, Some(PathBuf::from("/tmp/cc")));
-        let (_, flags) = parse_ok(&["serve"]);
-        assert_eq!(flags.socket, None);
+        let (_, flags) = parse_ok(&["sweeps"]);
         assert_eq!(flags.cache_dir, None);
     }
 
@@ -968,7 +909,6 @@ mod tests {
         assert!(
             text.contains(&format!("ledger schema v{}", ms_prof::ledger::LEDGER_SCHEMA_VERSION))
         );
-        assert!(text.contains(&format!("api schema v{}", crate::api::API_SCHEMA_VERSION)));
     }
 
     #[test]
@@ -985,7 +925,7 @@ mod tests {
     #[test]
     fn subcommand_names_cover_the_dispatcher() {
         let names = subcommand_names();
-        for cmd in ["sweeps", "serve", "submit", "jobs", "shutdown", "runs", "all", "help"] {
+        for cmd in ["sweeps", "runs", "all", "help"] {
             assert!(names.contains(&cmd), "`{cmd}` missing from subcommand_names()");
         }
         assert!(!names.iter().any(|n| n.starts_with('<')), "placeholders are filtered");

@@ -27,14 +27,10 @@
 //! The `run -- gap` subcommand ([`gapcmd`]) compares every selection
 //! policy against the exact-partition oracle on one benchmark, and
 //! `run -- policies` lists the policy registry (see
-//! `docs/POLICIES.md`). The `run -- serve` subcommand ([`servecmd`])
-//! turns the driver into a long-running local-socket daemon: clients
-//! (`run -- submit` / `jobs` / `shutdown`) speak the typed,
-//! schema-versioned request/event protocol of [`api`], jobs share one
-//! worker pool and one content-addressed cell cache ([`cache`]) so
-//! repeated and overlapping grids cost near-zero, and every job leaves
-//! a run-ledger record (see `docs/SERVICE.md`). Every subcommand
-//! shares one flag parser ([`cli`]) and one timing policy
+//! `docs/POLICIES.md`). With `--cache-dir`, sweeps probe and fill a
+//! content-addressed cell cache ([`cache`]), so a repeated grid
+//! re-renders byte-identical artifacts without simulating. Every
+//! subcommand shares one flag parser ([`cli`]) and one timing policy
 //! ([`microbench`]).
 //!
 //! This crate is the *reporting* stage of the data flow — everything
@@ -47,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod cache;
 pub mod cli;
 pub mod error;
@@ -60,7 +55,6 @@ pub mod microbench;
 pub mod perfcmd;
 pub mod progress;
 pub mod runscmd;
-pub mod servecmd;
 pub mod sweeps;
 pub mod tracecmd;
 

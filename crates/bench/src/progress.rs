@@ -129,8 +129,7 @@ fn fmt_secs(s: f64) -> String {
 
 /// The observability hooks the sweep scheduler threads through its
 /// stages: the counter sink, the caller-thread heartbeat that drives
-/// the progress line, plus the cell-cache handle and the per-cell
-/// streaming callback the service daemon wires in.
+/// the progress line, plus the optional cell-cache handle.
 pub struct SweepObserver<'a> {
     /// Destination for queued/started/finished/warm-hit counters and
     /// per-worker busy tallies.
@@ -139,21 +138,17 @@ pub struct SweepObserver<'a> {
     /// completes; the progress line repaints here.
     pub on_tick: &'a dyn Fn(),
     /// Content-addressed cell cache; `None` runs every cell (the
-    /// one-shot default without `--cache-dir`).
+    /// default without `--cache-dir`).
     pub cache: Option<&'a crate::cache::CellCache>,
-    /// Invoked on the coordinating thread for each finished cell, in
-    /// grid order, right after its artifact is written — the daemon
-    /// streams these to the submitting client.
-    pub on_cell: &'a dyn Fn(&crate::api::CellResult),
 }
 
 impl SweepObserver<'_> {
     /// The no-op observer: a disabled sink, an empty heartbeat, no
-    /// cache, no cell stream. What library callers that don't care
-    /// about telemetry pass.
+    /// cache. What library callers that don't care about telemetry
+    /// pass.
     pub fn silent() -> SweepObserver<'static> {
         static SILENT: ProgressSink = ProgressSink::disabled();
-        SweepObserver { sink: &SILENT, on_tick: &|| {}, cache: None, on_cell: &|_| {} }
+        SweepObserver { sink: &SILENT, on_tick: &|| {}, cache: None }
     }
 }
 

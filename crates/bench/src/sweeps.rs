@@ -424,7 +424,7 @@ enum SweepWork {
 /// ledger totals stay truthful), and only the misses are scheduled —
 /// then stored back, so an identical resubmission runs zero cells.
 /// Cached and computed outputs are field-identical, so artifacts stay
-/// byte-identical either way (pinned by `tests/service.rs`).
+/// byte-identical either way (pinned by `tests/context_equivalence.rs`).
 ///
 /// Cells with equal `(bench, if_convert_arms)` share one lazily-warmed
 /// [`ProgramContext`], so each program's CFG analyses are computed once
@@ -470,7 +470,6 @@ fn run_cells(
         cell_keys.push(key);
         cached.push(hit);
     }
-    let was_hit: Vec<bool> = cached.iter().map(Option::is_some).collect();
     let misses: Vec<usize> = (0..grid.len()).filter(|&i| cached[i].is_none()).collect();
     // One context key per distinct pre-selection program that still has
     // work, in grid order.
@@ -569,16 +568,10 @@ fn run_cells(
     let dir = out_root.join(sweep);
     fs::create_dir_all(&dir)?;
     let mut results = Vec::with_capacity(grid.len());
-    for (((id, job), out), hit) in grid.into_iter().zip(cached).zip(was_hit) {
+    for ((id, job), out) in grid.into_iter().zip(cached) {
         let out = out.expect("every grid slot is filled by probe or compute");
         let json = cell_json(sweep, &id, &job, &out);
         fs::write(dir.join(format!("{id}.json")), format!("{json}\n"))?;
-        (obs.on_cell)(&crate::api::CellResult {
-            sweep: sweep.to_string(),
-            cell: id.clone(),
-            cached: hit,
-            artifact: json,
-        });
         results.push((id, job, out));
     }
     Ok(results)

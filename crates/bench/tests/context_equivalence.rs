@@ -2,9 +2,12 @@
 //! run against a warmed, shared [`ProgramContext`] must produce JSON
 //! byte-identical to a from-scratch standalone run — the cache may only
 //! ever serve values a fresh computation would also have produced — and
-//! a whole sweep's artifacts must not depend on `--jobs`.
+//! a whole sweep's artifacts must not depend on `--jobs` or on whether
+//! the cell cache served them.
 
-use ms_analysis::ProgramContext;
+use std::path::{Path, PathBuf};
+
+use ms_bench::cache::CellCache;
 use ms_bench::progress::SweepObserver;
 use ms_bench::sweeps::{cell_json, run_sweep, CellJob, SweepSpec};
 use ms_bench::Heuristic;
@@ -56,7 +59,9 @@ fn if_converted_cells_use_their_own_context() {
 /// One real sweep, run end-to-end at `--jobs 1` and `--jobs 4`: every
 /// artifact file must be bit-identical. The forwarding grid pairs each
 /// benchmark's cells into one shared-image group, so grouping is
-/// exercised too.
+/// exercised too. The same grid then runs twice through a cell cache,
+/// cold and warm: both trees must match the uncached one, and the warm
+/// run must serve every cell from the cache without simulating.
 #[test]
 fn sweep_artifacts_are_bit_identical_across_jobs() {
     let root1 = tempdir("ctx-equiv-j1");
@@ -65,28 +70,48 @@ fn sweep_artifacts_are_bit_identical_across_jobs() {
         .expect("serial sweep runs");
     run_sweep(SweepSpec::Forwarding, 4, &root4, &SweepObserver::silent())
         .expect("parallel sweep runs");
+    assert_trees_identical(&root1, &root4, "--jobs 4");
 
-    let files1 = artifact_files(&root1);
-    let files4 = artifact_files(&root4);
-    assert_eq!(files1, files4, "artifact file sets differ between --jobs 1 and --jobs 4");
-    assert!(!files1.is_empty(), "sweep produced no artifacts");
-    for rel in &files1 {
-        let a = std::fs::read(root1.join(rel)).unwrap();
-        let b = std::fs::read(root4.join(rel)).unwrap();
-        assert_eq!(a, b, "{rel}: artifact differs between --jobs 1 and --jobs 4");
+    let cache_dir = tempdir("ctx-equiv-cache");
+    let cold = tempdir("ctx-equiv-cold");
+    let warm = tempdir("ctx-equiv-warm");
+    let cache = CellCache::at(&cache_dir).expect("cache dir opens");
+    let obs = SweepObserver { cache: Some(&cache), ..SweepObserver::silent() };
+    let report = run_sweep(SweepSpec::Forwarding, 4, &cold, &obs).expect("cold cached sweep");
+    assert_eq!((cache.hits(), cache.misses()), (0, report.cells as u64), "cold cache misses");
+    assert_trees_identical(&root1, &cold, "cold cache");
+
+    let cache = CellCache::at(&cache_dir).expect("cache dir reopens");
+    let obs = SweepObserver { cache: Some(&cache), ..SweepObserver::silent() };
+    let report = run_sweep(SweepSpec::Forwarding, 4, &warm, &obs).expect("warm cached sweep");
+    assert_eq!(cache.hits(), report.cells as u64, "warm run serves every cell");
+    assert_eq!(cache.misses(), 0, "warm run simulates nothing");
+    assert_trees_identical(&root1, &warm, "warm cache");
+
+    for dir in [root1, root4, cache_dir, cold, warm] {
+        std::fs::remove_dir_all(dir).ok();
     }
-    std::fs::remove_dir_all(&root1).ok();
-    std::fs::remove_dir_all(&root4).ok();
 }
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
+fn assert_trees_identical(want: &Path, got: &Path, what: &str) {
+    let files = artifact_files(want);
+    assert_eq!(files, artifact_files(got), "artifact file sets differ ({what})");
+    assert!(!files.is_empty(), "sweep produced no artifacts");
+    for rel in &files {
+        let a = std::fs::read(want.join(rel)).unwrap();
+        let b = std::fs::read(got.join(rel)).unwrap();
+        assert_eq!(a, b, "{rel}: artifact differs ({what})");
+    }
+}
+
+fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ms-bench-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-fn artifact_files(root: &std::path::Path) -> Vec<String> {
+fn artifact_files(root: &Path) -> Vec<String> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {

@@ -116,14 +116,18 @@ impl Value {
     }
 }
 
-/// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// repository writes is a handful of levels deep; the bound turns a
+/// corrupt file full of `[` into an `Err` instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document (trailing whitespace allowed; trailing
+/// garbage and nesting deeper than 128 arrays/objects rejected).
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(v)
@@ -144,13 +148,18 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `*pos`, which sits `depth` arrays/objects deep.
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(s, pos, depth + 1),
+        Some(b'[') => parse_arr(s, pos, depth + 1),
+        Some(b'"') => Ok(Value::Str(parse_string(s, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
@@ -176,7 +185,8 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     s.parse::<f64>().map(Value::Num).map_err(|_| format!("bad number `{s}` at byte {start}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -217,10 +227,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so byte
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
+                // Consume one UTF-8 scalar straight from the already
+                // validated &str: the parser only ever stops on char
+                // boundaries, so nothing is re-validated.
+                let c = s
+                    .get(*pos..)
+                    .and_then(|rest| rest.chars().next())
+                    .ok_or_else(|| format!("bad string byte {}", *pos))?;
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -228,7 +241,8 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -237,7 +251,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(s, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -250,7 +264,8 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -260,10 +275,10 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(s, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -306,6 +321,27 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        assert!(parse(&deep).is_err());
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).unwrap_err().contains("nesting"));
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn parses_a_one_megabyte_string() {
+        // Multi-byte scalars throughout, padded to exactly 1 MB.
+        let mut body = "aé€".repeat(1 << 17);
+        body.push_str(&"x".repeat(1_000_000 - body.len()));
+        assert_eq!(body.len(), 1_000_000);
+        let v = parse(&format!("{{\"s\":\"{body}\"}}")).unwrap();
+        assert_eq!(v.get("s").and_then(Value::as_str), Some(body.as_str()));
     }
 
     #[test]

@@ -44,8 +44,8 @@ use crate::jsonv::{self, Value};
 /// documented field-by-field in `docs/OBSERVABILITY.md`).
 ///
 /// v2 added the `cache_hits` / `cache_misses` counters to the footer's
-/// progress snapshot (the sweep service's content-addressed cell
-/// cache). Readers accept v1 records too — old records validate, minus
+/// progress snapshot (the content-addressed cell cache behind
+/// `--cache-dir`). Readers accept v1 records too — old records validate, minus
 /// the fields their era did not have.
 pub const LEDGER_SCHEMA_VERSION: u32 = 2;
 

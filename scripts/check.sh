@@ -42,11 +42,10 @@
 #    passes `run -- runs-validate` and shows up in `run -- runs`;
 #    target/experiments/runs/ is pruned to the newest 50 records
 #    (docs/OBSERVABILITY.md),
-# 11. sweep-service smoke: a daemon (`run -- serve`) must accept two
-#    identical submissions, serve the second one entirely from the
-#    content-addressed cell cache (zero cells simulated), produce
-#    artifacts byte-identical to the one-shot CLI path, and shut down
-#    cleanly within the timeout budget (docs/SERVICE.md).
+# 11. cached-rerun smoke: the same sweep run twice with one `--cache-dir`
+#    must write artifacts byte-identical to step 10's uncached run, and
+#    the second run must serve every cell from the content-addressed
+#    cell cache (zero cells simulated, per its run record's footer).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -73,7 +72,7 @@ echo "==> docs gate (metric tables vs. source)"
 # removed counter/field must take its documentation row with it.
 docs_fail=0
 for doc in EXPERIMENTS.md docs/METRICS.md docs/TRACING.md docs/PROFILING.md \
-           docs/PERF-HISTORY.md docs/OBSERVABILITY.md docs/SERVICE.md; do
+           docs/PERF-HISTORY.md docs/OBSERVABILITY.md; do
     [ -f "$doc" ] || { echo "missing $doc"; docs_fail=1; continue; }
 done
 for doc in EXPERIMENTS.md docs/METRICS.md docs/PROFILING.md docs/PERF-HISTORY.md \
@@ -194,54 +193,22 @@ if [ -d "$runs_dir" ]; then
     fi
 fi
 
-echo "==> sweep-service smoke (run -- serve, docs/SERVICE.md)"
-# End-to-end through the real socket: the one-shot reference run, a
-# daemon in the background, the same grid submitted twice. The second
-# submission must be a pure cache replay ("0 computed" in the final
-# status line) and both jobs' artifacts must be byte-identical to the
-# one-shot tree. Everything runs the already-built release binary so
-# the background daemon and the foreground clients never contend on a
-# cargo build lock.
-run_bin=target/release/run
-serve_dir=target/serve-smoke
-rm -rf "$serve_dir"
-"$run_bin" forwarding --jobs 2 --quiet --out "$serve_dir/oneshot"
-"$run_bin" serve --jobs 2 --quiet --out "$serve_dir/daemon" &
-serve_pid=$!
-# The daemon must come up inside the timeout budget (~15s).
-ready=0
-i=0
-while [ "$i" -lt 30 ]; do
-    if "$run_bin" jobs --out "$serve_dir/daemon" >/dev/null 2>&1; then
-        ready=1
-        break
-    fi
-    sleep 0.5
-    i=$((i + 1))
+echo "==> cached-rerun smoke (run -- forwarding --cache-dir, EXPERIMENTS.md)"
+# The same grid twice through one cell cache: a cold pass that fills
+# it, then a warm pass that must simulate nothing. Both trees must be
+# byte-identical to step 10's uncached forwarding tree. The warm run's
+# own record (the path it prints) must say "cache_misses":0.
+cache_smoke=target/cache-smoke
+rm -rf "$cache_smoke"
+for pass in cold warm; do
+    printed=$(cargo run -p ms-bench --release --bin run -q -- forwarding --jobs 2 --quiet \
+        --cache-dir "$cache_smoke/cellcache" --out "$cache_smoke/$pass")
+    diff -r target/ledger-smoke/forwarding "$cache_smoke/$pass/forwarding" \
+        || { echo "$pass cached run's artifacts differ from the uncached run"; exit 1; }
 done
-[ "$ready" -eq 1 ] || { echo "serve daemon did not come up"; kill "$serve_pid" 2>/dev/null; exit 1; }
-"$run_bin" submit forwarding --quiet --out "$serve_dir/daemon"
-second=$("$run_bin" submit forwarding --out "$serve_dir/daemon")
-echo "$second" | grep -q ", 0 computed" \
-    || { echo "resubmitted grid was not served fully from the cell cache:"; echo "$second"; \
-         "$run_bin" shutdown --out "$serve_dir/daemon"; exit 1; }
-for job in job-1 job-2; do
-    diff -r "$serve_dir/oneshot/forwarding" "$serve_dir/daemon/serve/$job/forwarding" \
-        || { echo "served artifacts for $job differ from the one-shot run"; \
-             "$run_bin" shutdown --out "$serve_dir/daemon"; exit 1; }
-done
-"$run_bin" shutdown --out "$serve_dir/daemon"
-# Clean exit inside the timeout budget (~15s), else the daemon hung.
-i=0
-while [ "$i" -lt 30 ] && kill -0 "$serve_pid" 2>/dev/null; do
-    sleep 0.5
-    i=$((i + 1))
-done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    kill "$serve_pid" 2>/dev/null
-    echo "serve daemon did not exit after shutdown"
-    exit 1
-fi
-wait "$serve_pid" || { echo "serve daemon exited non-zero"; exit 1; }
+record=$(echo "$printed" | sed -n 's/^\[run record *-> \(.*\)\]$/\1/p')
+[ -n "$record" ] || { echo "warm cached run printed no run record"; exit 1; }
+tail -n 1 "$record" | grep -q '"cache_misses":0' \
+    || { echo "warm cached run simulated cells ($record):"; tail -n 1 "$record"; exit 1; }
 
 echo "All checks passed."

@@ -163,11 +163,7 @@ fn snapshot_covers_the_new_surface() {
         "pub enum SweepSpec",
         "pub enum BenchError",
         "pub enum IrError",
-        "pub struct SweepRequest",
-        "pub enum JobEvent",
-        "pub const API_SCHEMA_VERSION",
         "pub struct CellCache",
-        "pub struct Server",
         "pub struct SweepObserver",
     ] {
         assert!(s.contains(needle), "snapshot is missing `{needle}`");
