@@ -25,21 +25,10 @@
 //! cargo run -p ms-bench --release --bin run -- trace compress
 //! ```
 //!
-//! Perf mode (pipeline self-profiling and the regression gate — see
-//! `docs/PROFILING.md`):
+//! Perf mode (pipeline self-profiling — see `docs/PROFILING.md`):
 //!
 //! ```text
 //! cargo run -p ms-bench --release --bin run -- perf
-//! cargo run -p ms-bench --release --bin run -- perf --baseline best
-//! cargo run -p ms-bench --release --bin run -- perf --baseline BENCH_old.json
-//! cargo run -p ms-bench --release --bin run -- perf-validate BENCH_abc1234.json
-//! ```
-//!
-//! Perf-history mode (the whole trajectory: trend table, dashboard,
-//! cumulative-drift gate — see `docs/PERF-HISTORY.md`):
-//!
-//! ```text
-//! cargo run -p ms-bench --release --bin run -- perf-history
 //! ```
 //!
 //! Fuzz mode (differential conformance — see `docs/CONFORMANCE.md`):
@@ -66,9 +55,9 @@
 //! ```
 //!
 //! Observability (see `docs/OBSERVABILITY.md`): every sweep / perf /
-//! perf-history / trace / fuzz / gap invocation appends a structured
-//! JSONL run record under `target/experiments/runs/`, and the sweep
-//! scheduler renders a live stderr progress line on a terminal
+//! trace / fuzz / gap invocation appends a structured JSONL run record
+//! under `target/experiments/runs/`, and the sweep scheduler renders a
+//! live stderr progress line on a terminal
 //! (`--quiet` or `MS_NO_PROGRESS` turn it off; artifacts are identical
 //! either way):
 //!
@@ -89,7 +78,6 @@ use ms_bench::cli::{self, Flags};
 use ms_bench::error::closest;
 use ms_bench::fuzzcmd;
 use ms_bench::gapcmd::{self, GapOptions};
-use ms_bench::historycmd::{self, BaselineEntry};
 use ms_bench::perfcmd::{self, PerfOptions};
 use ms_bench::progress::{ProgressLine, SweepObserver};
 use ms_bench::runscmd;
@@ -140,7 +128,7 @@ fn open_ledger(cmd: &str, flags: &Flags) -> Option<RunLedger> {
     let meta = RunMeta {
         cmd: cmd.to_string(),
         argv: std::env::args().skip(1).collect(),
-        git: perfcmd::git_short(),
+        git: git_short(),
         params: run_params(flags),
     };
     match RunLedger::open(&runscmd::runs_dir(), &meta) {
@@ -150,6 +138,19 @@ fn open_ledger(cmd: &str, flags: &Flags) -> Option<RunLedger> {
             None
         }
     }
+}
+
+/// The repository's short commit hash, or `nogit` outside a checkout.
+fn git_short() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric()))
+        .unwrap_or_else(|| "nogit".to_string())
 }
 
 fn led_event(led: &mut Option<RunLedger>, kind: &str, fields: Vec<(&str, Value)>) {
@@ -400,252 +401,27 @@ fn run_sweeps(
     (0, sink.snapshot())
 }
 
-/// `run -- perf`: profile the canonical cells, write the
-/// `BENCH_<gitshort>.json` trajectory point and the Chrome pipeline
-/// view, and (with `--baseline`) gate against a previous document.
+/// `run -- perf`: profile the canonical cells, print the phase/cell
+/// tables, write the Chrome pipeline view, and record one ledger `cell`
+/// event per cell.
 fn run_perf(flags: &Flags, led: &mut Option<RunLedger>) -> i32 {
-    match perf_inner(flags, led) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            2
-        }
-    }
-}
-
-fn perf_inner(flags: &Flags, led: &mut Option<RunLedger>) -> Result<i32, String> {
     let opts = PerfOptions {
         reps: flags.reps,
         insts: flags.insts.unwrap_or(PerfOptions::default().insts),
     };
     let doc = perfcmd::run_perf(&opts);
     print!("{}", doc.summary);
-
-    let bench_path = flags
-        .bench_out
-        .clone()
-        .unwrap_or_else(|| format!("BENCH_{}.json", perfcmd::git_short()).into());
-    write_or_die(&bench_path, &(doc.json.clone() + "\n"));
     let chrome_path = flags.out.join("perf").join("pipeline.chrome.json");
     write_or_die(&chrome_path, &doc.chrome);
-    println!("[perf doc     -> {}]", bench_path.display());
     println!("[chrome trace -> {}]", chrome_path.display());
-    led_artifact(led, &bench_path);
     led_artifact(led, &chrome_path);
-
-    let current = ms_prof::jsonv::parse(&doc.json).map_err(|e| format!("current perf doc: {e}"))?;
-    if let Some(cells) = current.get("cells").and_then(Value::as_arr) {
-        for cell in cells {
-            if let (Some(id), Some(med)) = (
-                cell.get("id").and_then(Value::as_str),
-                cell.get("median_ns").and_then(Value::as_u64),
-            ) {
-                led_event(
-                    led,
-                    "cell",
-                    vec![
-                        ("cell", Value::Str(id.to_string())),
-                        ("median_ns", Value::Num(med as f64)),
-                    ],
-                );
-            }
-        }
-    }
-
-    let Some(baseline_path) = &flags.baseline else { return Ok(0) };
-
-    // `--baseline best`: auto-select the best-ever comparable baseline
-    // (same machine fingerprint and instruction budget) among the
-    // committed BENCH_*.json files in the current directory — skipping
-    // the document this run just wrote.
-    let (baseline, label) = if baseline_path.as_os_str() == "best" {
-        let current_entry =
-            BaselineEntry::from_doc(&current, "current").map_err(|e| e.to_string())?;
-        let written = std::fs::canonicalize(&bench_path).ok();
-        let candidates = historycmd::discover(Path::new(".")).map_err(|e| e.to_string())?;
-        let mut entries = Vec::new();
-        for path in candidates {
-            if std::fs::canonicalize(&path).ok() == written && written.is_some() {
-                continue;
-            }
-            let file = path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_string();
-            let text =
-                std::fs::read_to_string(&path).map_err(|e| format!("cannot read {file}: {e}"))?;
-            let doc = ms_prof::jsonv::parse(&text).map_err(|e| format!("{file}: {e}"))?;
-            let entry = BaselineEntry::from_doc(&doc, &file).map_err(|e| e.to_string())?;
-            entries.push((entry, text));
-        }
-        let best = historycmd::best_baseline(
-            &entries.iter().map(|(e, _)| e.clone()).collect::<Vec<_>>(),
-            &current_entry,
-        )
-        .cloned();
-        let Some(best) = best else {
-            println!(
-                "no committed baseline comparable to this machine ({} @ {} insts); \
-                 best-ever gate skipped",
-                current_entry.fingerprint(),
-                current_entry.insts
-            );
-            return Ok(0);
-        };
-        let text = &entries.iter().find(|(e, _)| e.file == best.file).expect("from entries").1;
-        let doc = ms_prof::jsonv::parse(text).map_err(|e| format!("{}: {e}", best.file))?;
-        (doc, format!("best-ever {} (git {})", best.file, best.git))
-    } else {
-        let baseline_text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read {}: {e}", baseline_path.display()))?;
-        let doc = ms_prof::jsonv::parse(&baseline_text)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        (doc, baseline_path.display().to_string())
-    };
-    let cmp = perfcmd::compare(&baseline, &current, flags.max_regress, flags.noise_floor_ns)
-        .map_err(|e| e.to_string())?;
-    println!("── regression gate vs {label} ──");
-    print!("{}", cmp.table);
-    led_event(
-        led,
-        "gate",
-        vec![
-            ("baseline", Value::Str(label.clone())),
-            ("regressions", Value::Num(cmp.regressions.len() as f64)),
-        ],
-    );
-    if cmp.regressions.is_empty() {
-        println!(
-            "gate passed (threshold {:.1}%, noise floor {} ns)",
-            flags.max_regress, flags.noise_floor_ns
-        );
-        Ok(0)
-    } else if flags.no_gate {
-        eprintln!(
-            "(--no-gate: {} phase(s) regressed beyond {:.1}%, not gating)",
-            cmp.regressions.len(),
-            flags.max_regress
-        );
-        Ok(0)
-    } else {
-        eprintln!(
-            "error: {} phase(s) regressed beyond {:.1}%",
-            cmp.regressions.len(),
-            flags.max_regress
-        );
-        Ok(1)
-    }
-}
-
-/// `run -- perf-history <dir>`: the trajectory trend engine — stdout
-/// trend table, `<out>/perf/history.html` + `history.json`, exit
-/// non-zero on cumulative drift vs best-ever in any phase **or any
-/// individual cell** (`--no-gate` reports without failing). See
-/// `docs/PERF-HISTORY.md`.
-fn run_perf_history(dir: &str, flags: &Flags, led: &mut Option<RunLedger>) -> i32 {
-    let history = match historycmd::load_history(Path::new(dir)) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    print!("{}", history.trend_table(flags.max_regress, flags.noise_floor_ns));
-    let json_path = flags.out.join("perf").join("history.json");
-    let html_path = flags.out.join("perf").join("history.html");
-    write_or_die(&json_path, &(history.to_json(flags.max_regress, flags.noise_floor_ns) + "\n"));
-    write_or_die(&html_path, &history.to_html(flags.max_regress, flags.noise_floor_ns));
-    println!("[history json -> {}]", json_path.display());
-    println!("[history html -> {}]", html_path.display());
-    led_artifact(led, &json_path);
-    led_artifact(led, &html_path);
-    for e in &history.entries {
+    for (id, median_ns) in &doc.cells {
         led_event(
             led,
-            "baseline",
-            vec![
-                ("git", Value::Str(e.git.clone())),
-                ("file", Value::Str(e.file.clone())),
-                ("cells_per_s", Value::Num(e.cells_per_s)),
-            ],
+            "cell",
+            vec![("cell", Value::Str(id.clone())), ("median_ns", Value::Num(*median_ns as f64))],
         );
     }
-    let drifts = history.cumulative_drift(flags.max_regress, flags.noise_floor_ns);
-    let cell_drifts = history.cell_drift(flags.max_regress, flags.noise_floor_ns);
-    if drifts.is_empty() && cell_drifts.is_empty() {
-        println!(
-            "trajectory gate passed (threshold {:.1}%, noise floor {} ns)",
-            flags.max_regress, flags.noise_floor_ns
-        );
-        return 0;
-    }
-    for d in &drifts {
-        eprintln!(
-            "drift: {} is {:+.1}% over its best-ever {} ns (git {}) at {} ns",
-            d.phase, d.pct, d.best_ns, d.best_git, d.latest_ns
-        );
-        led_event(
-            led,
-            "drift",
-            vec![("phase", Value::Str(d.phase.clone())), ("pct", Value::Num(d.pct))],
-        );
-    }
-    for d in &cell_drifts {
-        eprintln!(
-            "drift: cell {} is {:+.1}% over its best-ever {} ns (git {}) at {} ns \
-             (aggregate passes; per-cell gate)",
-            d.phase, d.pct, d.best_ns, d.best_git, d.latest_ns
-        );
-        led_event(
-            led,
-            "drift",
-            vec![("cell", Value::Str(d.phase.clone())), ("pct", Value::Num(d.pct))],
-        );
-    }
-    if flags.no_gate {
-        eprintln!(
-            "(--no-gate: {} drifted phase(s)/cell(s) reported, not gating)",
-            drifts.len() + cell_drifts.len()
-        );
-        return 0;
-    }
-    eprintln!(
-        "error: {} phase(s)/cell(s) drifted beyond {:.1}% of their best-ever baseline \
-         (--no-gate to report without failing; docs/PERF-HISTORY.md)",
-        drifts.len() + cell_drifts.len(),
-        flags.max_regress
-    );
-    1
-}
-
-/// `run -- perf-validate <file>`: schema-check one perf or history
-/// document, dispatching on the `format` field (`ms-perf` →
-/// [`perfcmd::validate`], `ms-perf-history` →
-/// [`historycmd::validate_history`]).
-fn run_perf_validate(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    let doc = match ms_prof::jsonv::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return 1;
-        }
-    };
-    let is_history = doc.get("format").and_then(|f| f.as_str()) == Some(historycmd::HISTORY_FORMAT);
-    let (checked, schema_version) = if is_history {
-        (historycmd::validate_history(&doc), historycmd::HISTORY_SCHEMA_VERSION)
-    } else {
-        (perfcmd::validate(&doc), perfcmd::PERF_SCHEMA_VERSION)
-    };
-    if let Err(e) = checked {
-        eprintln!("error: {path}: {e}");
-        return 1;
-    }
-    let format = if is_history { historycmd::HISTORY_FORMAT } else { "ms-perf" };
-    println!("{path}: valid {format} document (schema v{schema_version})");
     0
 }
 
@@ -719,8 +495,8 @@ fn real_main() -> i32 {
 
     // Every artifact-producing subcommand leaves a run record; queries
     // (`list`, `runs`, validators) and ad-hoc single runs do not.
-    let ledgered = matches!(cmd, "sweeps" | "perf" | "perf-history" | "trace" | "fuzz" | "gap")
-        || SWEEP_NAMES.contains(&cmd);
+    let ledgered =
+        matches!(cmd, "sweeps" | "perf" | "trace" | "fuzz" | "gap") || SWEEP_NAMES.contains(&cmd);
     let mut led = if ledgered { open_ledger(cmd, &flags) } else { None };
 
     let mut progress = ProgressSnapshot::default();
@@ -748,17 +524,6 @@ fn real_main() -> i32 {
         }
         "fuzz" => run_fuzz(&flags, &mut led),
         "perf" => run_perf(&flags, &mut led),
-        "perf-validate" => match positionals.get(1) {
-            Some(path) => run_perf_validate(path),
-            None => {
-                eprintln!("error: perf-validate needs a file (see `run -- help`)");
-                2
-            }
-        },
-        "perf-history" => {
-            let dir = positionals.get(1).map(String::as_str).unwrap_or(".");
-            run_perf_history(dir, &flags, &mut led)
-        }
         "trace" => {
             let bench = positionals.get(1).map(String::as_str).unwrap_or("compress");
             run_trace(bench, &flags, &mut led)

@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 
 use crate::error::{closest, BenchError};
-use crate::perfcmd::{DEFAULT_MAX_REGRESS_PCT, DEFAULT_NOISE_FLOOR_NS, DEFAULT_PERF_REPS};
+use crate::perfcmd::DEFAULT_PERF_REPS;
 use crate::sweeps::SWEEP_NAMES;
 use crate::Heuristic;
 
@@ -51,20 +51,6 @@ pub struct Flags {
     /// `--reps N`: timed repetitions for `perf` (default
     /// [`DEFAULT_PERF_REPS`]).
     pub reps: usize,
-    /// `--baseline FILE`: enable the perf-regression gate against a
-    /// previous `BENCH_*.json`; the literal value `best` auto-selects
-    /// the best-ever comparable baseline from the `BENCH_*.json` files
-    /// in the current directory.
-    pub baseline: Option<PathBuf>,
-    /// `--max-regress PCT`: per-phase regression threshold (default
-    /// [`DEFAULT_MAX_REGRESS_PCT`]).
-    pub max_regress: f64,
-    /// `--noise-floor-ns N`: baseline phases faster than this are not
-    /// gated (default [`DEFAULT_NOISE_FLOOR_NS`]).
-    pub noise_floor_ns: u64,
-    /// `--bench-out FILE`: where `perf` writes the `BENCH_*.json`
-    /// (default `BENCH_<gitshort>.json` in the current directory).
-    pub bench_out: Option<PathBuf>,
     /// `--seeds N`: fuzz cases for `fuzz` (default
     /// [`DEFAULT_FUZZ_SEEDS`]).
     pub seeds: u64,
@@ -77,9 +63,6 @@ pub struct Flags {
     /// `oracle` policy and `gap` subcommand partition exactly (default
     /// [`ms_tasksel::DEFAULT_ORACLE_MAX_BLOCKS`]).
     pub oracle_max_blocks: usize,
-    /// `--no-gate`: `perf-history` reports cumulative drift without
-    /// failing the process (the trajectory gate's escape hatch).
-    pub no_gate: bool,
     /// `--quiet`: suppress the live stderr progress line (equivalent to
     /// setting `MS_NO_PROGRESS`; artifacts are identical either way).
     pub quiet: bool,
@@ -111,15 +94,10 @@ impl Default for Flags {
             jobs: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             out: PathBuf::from("target/experiments"),
             reps: DEFAULT_PERF_REPS,
-            baseline: None,
-            max_regress: DEFAULT_MAX_REGRESS_PCT,
-            noise_floor_ns: DEFAULT_NOISE_FLOOR_NS,
-            bench_out: None,
             seeds: DEFAULT_FUZZ_SEEDS,
             max_blocks: ms_conform::FuzzParams::default().max_blocks,
             inject: false,
             oracle_max_blocks: ms_tasksel::DEFAULT_ORACLE_MAX_BLOCKS,
-            no_gate: false,
             quiet: false,
             last: 20,
             cmd_filter: None,
@@ -137,7 +115,7 @@ pub enum FlagGroup {
     Shared,
     /// Ad-hoc single runs (`run -- <benchmark>`).
     SingleRun,
-    /// `perf` / `perf-history` and their regression gates.
+    /// Pipeline self-profiling (`perf`).
     Perf,
     /// The differential conformance fuzz loop.
     Fuzz,
@@ -152,7 +130,7 @@ impl FlagGroup {
         match self {
             FlagGroup::Shared => "shared flags",
             FlagGroup::SingleRun => "single-run flags",
-            FlagGroup::Perf => "perf / perf-history flags",
+            FlagGroup::Perf => "perf flags",
             FlagGroup::Fuzz => "fuzz flags",
             FlagGroup::Gap => "gap flags",
             FlagGroup::Runs => "runs flags",
@@ -289,7 +267,7 @@ pub static FLAGS: &[FlagSpec] = &[
         default: Some(|| "4".to_string()),
         apply: Apply::Value(|f, v| {
             f.pus = p("--pus", &v)?;
-            Ok(())
+            at_least_one("--pus", f.pus as u64)
         }),
     },
     FlagSpec {
@@ -330,7 +308,7 @@ pub static FLAGS: &[FlagSpec] = &[
         default: Some(|| "4".to_string()),
         apply: Apply::Value(|f, v| {
             f.targets = p("--targets", &v)?;
-            Ok(())
+            at_least_one("--targets", f.targets as u64)
         }),
     },
     FlagSpec {
@@ -378,58 +356,6 @@ pub static FLAGS: &[FlagSpec] = &[
             f.reps = p("--reps", &v)?;
             at_least_one("--reps", f.reps as u64)
         }),
-    },
-    FlagSpec {
-        name: "--baseline",
-        metavar: Some("FILE"),
-        group: FlagGroup::Perf,
-        help: "gate against a BENCH_*.json (`best` auto-selects the best-ever)",
-        default: None,
-        apply: Apply::Value(|f, v| {
-            f.baseline = Some(PathBuf::from(v));
-            Ok(())
-        }),
-    },
-    FlagSpec {
-        name: "--max-regress",
-        metavar: Some("PCT"),
-        group: FlagGroup::Perf,
-        help: "per-phase regression threshold",
-        default: Some(|| DEFAULT_MAX_REGRESS_PCT.to_string()),
-        apply: Apply::Value(|f, v| {
-            f.max_regress = p("--max-regress", &v)?;
-            Ok(())
-        }),
-    },
-    FlagSpec {
-        name: "--noise-floor-ns",
-        metavar: Some("N"),
-        group: FlagGroup::Perf,
-        help: "baseline phases faster than this are not gated",
-        default: Some(|| DEFAULT_NOISE_FLOOR_NS.to_string()),
-        apply: Apply::Value(|f, v| {
-            f.noise_floor_ns = p("--noise-floor-ns", &v)?;
-            Ok(())
-        }),
-    },
-    FlagSpec {
-        name: "--bench-out",
-        metavar: Some("FILE"),
-        group: FlagGroup::Perf,
-        help: "where perf writes the BENCH_*.json",
-        default: Some(|| "BENCH_<gitshort>.json".to_string()),
-        apply: Apply::Value(|f, v| {
-            f.bench_out = Some(PathBuf::from(v));
-            Ok(())
-        }),
-    },
-    FlagSpec {
-        name: "--no-gate",
-        metavar: None,
-        group: FlagGroup::Perf,
-        help: "report regressions/drift without failing the process",
-        default: None,
-        apply: Apply::Switch(|f| f.no_gate = true),
     },
     FlagSpec {
         name: "--seeds",
@@ -505,10 +431,6 @@ pub enum SchemaRef {
     Metrics,
     /// Event traces (`ms_sim::TRACE_SCHEMA_VERSION`).
     Trace,
-    /// Perf documents (`crate::perfcmd::PERF_SCHEMA_VERSION`).
-    Perf,
-    /// Perf-history documents (`crate::historycmd::HISTORY_SCHEMA_VERSION`).
-    History,
     /// Run-ledger records (`ms_prof::ledger::LEDGER_SCHEMA_VERSION`).
     Ledger,
 }
@@ -518,10 +440,6 @@ impl SchemaRef {
         match self {
             SchemaRef::Metrics => format!("metrics schema v{}", crate::sweeps::SCHEMA_VERSION),
             SchemaRef::Trace => format!("trace schema v{}", ms_sim::TRACE_SCHEMA_VERSION),
-            SchemaRef::Perf => format!("perf schema v{}", crate::perfcmd::PERF_SCHEMA_VERSION),
-            SchemaRef::History => {
-                format!("history schema v{}", crate::historycmd::HISTORY_SCHEMA_VERSION)
-            }
             SchemaRef::Ledger => {
                 format!("ledger schema v{}", ms_prof::ledger::LEDGER_SCHEMA_VERSION)
             }
@@ -578,29 +496,10 @@ pub static SUBCOMMANDS: &[SubcommandSpec] = &[
         name: "perf",
         operands: "",
         about: &[
-            "profile the canonical cells -> BENCH_<gitshort>.json",
+            "profile the canonical cells: phase/cell/counter tables",
             "+ <out>/perf/pipeline.chrome.json (docs/PROFILING.md)",
         ],
-        schema: Some(SchemaRef::Perf),
-    },
-    SubcommandSpec {
-        name: "perf-validate",
-        operands: "<file>",
-        about: &[
-            "check a BENCH_*.json or history.json against its schema",
-            "(dispatches on `format`), exit non-zero on a mismatch",
-        ],
         schema: None,
-    },
-    SubcommandSpec {
-        name: "perf-history",
-        operands: "[DIR]",
-        about: &[
-            "aggregate the BENCH_*.json baselines in DIR (default .) into",
-            "a trend table + <out>/perf/history.html + history.json; exit",
-            "non-zero on cumulative drift vs best-ever (docs/PERF-HISTORY.md)",
-        ],
-        schema: Some(SchemaRef::History),
     },
     SubcommandSpec {
         name: "fuzz",
@@ -631,7 +530,7 @@ pub static SUBCOMMANDS: &[SubcommandSpec] = &[
         name: "runs",
         operands: "[show <id>]",
         about: &[
-            "list recorded runs, newest first (sweep/perf/perf-history/",
+            "list recorded runs, newest first (sweep/perf/",
             "trace/fuzz/gap invocations leave JSONL records under",
             "target/experiments/runs/); `show` replays one record",
         ],
@@ -744,14 +643,6 @@ pub fn help_text() -> String {
             let _ = writeln!(out, "  {invocation:<22} {}{default}", spec.help);
         }
     }
-    out.push_str(
-        "\nThe perf-regression gate: `run -- perf --baseline BENCH_old.json` (or `--baseline
-best` to auto-select the best-ever comparable committed baseline) exits non-zero
-if any phase slower than the noise floor regressed by more than --max-regress
-percent; `run -- perf-history` additionally gates drift accumulated across the
-whole trajectory (docs/PROFILING.md, docs/PERF-HISTORY.md).
-",
-    );
     out
 }
 
@@ -824,32 +715,17 @@ mod tests {
 
     #[test]
     fn perf_flags_parse() {
-        let (_, flags) = parse_ok(&[
-            "perf",
-            "--reps",
-            "3",
-            "--baseline",
-            "BENCH_old.json",
-            "--max-regress",
-            "12.5",
-            "--noise-floor-ns",
-            "1000",
-            "--bench-out",
-            "/tmp/BENCH_new.json",
-        ]);
+        let (_, flags) = parse_ok(&["perf", "--reps", "3"]);
         assert_eq!(flags.reps, 3);
-        assert_eq!(flags.baseline, Some(PathBuf::from("BENCH_old.json")));
-        assert_eq!(flags.max_regress, 12.5);
-        assert_eq!(flags.noise_floor_ns, 1000);
-        assert_eq!(flags.bench_out, Some(PathBuf::from("/tmp/BENCH_new.json")));
     }
 
     #[test]
     fn rejects_unknown_flags_and_zero_reps() {
         assert!(parse(["--frobnicate".to_string()].into_iter()).is_err());
-        assert!(
-            parse(["perf".to_string(), "--reps".to_string(), "0".to_string()].into_iter()).is_err()
-        );
+        for [cmd, flag] in [["perf", "--reps"], ["compress", "--pus"], ["compress", "--targets"]] {
+            let err = parse([cmd, flag, "0"].into_iter().map(String::from)).unwrap_err();
+            assert!(err.to_string().contains("must be at least 1"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -903,9 +779,6 @@ mod tests {
         }
         assert!(text.contains(&format!("metrics schema v{}", crate::sweeps::SCHEMA_VERSION)));
         assert!(text.contains(&format!("trace schema v{}", ms_sim::TRACE_SCHEMA_VERSION)));
-        assert!(text.contains(&format!("perf schema v{}", crate::perfcmd::PERF_SCHEMA_VERSION)));
-        assert!(text
-            .contains(&format!("history schema v{}", crate::historycmd::HISTORY_SCHEMA_VERSION)));
         assert!(
             text.contains(&format!("ledger schema v{}", ms_prof::ledger::LEDGER_SCHEMA_VERSION))
         );
@@ -941,14 +814,5 @@ mod tests {
         assert!(
             parse(["runs".to_string(), "--last".to_string(), "0".to_string()].into_iter()).is_err()
         );
-    }
-
-    #[test]
-    fn history_flags_parse() {
-        let (pos, flags) = parse_ok(&["perf-history", "/tmp/baselines", "--no-gate"]);
-        assert_eq!(pos, ["perf-history", "/tmp/baselines"]);
-        assert!(flags.no_gate);
-        let (_, flags) = parse_ok(&["perf-history"]);
-        assert!(!flags.no_gate);
     }
 }

@@ -13,17 +13,13 @@
 //! simulator's event trace on, writing a JSONL event trace plus a Chrome
 //! `trace_event` file and printing squash/stall attribution tables.
 //! The `run -- perf` subcommand ([`perfcmd`]) runs the canonical cells
-//! under the `ms-prof` pipeline profiler, writes the schema-versioned
-//! `BENCH_<gitshort>.json` perf trajectory, and gates against a
-//! baseline (`--baseline FILE`, or `--baseline best` to auto-select
-//! the best-ever committed baseline). The `run -- perf-history`
-//! subcommand ([`historycmd`]) aggregates every committed baseline
-//! into a trend table, a static HTML dashboard and a machine-readable
-//! `history.json`, gating on cumulative drift vs best-ever (see
-//! `docs/PERF-HISTORY.md`). The `run -- fuzz` subcommand ([`fuzzcmd`])
-//! drives the `ms-conform` differential fuzz loop — random programs
-//! through every heuristic under the conformance checker, minimal
-//! reproducers written as `.msir` artifacts (see `docs/CONFORMANCE.md`).
+//! under the `ms-prof` pipeline profiler, prints per-phase and per-cell
+//! median tables, and writes a Chrome `trace_event` view of the
+//! pipeline (see `docs/PROFILING.md`). The `run -- fuzz` subcommand
+//! ([`fuzzcmd`]) drives the `ms-conform` differential fuzz loop —
+//! random programs through every heuristic under the conformance
+//! checker, minimal reproducers written as `.msir` artifacts (see
+//! `docs/CONFORMANCE.md`).
 //! The `run -- gap` subcommand ([`gapcmd`]) compares every selection
 //! policy against the exact-partition oracle on one benchmark, and
 //! `run -- policies` lists the policy registry (see
@@ -49,7 +45,6 @@ pub mod error;
 pub mod fuzzcmd;
 pub mod gapcmd;
 pub mod harness;
-pub mod historycmd;
 pub mod json;
 pub mod microbench;
 pub mod perfcmd;

@@ -1,18 +1,15 @@
 //! `run -- runs`: querying the run ledger.
 //!
-//! Every ledgered invocation (`sweep`, `perf`, `perf-history`, `trace`,
-//! `fuzz`, `gap`) leaves one `ms_prof::ledger` JSONL record under
-//! [`runs_dir`]. This module renders that history: `runs [--last N]
-//! [--cmd X]` lists records newest-first as a table, `runs show <id>`
-//! replays one record, and `runs-validate` checks every record against
-//! the schema (mirroring `perf-validate`). See `docs/OBSERVABILITY.md`
-//! for the schema and triage recipes.
+//! Every ledgered invocation (`sweep`, `perf`, `trace`, `fuzz`, `gap`)
+//! leaves one `ms_prof::ledger` JSONL record under [`runs_dir`]. This
+//! module renders that history: `runs [--last N] [--cmd X]` lists
+//! records newest-first as a table, `runs show <id>` replays one
+//! record, and `runs-validate` checks every record against the schema.
+//! See `docs/OBSERVABILITY.md` for the schema and triage recipes.
 
 use std::path::{Path, PathBuf};
 
 use ms_prof::ledger::{self, RunRecord};
-
-use crate::perfcmd::fmt_ns;
 
 /// Where run records live: `MS_RUNS_DIR` if set (tests isolate
 /// themselves with it), else `target/experiments/runs` relative to the
@@ -43,6 +40,21 @@ pub fn record_files(dir: &Path) -> Vec<PathBuf> {
 
 fn outcome_label(rec: &RunRecord) -> String {
     rec.outcome.clone().unwrap_or_else(|| "open".to_string())
+}
+
+/// A duration in the largest unit that keeps it at or above 1
+/// (`2.50 ms`, `500 ns`).
+pub(crate) fn fmt_ns(ns: u64) -> String {
+    let ns = ns as f64;
+    if ns >= 1e9 {
+        format!("{:.2} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.2} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.2} us", ns / 1e3)
+    } else {
+        format!("{ns:.0} ns")
+    }
 }
 
 fn duration_label(rec: &RunRecord) -> String {
@@ -159,8 +171,8 @@ pub fn show_run(dir: &Path, id: &str) -> Result<String, String> {
 }
 
 /// Validates `file` (when given) or every record under `dir` against
-/// the ledger schema, mirroring `perf-validate`. Returns the rendered
-/// report and the process exit code (non-zero on any invalid record).
+/// the ledger schema. Returns the rendered report and the process exit
+/// code (non-zero on any invalid record).
 pub fn validate_runs(dir: &Path, file: Option<&str>) -> (String, i32) {
     use std::fmt::Write as _;
     let files: Vec<PathBuf> = match file {
@@ -231,6 +243,14 @@ mod tests {
             l.close("ok", 0, &ledger::ProgressSnapshot::default()).unwrap();
         }
         id
+    }
+
+    #[test]
+    fn fmt_ns_picks_units() {
+        assert_eq!(fmt_ns(500), "500 ns");
+        assert_eq!(fmt_ns(2_500), "2.50 us");
+        assert_eq!(fmt_ns(2_500_000), "2.50 ms");
+        assert_eq!(fmt_ns(2_500_000_000), "2.50 s");
     }
 
     #[test]

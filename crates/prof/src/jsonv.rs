@@ -1,11 +1,12 @@
-//! A minimal JSON reader for the perf-regression gate.
+//! A minimal JSON reader for the repository's own artifacts.
 //!
-//! The repository writes all artifacts with hand-rolled JSON; the
-//! `run -- perf --baseline` comparator is the first consumer that must
-//! *read* one back. This is a small recursive-descent parser for the
-//! full JSON value grammar — enough to load a `BENCH_*.json` document
-//! and walk it. Numbers parse as `f64` (every number the perf schema
-//! emits is exactly representable or only compared approximately).
+//! The repository writes all artifacts with hand-rolled JSON; this is
+//! a small recursive-descent parser for the full JSON value grammar,
+//! for the consumers that read one back: the run ledger
+//! ([`crate::ledger`]), the sweep driver's content-addressed cell cache,
+//! and the standalone repository benchmark. Numbers parse as `f64`
+//! (every number those artifacts carry is exactly representable or
+//! only compared approximately).
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -11,7 +11,7 @@
 //!   unix start time, git short hash, subcommand, raw argv, parsed
 //!   parameters, and the machine fingerprint;
 //! * zero or more **events** (buffered, flushed at close): structured
-//!   progress facts — one per sweep cell, perf baseline, fuzz failure…
+//!   progress facts — one per sweep or perf cell, fuzz failure…
 //!   Events deliberately carry **no wall-clock timestamps**, so the
 //!   event section of a record is byte-identical across `--jobs`
 //!   settings (timing lives in the header/footer and the progress

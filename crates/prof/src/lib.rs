@@ -8,8 +8,8 @@
 //! trace generation → simulation. Every pipeline phase in the library
 //! crates opens a [`span`]; the `run -- perf` driver subcommand enables
 //! a collector, runs the canonical sweep cells, and turns the report
-//! into the schema-versioned `BENCH_<gitshort>.json` perf trajectory
-//! (see `docs/PROFILING.md`).
+//! into per-phase and per-cell median tables plus a Chrome
+//! `trace_event` view (see `docs/PROFILING.md`).
 //!
 //! # Design
 //!

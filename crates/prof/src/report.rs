@@ -2,10 +2,9 @@
 
 use std::fmt::Write as _;
 
-/// Version of the profiler report JSON fragments embedded in perf
-/// artifacts (`spans` / `counters` / `gauges` / `hists` shapes). The
-/// `BENCH_*.json` document that embeds them carries its own schema
-/// version (see `ms_bench::perfcmd`).
+/// Version of the profiler report JSON fragments
+/// ([`Report::spans_json`], [`Report::registry_json`]): the `spans`,
+/// `counters`, `gauges` and `hists` shapes.
 pub const PROF_SCHEMA_VERSION: u32 = 1;
 
 /// Number of log2 histogram buckets: bucket `i` holds values whose

@@ -14,36 +14,21 @@
 # 5. public-API snapshot: every `pub` declaration must match
 #    tests/api_snapshot.txt (MS_BLESS=1 to re-bless deliberately),
 # 6. docs gate: the metric tables in EXPERIMENTS.md / docs/METRICS.md /
-#    docs/PROFILING.md / docs/PERF-HISTORY.md / docs/OBSERVABILITY.md
-#    must only name fields that still exist in the source; every
-#    relative markdown link must resolve; every docs/*.md must be
-#    routed from docs/INDEX.md,
-# 7. perf gate: `run -- perf --baseline best` measures the canonical
-#    cells and fails on any phase regressing beyond the threshold
-#    against the best-ever committed BENCH_*.json that matches this
-#    machine (fingerprint + instruction budget; incomparable machines
-#    skip the comparison). One automatic retry absorbs
-#    just-after-a-build scheduler noise. Escape hatches
-#    (docs/PERF-HISTORY.md):
-#      MS_PERF_ACCEPT_REGRESSION=1  report regressions without failing
-#                                   (intentional slowdowns — say so in
-#                                   the PR description),
-#      MS_PERF_BASELINE=FILE        gate against one specific baseline
-#                                   instead of best-ever,
-# 8. perf-history smoke: the committed baselines must aggregate into
-#    target/perf-smoke/perf/history.{html,json}, the JSON must pass
-#    `run -- perf-validate`, and — deterministically, no measurement
-#    involved — the committed trajectory must be free of cumulative
-#    drift vs best-ever (MS_PERF_ACCEPT_REGRESSION=1 reports instead),
-# 9. conformance fuzz smoke: 25 random programs x every registered
+#    docs/PROFILING.md / docs/OBSERVABILITY.md must only name fields
+#    that still exist in the source; every relative markdown link must
+#    resolve; every docs/*.md must be routed from docs/INDEX.md,
+# 7. profiler smoke: one small `run -- perf` must exit 0 and write its
+#    Chrome pipeline view (docs/PROFILING.md; comparing timings is the
+#    repository benchmark's job, see BENCHMARK.json),
+# 8. conformance fuzz smoke: 25 random programs x every registered
 #    selection policy must match the sequential reference model
 #    (docs/CONFORMANCE.md),
-# 10. run-ledger smoke: a small sweep must leave a run record that
+# 9. run-ledger smoke: a small sweep must leave a run record that
 #    passes `run -- runs-validate` and shows up in `run -- runs`;
 #    target/experiments/runs/ is pruned to the newest 50 records
 #    (docs/OBSERVABILITY.md),
-# 11. cached-rerun smoke: the same sweep run twice with one `--cache-dir`
-#    must write artifacts byte-identical to step 10's uncached run, and
+# 10. cached-rerun smoke: the same sweep run twice with one `--cache-dir`
+#    must write artifacts byte-identical to step 9's uncached run, and
 #    the second run must serve every cell from the content-addressed
 #    cell cache (zero cells simulated, per its run record's footer).
 set -eu
@@ -72,11 +57,10 @@ echo "==> docs gate (metric tables vs. source)"
 # removed counter/field must take its documentation row with it.
 docs_fail=0
 for doc in EXPERIMENTS.md docs/METRICS.md docs/TRACING.md docs/PROFILING.md \
-           docs/PERF-HISTORY.md docs/OBSERVABILITY.md; do
+           docs/OBSERVABILITY.md; do
     [ -f "$doc" ] || { echo "missing $doc"; docs_fail=1; continue; }
 done
-for doc in EXPERIMENTS.md docs/METRICS.md docs/PROFILING.md docs/PERF-HISTORY.md \
-           docs/OBSERVABILITY.md; do
+for doc in EXPERIMENTS.md docs/METRICS.md docs/PROFILING.md docs/OBSERVABILITY.md; do
     fields=$(grep -o '^| `[a-z][a-z0-9_]*`' "$doc" | sed 's/^| `//; s/`$//' | sort -u)
     for f in $fields; do
         if ! grep -rq "$f" crates/*/src; then
@@ -114,52 +98,12 @@ for doc in docs/*.md; do
 done
 [ "$docs_fail" -eq 0 ] || { echo "docs gate failed"; exit 1; }
 
-echo "==> perf gate (run -- perf --baseline best, best-ever committed baseline)"
+echo "==> profiler smoke (run -- perf, docs/PROFILING.md)"
 smoke_dir=target/perf-smoke
 rm -rf "$smoke_dir"
-# Always-on: measure at the committed baselines' instruction budget and
-# gate against the best-ever comparable one. `--baseline best` skips the
-# comparison (but still validates the document) when no committed
-# baseline matches this machine's fingerprint + budget, so the gate is
-# portable. The 1 ms gate floor leaves sub-millisecond phases out of the
-# verdict: they flap by double-digit percent under CI scheduler noise
-# while the phases that dominate the runtime (sim.run, trace.generate,
-# the total) are stable. docs/PERF-HISTORY.md documents the escape
-# hatches.
-gate_args="--reps 3 --bench-out $smoke_dir/BENCH_smoke.json --out $smoke_dir"
-gate_args="$gate_args --baseline ${MS_PERF_BASELINE:-best} --noise-floor-ns 1000000"
-if [ -n "${MS_PERF_ACCEPT_REGRESSION:-}" ]; then
-    echo "    (MS_PERF_ACCEPT_REGRESSION set: reporting regressions without failing)"
-    gate_args="$gate_args --no-gate"
-fi
-# Measured on this container: perf straight after the build/test burst
-# reads 30-60% slow across every phase (CPU-quota throttle / thermal
-# recovery), then returns to baseline within ~30s of idle. Settle
-# first; on failure, settle longer and retry once — a real regression
-# fails both attempts.
-sleep 15
-# shellcheck disable=SC2086  # gate_args is a flat flag list by construction
-if ! cargo run -p ms-bench --release --bin run -q -- perf $gate_args; then
-    echo "    perf gate failed; settling 45s and retrying once (post-build throttle)"
-    sleep 45
-    rm -rf "$smoke_dir"
-    # shellcheck disable=SC2086
-    cargo run -p ms-bench --release --bin run -q -- perf $gate_args
-fi
-cargo run -p ms-bench --release --bin run -q -- perf-validate "$smoke_dir/BENCH_smoke.json"
-
-echo "==> perf-history smoke (run -- perf-history, committed baselines)"
-# Deterministic (input = the committed BENCH_*.json files): renders the
-# trend table, emits both artifacts, and fails on cumulative drift vs
-# best-ever — a slow bleed that never trips the pairwise gate above.
-history_args=""
-[ -n "${MS_PERF_ACCEPT_REGRESSION:-}" ] && history_args="--no-gate"
-# shellcheck disable=SC2086
-cargo run -p ms-bench --release --bin run -q -- perf-history --out "$smoke_dir" $history_args
-for artifact in "$smoke_dir/perf/history.html" "$smoke_dir/perf/history.json"; do
-    [ -f "$artifact" ] || { echo "perf-history did not emit $artifact"; exit 1; }
-done
-cargo run -p ms-bench --release --bin run -q -- perf-validate "$smoke_dir/perf/history.json"
+cargo run -p ms-bench --release --bin run -q -- perf --reps 1 --insts 2000 --out "$smoke_dir"
+[ -f "$smoke_dir/perf/pipeline.chrome.json" ] \
+    || { echo "perf did not write $smoke_dir/perf/pipeline.chrome.json"; exit 1; }
 
 echo "==> conformance fuzz smoke (run -- fuzz --seeds 25)"
 # Differential check: the engine vs the sequential reference model on
@@ -168,7 +112,7 @@ echo "==> conformance fuzz smoke (run -- fuzz --seeds 25)"
 cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 25 --out target/fuzz-smoke
 
 echo "==> run-ledger smoke (run -- runs, docs/OBSERVABILITY.md)"
-# The perf/perf-history/fuzz steps above each left a run record; add the
+# The perf/fuzz steps above each left a run record; add the
 # cheapest sweep so the sweep scheduler's telemetry path is exercised
 # too, then assert the ledger round-trips: every record validates and
 # the listing surfaces the sweep we just ran.
@@ -196,7 +140,7 @@ fi
 echo "==> cached-rerun smoke (run -- forwarding --cache-dir, EXPERIMENTS.md)"
 # The same grid twice through one cell cache: a cold pass that fills
 # it, then a warm pass that must simulate nothing. Both trees must be
-# byte-identical to step 10's uncached forwarding tree. The warm run's
+# byte-identical to step 9's uncached forwarding tree. The warm run's
 # own record (the path it prints) must say "cache_misses":0.
 cache_smoke=target/cache-smoke
 rm -rf "$cache_smoke"
