@@ -81,7 +81,7 @@ use ms_bench::gapcmd::{self, GapOptions};
 use ms_bench::perfcmd::{self, PerfOptions};
 use ms_bench::progress::{ProgressLine, SweepObserver};
 use ms_bench::runscmd;
-use ms_bench::sweeps::{run_sweep, SweepSpec, SWEEP_NAMES};
+use ms_bench::sweeps::{run_suite, SweepSpec, SWEEP_NAMES};
 use ms_bench::tracecmd::trace_selection;
 use ms_bench::{run_selection, BenchError, DEFAULT_TRACE_INSTS};
 use ms_conform::FuzzParams;
@@ -336,10 +336,10 @@ fn run_trace(bench: &str, flags: &Flags, led: &mut Option<RunLedger>) -> i32 {
     0
 }
 
-/// Runs the given sweeps, printing each report and noting its
-/// artifacts. The scheduler streams telemetry into a [`ProgressSink`]
-/// (returned as the run record's footer snapshot) and, on a terminal,
-/// a live progress line.
+/// Runs the given sweeps as one suite, then prints each report and
+/// notes its artifacts in `specs` order. The scheduler streams
+/// telemetry into a [`ProgressSink`] (returned as the run record's
+/// footer snapshot) and, on a terminal, a live progress line.
 fn run_sweeps(
     specs: &[SweepSpec],
     flags: &Flags,
@@ -362,42 +362,35 @@ fn run_sweeps(
         None => None,
     };
     let obs = SweepObserver { sink: &sink, on_tick: &tick, cache: cache.as_ref() };
-    for (i, spec) in specs.iter().enumerate() {
+    let result = run_suite(specs, flags.jobs, &flags.out, &obs);
+    line.finish();
+    let reports = match result {
+        Ok(reports) => reports,
+        Err(e) => {
+            eprintln!("error: {label}: {e}");
+            return (1, sink.snapshot());
+        }
+    };
+    for (i, report) in reports.iter().enumerate() {
         if i > 0 {
             println!();
         }
-        match run_sweep(*spec, flags.jobs, &flags.out, &obs) {
-            Ok(report) => {
-                line.finish();
-                print!("{}", report.text);
-                println!(
-                    "[{} cells -> {}/{}/*.json]",
-                    report.cells,
-                    flags.out.display(),
-                    report.name
-                );
-                let dir = flags.out.join(report.name);
-                for id in &report.cell_ids {
-                    led_event(
-                        led,
-                        "cell",
-                        vec![
-                            ("sweep", Value::Str(report.name.to_string())),
-                            ("cell", Value::Str(id.clone())),
-                        ],
-                    );
-                    led_artifact(led, &dir.join(format!("{id}.json")));
-                }
-                led_artifact(led, &dir.join("report.md"));
-            }
-            Err(e) => {
-                line.finish();
-                eprintln!("error: sweep {}: {e}", spec.name());
-                return (1, sink.snapshot());
-            }
+        print!("{}", report.text);
+        println!("[{} cells -> {}/{}/*.json]", report.cells, flags.out.display(), report.name);
+        let dir = flags.out.join(report.name);
+        for id in &report.cell_ids {
+            led_event(
+                led,
+                "cell",
+                vec![
+                    ("sweep", Value::Str(report.name.to_string())),
+                    ("cell", Value::Str(id.clone())),
+                ],
+            );
+            led_artifact(led, &dir.join(format!("{id}.json")));
         }
+        led_artifact(led, &dir.join("report.md"));
     }
-    line.finish();
     (0, sink.snapshot())
 }
 

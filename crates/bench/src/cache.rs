@@ -87,9 +87,10 @@ pub fn cell_key(job: &CellJob, program_hash: u64, engine_version: u32) -> String
 
 /// A directory of memoized cell results, opened by sweeps run with
 /// `--cache-dir` and shared by every run that names it. Safe to
-/// share across threads: lookups and stores touch independent files
-/// named by content key, so concurrent writers of the same key write
-/// identical bytes.
+/// share across threads and processes: lookups and stores touch
+/// independent files named by content key, concurrent writers of the
+/// same key write identical bytes, and each writer stages them in a
+/// temp file of its own.
 #[derive(Debug)]
 pub struct CellCache {
     dir: PathBuf,
@@ -150,10 +151,14 @@ impl CellCache {
     }
 
     /// Stores `out` under `key`. Concurrent stores of the same key are
-    /// benign (identical bytes); the write is atomic-enough via a
-    /// same-directory rename so readers never see a torn entry.
+    /// benign (identical bytes): each writes a temp file named by its
+    /// process id and a process-wide counter, then renames it into
+    /// place in the same directory, so readers never see a torn entry
+    /// and no writer renames a file another writer is still using.
     pub fn store(&self, key: &str, out: &CellOutput) -> io::Result<()> {
-        let tmp = self.dir.join(format!(".{key}.tmp"));
+        static STORES: AtomicU64 = AtomicU64::new(0);
+        let n = STORES.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.dir.join(format!(".{key}.{}.{n}.tmp", std::process::id()));
         fs::write(&tmp, encode_entry(key, out) + "\n")?;
         fs::rename(&tmp, self.entry_path(key))
     }
@@ -399,6 +404,40 @@ mod tests {
             crate::sweeps::cell_json("s", "c", &job, &out),
         );
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_never_error() {
+        let job = CellJob { insts: 2_000, ..CellJob::new("compress", Heuristic::BasicBlock) };
+        let out = job.run();
+        let dir = tmpdir("race");
+        // Two handles on one directory, as two processes sharing a
+        // `--cache-dir` would hold.
+        let caches = [CellCache::at(&dir).unwrap(), CellCache::at(&dir).unwrap()];
+        let key = caches[0].key_for(&job);
+        // Every round releases all writers at once, so their stores of
+        // the one key overlap. A failed store is counted, not unwrapped,
+        // so no writer leaves the others waiting at the barrier.
+        let round = std::sync::Barrier::new(4);
+        let failed = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (cache, key, out, round, failed) =
+                    (&caches[t % 2], &key, &out, &round, &failed);
+                s.spawn(move || {
+                    for _ in 0..200 {
+                        round.wait();
+                        if cache.store(key, out).is_err() {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(failed.into_inner(), 0, "a concurrent store never errors");
+        assert_eq!(caches[1].lookup(&key), Some(out), "the entry decodes");
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names.len(), 1, "no temp file is left behind: {names:?}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ where
 /// each time a result lands (the live progress line's heartbeat).
 ///
 /// Worker busy time covers every work item the closure runs — for the
-/// two-stage sweep scheduler that includes context warm-up items, so
+/// suite scheduler that includes context warm-up items, so
 /// the tallies measure worker *occupancy*, not just cell simulation.
 /// With `sink` disabled this is exactly [`run_parallel`]: no clock
 /// reads, no atomics beyond the scheduler's own.

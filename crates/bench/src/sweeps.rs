@@ -2,20 +2,23 @@
 //!
 //! Every sweep is a grid of independent **cells** — one (workload,
 //! heuristic, machine configuration) simulation each, fully described by
-//! a [`CellJob`]. The single `run` driver binary turns a sweep name into
-//! its grid, fans the cells out with [`crate::harness::run_parallel`],
-//! renders the same tables the former dedicated binaries printed, and
-//! writes one schema-versioned JSON metrics artifact per cell to
+//! a [`CellJob`] — and a renderer that turns the finished grid into the
+//! tables the former dedicated binaries printed. The single `run` driver
+//! binary hands one or more sweeps to [`run_suite`], which plans them
+//! as one suite, fans the distinct cells out with
+//! [`crate::harness::run_parallel_observed`], and writes one
+//! schema-versioned JSON metrics artifact per grid cell to
 //! `target/experiments/<sweep>/<cell>.json` (schema documented in
 //! `EXPERIMENTS.md`).
 //!
 //! Determinism: a cell's result depends only on the cell description
 //! (the per-cell seed included), tables and artifacts are rendered from
-//! the grid-ordered result vector, and artifacts are written serially
-//! after the parallel phase — so `--jobs 1` and `--jobs N` produce
-//! byte-identical output. Cells sharing a pre-selection program also
+//! the grid-ordered results, and artifacts are written serially after
+//! the parallel phase — so `--jobs 1` and `--jobs N` produce
+//! byte-identical output. A cell that several grids name simulates once
+//! and serves each of them. Cells sharing a pre-selection program also
 //! share one [`ProgramContext`], so each CFG analysis is computed once
-//! per program per sweep instead of once per cell; cached analyses are
+//! per program per suite instead of once per cell; cached analyses are
 //! values a fresh computation would also produce, keeping artifacts
 //! byte-identical to a from-scratch run. Cells that differ only in
 //! machine configuration go one step further and share one selection,
@@ -257,9 +260,7 @@ impl CellJob {
     /// The fields that determine a cell's selection, partition
     /// statistics and trace — everything but the machine configuration.
     /// Cells with equal image keys share one decoded [`ProgramImage`].
-    fn image_key(
-        &self,
-    ) -> (&'static str, Option<usize>, Heuristic, usize, Option<u64>, usize, u64) {
+    fn image_key(&self) -> ImageKey {
         (
             self.bench,
             self.if_convert_arms,
@@ -335,6 +336,11 @@ impl CellJob {
     }
 }
 
+/// What [`CellJob::image_key`] compares: workload, if-conversion arms,
+/// heuristic, target limit, task-size threshold bits, trace budget and
+/// seed.
+type ImageKey = (&'static str, Option<usize>, Heuristic, usize, Option<u64>, usize, u64);
+
 /// The two halves of a cell's metrics: dynamic (simulator) and static
 /// (partition).
 #[derive(Debug, Clone, PartialEq)]
@@ -367,183 +373,236 @@ pub struct SweepReport {
     pub name: &'static str,
     /// The rendered tables (what the former dedicated binary printed).
     pub text: String,
-    /// Number of cells simulated.
+    /// Number of cells in the sweep's grid.
     pub cells: usize,
     /// Cell ids in grid order — what the run ledger records one `cell`
     /// event (and one artifact path) per.
     pub cell_ids: Vec<String>,
 }
 
-/// Cell ids in grid order, for [`SweepReport::cell_ids`].
-fn cell_ids(results: &[(String, CellJob, CellOutput)]) -> Vec<String> {
-    results.iter().map(|(id, _, _)| id.clone()).collect()
-}
+/// One sweep's cells in grid order: each cell's id and job.
+type Grid = Vec<(String, CellJob)>;
 
-/// Runs a sweep with `jobs` worker threads, writing artifacts under
-/// `out_root` (one directory per sweep).
-///
-/// `obs` receives live scheduler telemetry (cells queued / started /
-/// finished, context-cache warm hits, per-worker busy tallies) and the
-/// per-result heartbeat; pass [`SweepObserver::silent`] when telemetry
-/// is not wanted. Artifacts and the report are byte-identical either
-/// way.
-pub fn run_sweep(
-    spec: SweepSpec,
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-) -> Result<SweepReport, BenchError> {
-    match spec {
-        SweepSpec::Figure5 => figure5(jobs, out_root, obs),
-        SweepSpec::Table1 => table1(jobs, out_root, obs),
-        SweepSpec::Targets => targets(jobs, out_root, obs),
-        SweepSpec::Thresholds => thresholds(jobs, out_root, obs),
-        SweepSpec::Pus => pus(jobs, out_root, obs),
-        SweepSpec::Forwarding => forwarding(jobs, out_root, obs),
-        SweepSpec::Predication => predication(jobs, out_root, obs),
-        SweepSpec::Hardware => hardware(jobs, out_root, obs),
+/// One sweep's finished cells in grid order: each cell's id and output.
+type Results<'a> = [(&'a str, &'a CellOutput)];
+
+impl SweepSpec {
+    /// The sweep's grid: every cell's id and job, in grid order.
+    fn grid(self) -> Grid {
+        match self {
+            SweepSpec::Figure5 => figure5_grid(),
+            SweepSpec::Table1 => table1_grid(),
+            SweepSpec::Targets => targets_grid(),
+            SweepSpec::Thresholds => thresholds_grid(),
+            SweepSpec::Pus => pus_grid(),
+            SweepSpec::Forwarding => forwarding_grid(),
+            SweepSpec::Predication => predication_grid(),
+            SweepSpec::Hardware => hardware_grid(),
+        }
+    }
+
+    /// Renders the sweep's report from its finished grid.
+    fn render(self, r: &Results) -> String {
+        match self {
+            SweepSpec::Figure5 => figure5_report(r),
+            SweepSpec::Table1 => table1_report(r),
+            SweepSpec::Targets => targets_report(r),
+            SweepSpec::Thresholds => thresholds_report(r),
+            SweepSpec::Pus => pus_report(r),
+            SweepSpec::Forwarding => forwarding_report(r),
+            SweepSpec::Predication => predication_report(r),
+            SweepSpec::Hardware => hardware_report(r),
+        }
     }
 }
 
-/// One unit of sweep work: warming a shared analysis context, or
-/// running a group of grid cells against it.
-enum SweepWork {
-    /// Stage 1 — build + analyse one distinct pre-selection program.
-    Warm(usize),
-    /// Stage 2 — simulate a group of grid cells (indices into the
-    /// grid) sharing one [`CellJob::image_key`] over one decoded image.
-    Group(Vec<usize>),
+/// The suite's distinct cells. A cell is identified by what it
+/// computes: its [`CellJob::image_key`] and its [`CellJob::sim_config`],
+/// the equivalence [`crate::cache::cell_key`] also hashes. Grid cells
+/// equal to an earlier one are its *twins* and share its output.
+struct Plan<'g> {
+    /// Each distinct cell's job: its first occurrence in the suite.
+    cells: Vec<&'g CellJob>,
+    /// How many grid cells each distinct cell serves (itself included).
+    served: Vec<usize>,
+    /// Distinct cells per image key, in first-appearance order.
+    images: Vec<Vec<usize>>,
+    /// For each grid, for each of its cells, the distinct cell it is.
+    slots: Vec<Vec<usize>>,
 }
 
-/// Runs a grid of named cells in parallel and writes the artifacts (one
-/// JSON file per cell) serially, in grid order.
+impl<'g> Plan<'g> {
+    fn new(grids: &'g [Grid]) -> Plan<'g> {
+        let mut plan =
+            Plan { cells: Vec::new(), served: Vec::new(), images: Vec::new(), slots: Vec::new() };
+        for grid in grids {
+            let mut slots = Vec::with_capacity(grid.len());
+            for (_, job) in grid {
+                let key = job.image_key();
+                let img =
+                    match plan.images.iter().position(|ds| plan.cells[ds[0]].image_key() == key) {
+                        Some(img) => img,
+                        None => {
+                            plan.images.push(Vec::new());
+                            plan.images.len() - 1
+                        }
+                    };
+                let config = job.sim_config();
+                let twin = plan.images[img]
+                    .iter()
+                    .copied()
+                    .find(|&d| plan.cells[d].sim_config() == config);
+                let d = twin.unwrap_or_else(|| {
+                    plan.cells.push(job);
+                    plan.served.push(0);
+                    plan.images[img].push(plan.cells.len() - 1);
+                    plan.cells.len() - 1
+                });
+                plan.served[d] += 1;
+                slots.push(d);
+            }
+            plan.slots.push(slots);
+        }
+        plan
+    }
+}
+
+/// Runs `specs` as one suite with `jobs` worker threads, writing
+/// artifacts under `out_root` (one directory per sweep), and returns
+/// the reports in `specs` order. A single sweep is a suite of one.
 ///
-/// When the observer carries a [`crate::cache::CellCache`], every cell
-/// is first probed by content key on the coordinating thread: hits skip
-/// simulation entirely (counted as started+finished so progress and
-/// ledger totals stay truthful), and only the misses are scheduled —
-/// then stored back, so an identical resubmission runs zero cells.
-/// Cached and computed outputs are field-identical, so artifacts stay
-/// byte-identical either way (pinned by `tests/context_equivalence.rs`).
+/// The suite is planned before any cell runs: every grid is collected,
+/// and each distinct cell simulates once however many grids name it
+/// (every Table 1 cell is also a Figure 5 cell). A cell is identified
+/// by what it computes: its image key and its [`CellJob::sim_config`],
+/// the equivalence [`crate::cache::cell_key`] hashes. `obs` receives
+/// live scheduler telemetry (cells queued / started / finished, context
+/// warm hits, per-worker busy tallies) and the per-result heartbeat;
+/// pass [`SweepObserver::silent`] when telemetry is not wanted. Artifacts and reports are byte-identical either way,
+/// and for any `jobs`.
 ///
+/// When the observer carries a [`crate::cache::CellCache`], each
+/// distinct cell is first probed by content key on the coordinating
+/// thread: hits skip simulation entirely, and only the misses are
+/// scheduled — then stored back once each, so an identical resubmission
+/// runs zero cells. Cached and computed outputs are field-identical, so
+/// artifacts stay byte-identical either way (pinned by
+/// `tests/context_equivalence.rs`). A grid cell served by a cache hit or
+/// by its twin counts as started and finished when that output is ready.
+///
+/// Misses sharing an image key form one group: one selection, trace and
+/// decoded image, simulated one machine configuration after another.
 /// Cells with equal `(bench, if_convert_arms)` share one lazily-warmed
 /// [`ProgramContext`], so each program's CFG analyses are computed once
-/// per sweep. Scheduling is a two-stage pipeline over one work list:
-/// the warm-up items (only for programs with at least one cache miss)
-/// go first, then the miss cells, and workers drain the list in order —
-/// contexts are still being built while cells over the first finished
-/// ones already simulate. A cell never waits on stage 1: if its context
-/// has not been warmed yet it computes the analyses itself through the
-/// same once-only slots.
-#[allow(clippy::type_complexity)]
-fn run_cells(
-    sweep: &'static str,
+/// per suite. Warm-ups and groups run in one pass over one work list:
+/// the warm-up items (only for programs with at least one miss) go
+/// first, then the groups, and workers drain the list in order. A group
+/// never waits on a warm-up: if its context has not been warmed yet it
+/// computes the analyses itself through the same once-only slots.
+/// Artifacts are written serially afterwards, in spec and grid order.
+pub fn run_suite(
+    specs: &[SweepSpec],
     jobs: usize,
-    grid: Vec<(String, CellJob)>,
     out_root: &Path,
     obs: &SweepObserver,
-) -> Result<Vec<(String, CellJob, CellOutput)>, BenchError> {
-    obs.sink.add_queued(grid.len() as u64);
-    // Stage 0 — probe the content-addressed cache (coordinator only;
-    // keying builds each distinct program once, memoized in the cache).
-    let mut cached: Vec<Option<CellOutput>> = Vec::with_capacity(grid.len());
-    let mut cell_keys: Vec<Option<String>> = Vec::with_capacity(grid.len());
-    for (_, job) in &grid {
-        let (key, hit) = match obs.cache {
-            Some(cache) => {
-                let key = cache.key_for(job);
-                let hit = cache.lookup(&key);
-                (Some(key), hit)
-            }
-            None => (None, None),
-        };
-        match &hit {
-            Some(_) => {
-                obs.sink.cell_started();
-                obs.sink.cache_hit();
-                obs.sink.cell_finished();
-                (obs.on_tick)();
-            }
-            None if obs.cache.is_some() => obs.sink.cache_miss(),
-            None => {}
+) -> Result<Vec<SweepReport>, BenchError> {
+    let grids: Vec<Grid> = specs.iter().map(|s| s.grid()).collect();
+    let plan = Plan::new(&grids);
+    obs.sink.add_queued(plan.served.iter().sum::<usize>() as u64);
+    // A twin is served when the cell it stands for is.
+    let serve_twins = |d: usize| {
+        for _ in 1..plan.served[d] {
+            obs.sink.cell_started();
+            obs.sink.cell_finished();
         }
-        cell_keys.push(key);
-        cached.push(hit);
-    }
-    let misses: Vec<usize> = (0..grid.len()).filter(|&i| cached[i].is_none()).collect();
-    // One context key per distinct pre-selection program that still has
-    // work, in grid order.
-    let mut keys: Vec<(&'static str, Option<usize>)> = Vec::new();
-    for &i in &misses {
-        let job = &grid[i].1;
-        let key = (job.bench, job.if_convert_arms);
-        if !keys.contains(&key) {
-            keys.push(key);
+    };
+    // Probe the content-addressed cache once per distinct cell
+    // (coordinator only; keying builds each distinct program once,
+    // memoized in the cache).
+    let mut outputs: Vec<Option<CellOutput>> = vec![None; plan.cells.len()];
+    let mut cell_keys: Vec<Option<String>> = vec![None; plan.cells.len()];
+    if let Some(cache) = obs.cache {
+        for (d, job) in plan.cells.iter().enumerate() {
+            let key = cache.key_for(job);
+            match cache.lookup(&key) {
+                Some(out) => {
+                    obs.sink.cache_hit();
+                    obs.sink.cell_started();
+                    obs.sink.cell_finished();
+                    serve_twins(d);
+                    (obs.on_tick)();
+                    outputs[d] = Some(out);
+                }
+                None => {
+                    obs.sink.cache_miss();
+                    cell_keys[d] = Some(key);
+                }
+            }
         }
     }
+    // Group the misses by image key, and name one context per distinct
+    // pre-selection program that still has work, in suite order.
+    let groups: Vec<Vec<usize>> = plan
+        .images
+        .iter()
+        .map(|ds| ds.iter().copied().filter(|&d| outputs[d].is_none()).collect::<Vec<_>>())
+        .filter(|g| !g.is_empty())
+        .collect();
+    let mut programs: Vec<(&'static str, Option<usize>)> = Vec::new();
     // Dependence analyses are only consulted by untransformed dd/ts
     // cells; warming them for cf/bb-only programs would be wasted work
     // (ts cells re-derive a transformed program, so they are excluded).
-    let deep: Vec<bool> = keys
-        .iter()
-        .map(|&key| {
-            misses.iter().map(|&i| &grid[i].1).any(|j| {
-                (j.bench, j.if_convert_arms) == key
-                    && j.ts_thresh.is_none()
-                    && matches!(j.heuristic, Heuristic::DataDependence)
-            })
-        })
-        .collect();
-    let pool: Vec<OnceLock<ProgramContext>> = keys.iter().map(|_| OnceLock::new()).collect();
-    let ctx_of = |i: usize| {
-        pool[i].get_or_init(|| {
-            let (bench, arms) = keys[i];
+    let mut deep: Vec<bool> = Vec::new();
+    for &d in groups.iter().flatten() {
+        let job = plan.cells[d];
+        let key = (job.bench, job.if_convert_arms);
+        let p = programs.iter().position(|&k| k == key).unwrap_or_else(|| {
+            programs.push(key);
+            deep.push(false);
+            programs.len() - 1
+        });
+        deep[p] |= job.ts_thresh.is_none() && matches!(job.heuristic, Heuristic::DataDependence);
+    }
+    let pool: Vec<OnceLock<ProgramContext>> = programs.iter().map(|_| OnceLock::new()).collect();
+    let ctx_of = |p: usize| {
+        pool[p].get_or_init(|| {
+            let (bench, arms) = programs[p];
             let probe =
                 CellJob { if_convert_arms: arms, ..CellJob::new(bench, Heuristic::BasicBlock) };
             let ctx = probe.context();
-            ctx.warm(deep[i]);
+            ctx.warm(deep[p]);
             ctx
         })
     };
-    // Group the misses: cells sharing one image key (same selection,
-    // partition and trace; only the machine configuration differs)
-    // become one work item over one decoded image.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for &i in &misses {
-        let key = grid[i].1.image_key();
-        match groups.iter_mut().find(|g| grid[g[0]].1.image_key() == key) {
-            Some(g) => g.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    let work: Vec<SweepWork> = (0..keys.len())
+    let work: Vec<SweepWork> = (0..programs.len())
         .map(SweepWork::Warm)
         .chain(groups.iter().cloned().map(SweepWork::Group))
         .collect();
-    let outputs = run_parallel_observed(
+    let computed = run_parallel_observed(
         jobs,
         work,
         |w, _| match w {
-            SweepWork::Warm(i) => {
-                ctx_of(*i);
+            SweepWork::Warm(p) => {
+                ctx_of(*p);
                 None
             }
             SweepWork::Group(cells) => {
-                let jobs: Vec<&CellJob> = cells.iter().map(|&i| &grid[i].1).collect();
+                let jobs: Vec<&CellJob> = cells.iter().map(|&d| plan.cells[d]).collect();
                 let key = (jobs[0].bench, jobs[0].if_convert_arms);
-                let ki = keys.iter().position(|&k| k == key).expect("cell key is in the pool");
-                // The pipeline's payoff, counted: did stage 1 (or an
+                let p = programs.iter().position(|&k| k == key).expect("group program is pooled");
+                // The pipeline's payoff, counted: did a warm-up (or an
                 // earlier group) already warm this program's context?
-                let warmed = pool[ki].get().is_some();
+                let warmed = pool[p].get().is_some();
                 for _ in cells {
                     obs.sink.cell_started();
                     if warmed {
                         obs.sink.warm_hit();
                     }
                 }
-                let outs = CellJob::run_group(&jobs, ctx_of(ki));
-                for _ in cells {
+                let outs = CellJob::run_group(&jobs, ctx_of(p));
+                for &d in cells {
                     obs.sink.cell_finished();
+                    serve_twins(d);
                 }
                 Some(outs)
             }
@@ -551,48 +610,56 @@ fn run_cells(
         obs.sink,
         obs.on_tick,
     );
-    // Merge computed outputs back into grid order and fill the cache.
-    // Work items after the warm-ups are the groups, in formation
-    // order — zipping each group's index list against its output
-    // vector restores every cell's slot.
-    for (g, out) in groups.iter().zip(outputs.into_iter().skip(keys.len())) {
-        let outs = out.expect("group work items carry outputs");
+    // Work items after the warm-ups are the groups, in formation order:
+    // zipping each group's cells against its outputs fills every slot.
+    for (g, outs) in groups.iter().zip(computed.into_iter().skip(programs.len())) {
+        let outs = outs.expect("group work items carry outputs");
         debug_assert_eq!(g.len(), outs.len());
-        for (&i, out) in g.iter().zip(outs) {
-            if let (Some(cache), Some(key)) = (obs.cache, &cell_keys[i]) {
+        for (&d, out) in g.iter().zip(outs) {
+            if let (Some(cache), Some(key)) = (obs.cache, &cell_keys[d]) {
                 cache.store(key, &out)?;
             }
-            cached[i] = Some(out);
+            outputs[d] = Some(out);
         }
     }
-    let dir = out_root.join(sweep);
-    fs::create_dir_all(&dir)?;
-    let mut results = Vec::with_capacity(grid.len());
-    for ((id, job), out) in grid.into_iter().zip(cached) {
-        let out = out.expect("every grid slot is filled by probe or compute");
-        let json = cell_json(sweep, &id, &job, &out);
-        fs::write(dir.join(format!("{id}.json")), format!("{json}\n"))?;
-        results.push((id, job, out));
+    let mut reports = Vec::with_capacity(specs.len());
+    for ((spec, grid), slots) in specs.iter().zip(&grids).zip(&plan.slots) {
+        let name = spec.name();
+        let dir = out_root.join(name);
+        fs::create_dir_all(&dir)?;
+        let mut results = Vec::with_capacity(grid.len());
+        for ((id, job), &d) in grid.iter().zip(slots) {
+            let out = outputs[d].as_ref().expect("every distinct cell is probed or computed");
+            let json = cell_json(name, id, job, out);
+            fs::write(dir.join(format!("{id}.json")), format!("{json}\n"))?;
+            results.push((id.as_str(), out));
+        }
+        let text = spec.render(&results);
+        fs::write(dir.join("report.md"), &text)?;
+        let cell_ids = grid.iter().map(|(id, _)| id.clone()).collect();
+        reports.push(SweepReport { name, text, cells: grid.len(), cell_ids });
     }
-    Ok(results)
+    Ok(reports)
 }
 
-/// Writes the rendered report next to the cell artifacts.
-fn write_report(out_root: &Path, report: &SweepReport) -> Result<(), BenchError> {
-    let dir = out_root.join(report.name);
-    fs::create_dir_all(&dir)?;
-    fs::write(dir.join("report.md"), &report.text)?;
-    Ok(())
+/// One unit of suite work: warming a shared analysis context, or
+/// running a group of distinct cells against it.
+enum SweepWork {
+    /// Build + analyse one distinct pre-selection program.
+    Warm(usize),
+    /// Simulate a group of distinct cells (indices into [`Plan::cells`])
+    /// sharing one [`CellJob::image_key`] over one decoded image.
+    Group(Vec<usize>),
 }
 
 /// Looks a cell's output up by id (grid construction and rendering use
 /// the same id scheme).
-fn get<'a>(results: &'a [(String, CellJob, CellOutput)], id: &str) -> &'a CellOutput {
-    &results
+fn get<'a>(results: &Results<'a>, id: &str) -> &'a CellOutput {
+    results
         .iter()
-        .find(|(rid, _, _)| rid == id)
+        .find(|(rid, _)| *rid == id)
         .unwrap_or_else(|| panic!("cell `{id}` missing from grid"))
-        .2
+        .1
 }
 
 /// The paper applies the task-size bar only to the two responders.
@@ -602,8 +669,7 @@ fn responds_to_task_size(name: &str) -> bool {
 
 // ---------------------------------------------------------------- sweeps
 
-fn figure5(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
-    use std::fmt::Write as _;
+fn figure5_grid() -> Grid {
     let mut grid = Vec::new();
     for in_order in [false, true] {
         for pus in [4usize, 8] {
@@ -632,9 +698,11 @@ fn figure5(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRep
             }
         }
     }
-    let cells = grid.len();
-    let results = run_cells("figure5", jobs, grid, out_root, obs)?;
+    grid
+}
 
+fn figure5_report(results: &Results) -> String {
+    use std::fmt::Write as _;
     let mut text = String::new();
     writeln!(text, "Figure 5 — impact of the compiler heuristics on the SPEC95-shaped suite")
         .unwrap();
@@ -665,7 +733,7 @@ fn figure5(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRep
                 for w in &suite {
                     let suffix = format!("{}pu-{}", pus, if in_order { "io" } else { "ooo" });
                     let ipc = |h: Heuristic| {
-                        get(&results, &format!("{}-{}-{}", w.name, h.label(), suffix)).sim.ipc()
+                        get(results, &format!("{}-{}-{}", w.name, h.label(), suffix)).sim.ipc()
                     };
                     let bb = ipc(Heuristic::BasicBlock);
                     let cf = ipc(Heuristic::ControlFlow);
@@ -697,13 +765,10 @@ fn figure5(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRep
             }
         }
     }
-    let report = SweepReport { name: "figure5", text, cells, cell_ids: cell_ids(&results) };
-    write_report(out_root, &report)?;
-    Ok(report)
+    text
 }
 
-fn table1(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
-    use std::fmt::Write as _;
+fn table1_grid() -> Grid {
     let mut grid = Vec::new();
     for w in ms_workloads::suite() {
         for h in [Heuristic::BasicBlock, Heuristic::ControlFlow, Heuristic::DataDependence] {
@@ -712,9 +777,11 @@ fn table1(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRepo
             grid.push((id, job));
         }
     }
-    let cells = grid.len();
-    let results = run_cells("table1", jobs, grid, out_root, obs)?;
+    grid
+}
 
+fn table1_report(results: &Results) -> String {
+    use std::fmt::Write as _;
     let mut text = String::new();
     writeln!(
         text,
@@ -746,7 +813,7 @@ fn table1(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRepo
     )
     .unwrap();
     for w in ms_workloads::suite() {
-        let s = |h: Heuristic| &get(&results, &format!("{}-{}", w.name, h.label())).sim;
+        let s = |h: Heuristic| &get(results, &format!("{}-{}", w.name, h.label())).sim;
         let (bb, cf, dd) =
             (s(Heuristic::BasicBlock), s(Heuristic::ControlFlow), s(Heuristic::DataDependence));
         let ct = |s: &SimStats| s.ct_insts as f64 / s.num_dyn_tasks.max(1) as f64;
@@ -774,34 +841,34 @@ fn table1(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRepo
     writeln!(text, " heuristic tasks several times larger; window spans 45-140 int, 250-800 fp;")
         .unwrap();
     writeln!(text, " br%-normalised misprediction well below task%)").unwrap();
-    let report = SweepReport { name: "table1", text, cells, cell_ids: cell_ids(&results) };
-    write_report(out_root, &report)?;
-    Ok(report)
+    text
 }
 
-fn targets(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
-    use std::fmt::Write as _;
-    let benches = ["go", "m88ksim", "perl", "hydro2d", "applu"];
-    let ns = [2usize, 4, 6, 8];
+const TARGETS_BENCHES: [&str; 5] = ["go", "m88ksim", "perl", "hydro2d", "applu"];
+const TARGETS_NS: [usize; 4] = [2, 4, 6, 8];
+
+fn targets_grid() -> Grid {
     let mut grid = Vec::new();
-    for name in benches {
-        for n in ns {
+    for name in TARGETS_BENCHES {
+        for n in TARGETS_NS {
             let id = format!("{name}-n{n}");
             let job = CellJob { targets: n, ..CellJob::new(name, Heuristic::ControlFlow) };
             grid.push((id, job));
         }
     }
-    let cells = grid.len();
-    let results = run_cells("targets", jobs, grid, out_root, obs)?;
+    grid
+}
 
+fn targets_report(results: &Results) -> String {
+    use std::fmt::Write as _;
     let mut text = String::new();
     writeln!(text, "Ablation: control-flow heuristic target limit N (4 PUs, out-of-order)")
         .unwrap();
     writeln!(text, "{:<10} {:>8} {:>8} {:>8} {:>8}", "bench", "N=2", "N=4", "N=6", "N=8").unwrap();
-    for name in benches {
+    for name in TARGETS_BENCHES {
         let mut row = format!("{name:<10}");
-        for n in ns {
-            row.push_str(&format!(" {:>8.3}", get(&results, &format!("{name}-n{n}")).sim.ipc()));
+        for n in TARGETS_NS {
+            row.push_str(&format!(" {:>8.3}", get(results, &format!("{name}-n{n}")).sim.ipc()));
         }
         writeln!(text, "{row}").unwrap();
     }
@@ -809,35 +876,31 @@ fn targets(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRep
         .unwrap();
     writeln!(text, " targets the predictor cannot represent, so accuracy — and IPC — degrade)")
         .unwrap();
-    let report = SweepReport { name: "targets", text, cells, cell_ids: cell_ids(&results) };
-    write_report(out_root, &report)?;
-    Ok(report)
+    text
 }
 
-fn thresholds(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-) -> Result<SweepReport, BenchError> {
-    use std::fmt::Write as _;
-    let benches = ["compress", "fpppp"];
-    let threshes = [10.0f64, 30.0, 60.0, 120.0];
+const THRESHOLDS_BENCHES: [&str; 2] = ["compress", "fpppp"];
+const THRESHOLDS: [f64; 4] = [10.0, 30.0, 60.0, 120.0];
+
+fn thresholds_grid() -> Grid {
     let mut grid = Vec::new();
-    for name in benches {
+    for name in THRESHOLDS_BENCHES {
         grid.push((
             format!("{name}-off"),
             CellJob { pus: 8, ..CellJob::new(name, Heuristic::DataDependence) },
         ));
-        for t in threshes {
+        for t in THRESHOLDS {
             grid.push((
                 format!("{name}-t{t:.0}"),
                 CellJob { pus: 8, ts_thresh: Some(t), ..CellJob::new(name, Heuristic::TaskSize) },
             ));
         }
     }
-    let cells = grid.len();
-    let results = run_cells("thresholds", jobs, grid, out_root, obs)?;
+    grid
+}
 
+fn thresholds_report(results: &Results) -> String {
+    use std::fmt::Write as _;
     let mut text = String::new();
     writeln!(text, "Ablation: CALL_THRESH / LOOP_THRESH sweep (dd tasks + task size, 8 PUs)")
         .unwrap();
@@ -847,12 +910,12 @@ fn thresholds(
         "bench", "off", "thresh=10", "thresh=30", "thresh=60", "thresh=120"
     )
     .unwrap();
-    for name in benches {
+    for name in THRESHOLDS_BENCHES {
         let mut row = format!("{name:<10}");
-        let off = &get(&results, &format!("{name}-off")).sim;
+        let off = &get(results, &format!("{name}-off")).sim;
         row.push_str(&format!(" {:>7.3}/{:>5.1}", off.ipc(), off.avg_task_size()));
-        for t in threshes {
-            let s = &get(&results, &format!("{name}-t{t:.0}")).sim;
+        for t in THRESHOLDS {
+            let s = &get(results, &format!("{name}-t{t:.0}")).sim;
             row.push_str(&format!(" {:>7.3}/{:>5.1}", s.ipc(), s.avg_task_size()));
         }
         writeln!(text, "{row}").unwrap();
@@ -860,27 +923,27 @@ fn thresholds(
     writeln!(text, "\n(cells are IPC / mean dynamic task size; the paper picked 30 so that the")
         .unwrap();
     writeln!(text, " ~2-cycle task overheads stay near 6% of task execution time)").unwrap();
-    let report = SweepReport { name: "thresholds", text, cells, cell_ids: cell_ids(&results) };
-    write_report(out_root, &report)?;
-    Ok(report)
+    text
 }
 
-fn pus(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
-    use std::fmt::Write as _;
-    let benches = ["m88ksim", "perl", "tomcatv", "applu", "wave5"];
-    let counts = [1usize, 2, 4, 8, 16];
+const PUS_BENCHES: [&str; 5] = ["m88ksim", "perl", "tomcatv", "applu", "wave5"];
+const PU_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
+
+fn pus_grid() -> Grid {
     let mut grid = Vec::new();
-    for name in benches {
-        for p in counts {
+    for name in PUS_BENCHES {
+        for p in PU_COUNTS {
             grid.push((
                 format!("{name}-{p}pu"),
                 CellJob { pus: p, ..CellJob::new(name, Heuristic::DataDependence) },
             ));
         }
     }
-    let cells = grid.len();
-    let results = run_cells("pus", jobs, grid, out_root, obs)?;
+    grid
+}
 
+fn pus_report(results: &Results) -> String {
+    use std::fmt::Write as _;
     let mut text = String::new();
     writeln!(text, "Ablation: PU count sweep (data dependence tasks, out-of-order)").unwrap();
     writeln!(
@@ -889,28 +952,22 @@ fn pus(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport,
         "bench", "1 PU", "2 PU", "4 PU", "8 PU", "16 PU"
     )
     .unwrap();
-    for name in benches {
+    for name in PUS_BENCHES {
         let mut row = format!("{name:<10}");
-        let ipc_at = |p: usize| get(&results, &format!("{name}-{p}pu")).sim.ipc();
-        for p in counts {
+        let ipc_at = |p: usize| get(results, &format!("{name}-{p}pu")).sim.ipc();
+        for p in PU_COUNTS {
             row.push_str(&format!(" {:>8.3}", ipc_at(p)));
         }
         writeln!(text, "{row}   {:.2}x", ipc_at(8) / ipc_at(1).max(1e-9)).unwrap();
     }
-    let report = SweepReport { name: "pus", text, cells, cell_ids: cell_ids(&results) };
-    write_report(out_root, &report)?;
-    Ok(report)
+    text
 }
 
-fn forwarding(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-) -> Result<SweepReport, BenchError> {
-    use std::fmt::Write as _;
-    let benches = ["m88ksim", "perl", "tomcatv", "applu", "wave5", "go"];
+const FORWARDING_BENCHES: [&str; 6] = ["m88ksim", "perl", "tomcatv", "applu", "wave5", "go"];
+
+fn forwarding_grid() -> Grid {
     let mut grid = Vec::new();
-    for name in benches {
+    for name in FORWARDING_BENCHES {
         grid.push((
             format!("{name}-dead"),
             CellJob { pus: 8, ..CellJob::new(name, Heuristic::DataDependence) },
@@ -920,9 +977,11 @@ fn forwarding(
             CellJob { pus: 8, dead_reg: false, ..CellJob::new(name, Heuristic::DataDependence) },
         ));
     }
-    let cells = grid.len();
-    let results = run_cells("forwarding", jobs, grid, out_root, obs)?;
+    grid
+}
 
+fn forwarding_report(results: &Results) -> String {
+    use std::fmt::Write as _;
     let mut text = String::new();
     writeln!(text, "Ablation: dead register analysis for ring forwards (dd tasks, 8 PUs)").unwrap();
     writeln!(
@@ -931,9 +990,9 @@ fn forwarding(
         "bench", "IPC dead", "IPC naive", "fwd/task d", "fwd/task n", "IPC gain"
     )
     .unwrap();
-    for name in benches {
-        let dead = &get(&results, &format!("{name}-dead")).sim;
-        let naive = &get(&results, &format!("{name}-naive")).sim;
+    for name in FORWARDING_BENCHES {
+        let dead = &get(results, &format!("{name}-dead")).sim;
+        let naive = &get(results, &format!("{name}-naive")).sim;
         writeln!(
             text,
             "{:<10} {:>10.3} {:>10.3} {:>12.1} {:>12.1} {:>8.1}%",
@@ -948,22 +1007,16 @@ fn forwarding(
     }
     writeln!(text, "\n(dead register analysis must never forward MORE values than naive").unwrap();
     writeln!(text, " forwarding; the IPC gain comes from freed ring bandwidth)").unwrap();
-    let report = SweepReport { name: "forwarding", text, cells, cell_ids: cell_ids(&results) };
-    write_report(out_root, &report)?;
-    Ok(report)
+    text
 }
 
-fn predication(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-) -> Result<SweepReport, BenchError> {
-    use std::fmt::Write as _;
-    let benches = ["go", "gcc", "li", "perl", "vortex", "hydro2d"];
+const PREDICATION_BENCHES: [&str; 6] = ["go", "gcc", "li", "perl", "vortex", "hydro2d"];
+
+fn predication_grid() -> Grid {
     let variants: [(&str, Option<usize>); 3] =
         [("plain", None), ("arms4", Some(4)), ("arms8", Some(8))];
     let mut grid = Vec::new();
-    for name in benches {
+    for name in PREDICATION_BENCHES {
         for (tag, arms) in variants {
             grid.push((
                 format!("{name}-{tag}"),
@@ -971,9 +1024,11 @@ fn predication(
             ));
         }
     }
-    let cells = grid.len();
-    let results = run_cells("predication", jobs, grid, out_root, obs)?;
+    grid
+}
 
+fn predication_report(results: &Results) -> String {
+    use std::fmt::Write as _;
     let mut text = String::new();
     writeln!(text, "Ablation: if-conversion before task selection (cf tasks, 4 PUs)").unwrap();
     writeln!(
@@ -982,8 +1037,8 @@ fn predication(
         "bench", "plain", "arms<=4", "arms<=8", "mis plain", "mis <=4", "mis <=8"
     )
     .unwrap();
-    for name in benches {
-        let s = |tag: &str| &get(&results, &format!("{name}-{tag}")).sim;
+    for name in PREDICATION_BENCHES {
+        let s = |tag: &str| &get(results, &format!("{name}-{tag}")).sim;
         let (plain, c4, c8) = (s("plain"), s("arms4"), s("arms8"));
         writeln!(
             text,
@@ -1002,23 +1057,20 @@ fn predication(
         .unwrap();
     writeln!(text, " and unpredictable, and costs instructions where they were predictable)")
         .unwrap();
-    let report = SweepReport { name: "predication", text, cells, cell_ids: cell_ids(&results) };
-    write_report(out_root, &report)?;
-    Ok(report)
+    text
 }
 
-fn hardware(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
-    use std::fmt::Write as _;
-    let bw_benches = ["m88ksim", "go", "applu", "wave5"];
-    let bws = [1u32, 2, 4, 8];
-    let arb_benches = ["fpppp", "tomcatv", "compress"];
-    let arbs = [8u32, 16, 32, 64];
-    let sync_benches = ["compress", "go", "li"];
-    let syncs = [0u32, 16, 256];
+const BW_BENCHES: [&str; 4] = ["m88ksim", "go", "applu", "wave5"];
+const BWS: [u32; 4] = [1, 2, 4, 8];
+const ARB_BENCHES: [&str; 3] = ["fpppp", "tomcatv", "compress"];
+const ARBS: [u32; 4] = [8, 16, 32, 64];
+const SYNC_BENCHES: [&str; 3] = ["compress", "go", "li"];
+const SYNCS: [u32; 3] = [0, 16, 256];
 
+fn hardware_grid() -> Grid {
     let mut grid = Vec::new();
-    for name in bw_benches {
-        for bw in bws {
+    for name in BW_BENCHES {
+        for bw in BWS {
             grid.push((
                 format!("{name}-bw{bw}"),
                 CellJob {
@@ -1029,8 +1081,8 @@ fn hardware(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRe
             ));
         }
     }
-    for name in arb_benches {
-        for entries in arbs {
+    for name in ARB_BENCHES {
+        for entries in ARBS {
             grid.push((
                 format!("{name}-arb{entries}"),
                 CellJob {
@@ -1041,8 +1093,8 @@ fn hardware(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRe
             ));
         }
     }
-    for name in sync_benches {
-        for entries in syncs {
+    for name in SYNC_BENCHES {
+        for entries in SYNCS {
             grid.push((
                 format!("{name}-sync{entries}"),
                 CellJob {
@@ -1053,17 +1105,19 @@ fn hardware(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRe
             ));
         }
     }
-    let cells = grid.len();
-    let results = run_cells("hardware", jobs, grid, out_root, obs)?;
+    grid
+}
 
+fn hardware_report(results: &Results) -> String {
+    use std::fmt::Write as _;
     let mut text = String::new();
     writeln!(text, "Ablation: ring bandwidth (values/cycle/link, paper: 2), 8 PUs, IPC").unwrap();
     writeln!(text, "{:<10} {:>8} {:>8} {:>8} {:>8}", "bench", "bw=1", "bw=2", "bw=4", "bw=8")
         .unwrap();
-    for name in bw_benches {
+    for name in BW_BENCHES {
         let mut row = format!("{name:<10}");
-        for bw in bws {
-            row.push_str(&format!(" {:>8.3}", get(&results, &format!("{name}-bw{bw}")).sim.ipc()));
+        for bw in BWS {
+            row.push_str(&format!(" {:>8.3}", get(results, &format!("{name}-bw{bw}")).sim.ipc()));
         }
         writeln!(text, "{row}").unwrap();
     }
@@ -1075,10 +1129,10 @@ fn hardware(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRe
         "bench", "arb=8", "arb=16", "arb=32", "arb=64"
     )
     .unwrap();
-    for name in arb_benches {
+    for name in ARB_BENCHES {
         let mut row = format!("{name:<10}");
-        for entries in arbs {
-            let s = &get(&results, &format!("{name}-arb{entries}")).sim;
+        for entries in ARBS {
+            let s = &get(results, &format!("{name}-arb{entries}")).sim;
             row.push_str(&format!(" {:>7.3}/{:<4}", s.ipc(), s.arb_overflows));
         }
         writeln!(text, "{row}").unwrap();
@@ -1088,10 +1142,10 @@ fn hardware(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRe
         .unwrap();
     writeln!(text, "{:<10} {:>14} {:>14} {:>14}", "bench", "off", "16 entries", "256 entries")
         .unwrap();
-    for name in sync_benches {
+    for name in SYNC_BENCHES {
         let mut row = format!("{name:<10}");
-        for entries in syncs {
-            let s = &get(&results, &format!("{name}-sync{entries}")).sim;
+        for entries in SYNCS {
+            let s = &get(results, &format!("{name}-sync{entries}")).sim;
             row.push_str(&format!(" {:>7.3}v{:<6}", s.ipc(), s.violations));
         }
         writeln!(text, "{row}").unwrap();
@@ -1100,9 +1154,7 @@ fn hardware(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepRe
         .unwrap();
     writeln!(text, " table conflicting loads squash repeatedly, as Moshovos et al. showed)")
         .unwrap();
-    let report = SweepReport { name: "hardware", text, cells, cell_ids: cell_ids(&results) };
-    write_report(out_root, &report)?;
-    Ok(report)
+    text
 }
 
 #[cfg(test)]
@@ -1160,6 +1212,30 @@ mod tests {
         assert_eq!(outs.len(), cells.len());
         for (cell, out) in cells.iter().zip(outs) {
             assert_eq!(out, cell.run(), "{cell:?}");
+        }
+    }
+
+    #[test]
+    fn suite_plan_counts_each_distinct_cell_once() {
+        let grids: Vec<Grid> = SweepSpec::ALL.iter().map(|s| s.grid()).collect();
+        let plan = Plan::new(&grids);
+        assert_eq!(plan.served.iter().sum::<usize>(), 400, "grid cells");
+        assert_eq!(plan.cells.len(), 329, "distinct cells: simulations");
+        assert_eq!(plan.images.len(), 108, "distinct images: select/trace/decode builds");
+        let mut programs: Vec<_> =
+            plan.cells.iter().map(|j| (j.bench, j.if_convert_arms)).collect();
+        programs.sort_unstable();
+        programs.dedup();
+        assert_eq!(programs.len(), 30, "distinct programs: context warm-ups");
+        // Every Table 1 cell is served by its Figure 5 twin.
+        let table1 = SweepSpec::ALL.iter().position(|&s| s == SweepSpec::Table1).unwrap();
+        assert!(plan.slots[table1].iter().all(|&d| plan.served[d] == 2));
+        // A twin computes exactly what the cell it stands for computes.
+        for (grid, slots) in grids.iter().zip(&plan.slots) {
+            for ((id, job), &d) in grid.iter().zip(slots) {
+                assert_eq!(job.image_key(), plan.cells[d].image_key(), "{id}");
+                assert_eq!(job.sim_config(), plan.cells[d].sim_config(), "{id}");
+            }
         }
     }
 

@@ -28,8 +28,7 @@
 //! [counters](counter_add), [gauges](gauge_set) and monotonic
 //! [histograms](hist_record) with fixed log2 buckets. [`disable`]
 //! returns everything as a [`Report`] — aggregated span stats, raw span
-//! instances (for the Chrome `trace_event` view), and the registry —
-//! serialisable as hand-rolled JSON like the rest of the repository.
+//! instances (for the Chrome `trace_event` view), and the registry.
 //!
 //! # Example
 //!
@@ -60,4 +59,4 @@ pub use profiler::{
     counter_add, disable, enable, gauge_set, hist_record, is_enabled, span, span_owned,
     NullProfiler, Span,
 };
-pub use report::{hist_bucket, HistStat, Report, SpanInstance, SpanStat, PROF_SCHEMA_VERSION};
+pub use report::{hist_bucket, HistStat, Report, SpanInstance, SpanStat};

@@ -1,11 +1,4 @@
-//! The data a profiling session hands back, and its JSON form.
-
-use std::fmt::Write as _;
-
-/// Version of the profiler report JSON fragments
-/// ([`Report::spans_json`], [`Report::registry_json`]): the `spans`,
-/// `counters`, `gauges` and `hists` shapes.
-pub const PROF_SCHEMA_VERSION: u32 = 1;
+//! The data a profiling session hands back.
 
 /// Number of log2 histogram buckets: bucket `i` holds values whose
 /// `hist_bucket` is `i`, i.e. `0`, then `[2^(i-1), 2^i)`.
@@ -82,94 +75,12 @@ pub struct Report {
     pub hists: Vec<(String, HistStat)>,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Report {
     /// Wall time charged to the top-level spans (paths without `/`) —
     /// by construction never more than the session's end-to-end wall
     /// time, since nested spans are charged to deeper paths.
     pub fn top_level_total_ns(&self) -> u64 {
         self.spans.iter().filter(|s| !s.path.contains('/')).map(|s| s.total_ns).sum()
-    }
-
-    /// The `spans` array as hand-rolled JSON (stable order — sorted by
-    /// path), one object per path with `path`, `count`, `total_ns`,
-    /// `items`.
-    pub fn spans_json(&self) -> String {
-        let rows: Vec<String> = self
-            .spans
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"path\":\"{}\",\"count\":{},\"total_ns\":{},\"items\":{}}}",
-                    esc(&s.path),
-                    s.count,
-                    s.total_ns,
-                    s.items
-                )
-            })
-            .collect();
-        format!("[{}]", rows.join(","))
-    }
-
-    /// The registry (counters, gauges, non-empty histogram buckets) as
-    /// one hand-rolled JSON object.
-    pub fn registry_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("{{\"name\":\"{}\",\"value\":{v}}}", esc(k)))
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| {
-                if v.is_finite() {
-                    format!("{{\"name\":\"{}\",\"value\":{v}}}", esc(k))
-                } else {
-                    format!("{{\"name\":\"{}\",\"value\":null}}", esc(k))
-                }
-            })
-            .collect();
-        let hists: Vec<String> = self
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                let buckets: Vec<String> = h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &n)| n > 0)
-                    .map(|(i, &n)| format!("[{i},{n}]"))
-                    .collect();
-                format!(
-                    "{{\"name\":\"{}\",\"count\":{},\"sum\":{},\"log2_buckets\":[{}]}}",
-                    esc(k),
-                    h.count,
-                    h.sum,
-                    buckets.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"counters\":[{}],\"gauges\":[{}],\"hists\":[{}]}}",
-            counters.join(","),
-            gauges.join(","),
-            hists.join(",")
-        )
     }
 }
 
@@ -206,28 +117,5 @@ mod tests {
             ..Report::default()
         };
         assert_eq!(r.top_level_total_ns(), 15);
-    }
-
-    #[test]
-    fn json_fragments_are_well_formed() {
-        let mut h = HistStat::default();
-        h.count = 1;
-        h.sum = 5;
-        h.buckets[hist_bucket(5)] = 1;
-        let r = Report {
-            spans: vec![SpanStat { path: "a\"b".into(), count: 1, total_ns: 2, items: 3 }],
-            counters: vec![("c".into(), 4)],
-            gauges: vec![("g".into(), f64::NAN)],
-            hists: vec![("h".into(), h)],
-            ..Report::default()
-        };
-        assert_eq!(
-            r.spans_json(),
-            "[{\"path\":\"a\\\"b\",\"count\":1,\"total_ns\":2,\"items\":3}]"
-        );
-        let reg = r.registry_json();
-        assert!(reg.contains("\"counters\":[{\"name\":\"c\",\"value\":4}]"));
-        assert!(reg.contains("\"value\":null"));
-        assert!(reg.contains("\"log2_buckets\":[[3,1]]"));
     }
 }

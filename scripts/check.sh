@@ -8,27 +8,30 @@
 # 1. release build of every crate (benches and examples included),
 # 2. the full test suite on default features (`heavy-tests` scales the
 #    randomized suites up and is opt-in: cargo test --features heavy-tests),
-# 3. rustdoc with warnings denied (missing docs and broken intra-doc
+# 3. the repository benchmark's unit tests (benchmark/, its own
+#    workspace): they build the traced replay against the `ms_bench`
+#    API it calls, so an API change fails here, not in the benchmark run,
+# 4. rustdoc with warnings denied (missing docs and broken intra-doc
 #    links fail the build),
-# 4. formatting,
-# 5. public-API snapshot: every `pub` declaration must match
+# 5. formatting,
+# 6. public-API snapshot: every `pub` declaration must match
 #    tests/api_snapshot.txt (MS_BLESS=1 to re-bless deliberately),
-# 6. docs gate: the metric tables in EXPERIMENTS.md / docs/METRICS.md /
+# 7. docs gate: the metric tables in EXPERIMENTS.md / docs/METRICS.md /
 #    docs/PROFILING.md / docs/OBSERVABILITY.md must only name fields
 #    that still exist in the source; every relative markdown link must
 #    resolve; every docs/*.md must be routed from docs/INDEX.md,
-# 7. profiler smoke: one small `run -- perf` must exit 0 and write its
+# 8. profiler smoke: one small `run -- perf` must exit 0 and write its
 #    Chrome pipeline view (docs/PROFILING.md; comparing timings is the
 #    repository benchmark's job, see BENCHMARK.json),
-# 8. conformance fuzz smoke: 25 random programs x every registered
+# 9. conformance fuzz smoke: 25 random programs x every registered
 #    selection policy must match the sequential reference model
 #    (docs/CONFORMANCE.md),
-# 9. run-ledger smoke: a small sweep must leave a run record that
+# 10. run-ledger smoke: a small sweep must leave a run record that
 #    passes `run -- runs-validate` and shows up in `run -- runs`;
 #    target/experiments/runs/ is pruned to the newest 50 records
 #    (docs/OBSERVABILITY.md),
-# 10. cached-rerun smoke: the same sweep run twice with one `--cache-dir`
-#    must write artifacts byte-identical to step 9's uncached run, and
+# 11. cached-rerun smoke: the same sweep run twice with one `--cache-dir`
+#    must write artifacts byte-identical to step 10's uncached run, and
 #    the second run must serve every cell from the content-addressed
 #    cell cache (zero cells simulated, per its run record's footer).
 set -eu
@@ -39,6 +42,9 @@ cargo build --workspace --release --benches --examples
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> benchmark unit tests (benchmark/, builds the traced replay)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml --bins
 
 echo "==> cargo doc --workspace --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -140,7 +146,7 @@ fi
 echo "==> cached-rerun smoke (run -- forwarding --cache-dir, EXPERIMENTS.md)"
 # The same grid twice through one cell cache: a cold pass that fills
 # it, then a warm pass that must simulate nothing. Both trees must be
-# byte-identical to step 9's uncached forwarding tree. The warm run's
+# byte-identical to step 10's uncached forwarding tree. The warm run's
 # own record (the path it prints) must say "cache_misses":0.
 cache_smoke=target/cache-smoke
 rm -rf "$cache_smoke"
