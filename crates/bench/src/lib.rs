@@ -4,11 +4,12 @@
 //! Every experiment follows the same pipeline: build a synthetic
 //! workload, select tasks with one of the paper's heuristics, generate a
 //! trace of the (possibly transformed) program, split it into dynamic
-//! tasks, and run the cycle-level simulator. [`run_one`] packages that
-//! pipeline; [`sweeps`] describes every figure/table/ablation grid as
-//! data; the single `run` binary fans the grids out over worker threads
-//! ([`harness`]), prints the tables, and writes one schema-versioned
-//! JSON metrics artifact per cell ([`json`]) under `target/experiments/`.
+//! tasks, and run the cycle-level simulator. [`run_selection`] runs the
+//! trace and simulation steps for a finished selection; [`sweeps`]
+//! describes every figure/table/ablation grid as data; the single `run`
+//! binary fans the grids out over worker threads ([`harness`]), prints
+//! the tables, and writes one schema-versioned JSON metrics artifact per
+//! cell ([`json`]) under `target/experiments/`.
 //! The `run -- trace` subcommand ([`tracecmd`]) runs one cell with the
 //! simulator's event trace on, writing a JSONL event trace plus a Chrome
 //! `trace_event` file and printing squash/stall attribution tables.
@@ -26,8 +27,8 @@
 //! `docs/POLICIES.md`). With `--cache-dir`, sweeps probe and fill a
 //! content-addressed cell cache ([`cache`]), so a repeated grid
 //! re-renders byte-identical artifacts without simulating. Every
-//! subcommand shares one flag parser ([`cli`]) and one timing policy
-//! ([`microbench`]).
+//! subcommand shares one flag parser ([`cli`]). Timing this code is the
+//! repository benchmark's job (`BENCHMARK.json`, `benchmark/`).
 //!
 //! This crate is the *reporting* stage of the data flow — everything
 //! upstream (IR → selection → trace → simulation) stays in the library
@@ -46,7 +47,6 @@ pub mod fuzzcmd;
 pub mod gapcmd;
 pub mod harness;
 pub mod json;
-pub mod microbench;
 pub mod perfcmd;
 pub mod progress;
 pub mod runscmd;
@@ -55,11 +55,9 @@ pub mod tracecmd;
 
 pub use error::BenchError;
 
-use ms_analysis::ProgramContext;
 use ms_sim::{SimConfig, SimStats, Simulator};
 use ms_tasksel::{SelectorBuilder, Strategy, TaskSelector, TaskSizeParams};
 use ms_trace::TraceGenerator;
-use ms_workloads::Workload;
 
 /// Default dynamic instruction budget per run (big enough for warmed-up
 /// predictors and caches, small enough to sweep 18 × 4 × 4 configs).
@@ -152,19 +150,6 @@ impl Heuristic {
     }
 }
 
-/// Runs one (workload, heuristic, machine) experiment.
-pub fn run_one(
-    workload: &Workload,
-    heuristic: Heuristic,
-    config: SimConfig,
-    trace_insts: usize,
-    seed: u64,
-) -> SimStats {
-    let ctx = ProgramContext::new(workload.build());
-    let sel = heuristic.selector(4).select(&ctx);
-    run_selection(&sel, config, trace_insts, seed)
-}
-
 /// Runs one experiment for an already-made selection.
 pub fn run_selection(
     sel: &ms_tasksel::Selection,
@@ -187,6 +172,7 @@ pub fn pct_change(base: f64, new: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ms_analysis::ProgramContext;
 
     #[test]
     fn heuristic_labels_are_distinct() {
@@ -207,9 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn run_one_produces_stats() {
-        let w = ms_workloads::by_name("compress").unwrap();
-        let s = run_one(&w, Heuristic::ControlFlow, SimConfig::four_pu(), 5_000, 1);
+    fn run_selection_produces_stats() {
+        let program = ms_workloads::by_name("compress").unwrap().build();
+        let sel = Heuristic::ControlFlow.selector(4).select(&ProgramContext::new(program));
+        let s = run_selection(&sel, SimConfig::four_pu(), 5_000, 1);
         assert!(s.ipc() > 0.0);
         assert!(s.total_insts >= 5_000);
     }

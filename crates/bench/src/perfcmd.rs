@@ -5,9 +5,8 @@
 //! with the [`ms_prof`] collector enabled, wrapping each cell in a
 //! `cell:<id>` span so the library crates' phase spans (`select`,
 //! `analysis.*`, `trace.generate`, `sim.run`, …) nest under it. Timing
-//! follows the shared [`crate::microbench`] policy: one untimed warm-up
-//! repetition, then the [`crate::microbench::median`] of `--reps` timed
-//! repetitions per phase.
+//! policy: one untimed warm-up repetition, then the median of `--reps`
+//! timed repetitions per phase.
 //!
 //! The result is a [`PerfDoc`]: per-phase and per-cell medians, the
 //! printed tables, and a Chrome `trace_event` view of the last
@@ -21,7 +20,6 @@ use std::time::Instant;
 use ms_prof::{Report, SpanStat};
 
 use crate::json::escape;
-use crate::microbench::median;
 use crate::runscmd::fmt_ns;
 use crate::sweeps::{CellJob, SWEEP_TRACE_INSTS};
 use crate::Heuristic;
@@ -87,8 +85,8 @@ pub struct PerfDoc {
 /// Runs the canonical cells under profiling and aggregates the report.
 pub fn run_perf(opts: &PerfOptions) -> PerfDoc {
     let grid = perf_grid(opts.insts);
-    // Shared timing policy (crate::microbench): one untimed warm-up
-    // repetition, then medians over the timed ones.
+    // Timing policy: one untimed warm-up repetition, then medians over
+    // the timed ones.
     for (_, job) in &grid {
         let _ = job.run();
     }
@@ -115,6 +113,20 @@ fn phase_of(path: &str) -> Option<&str> {
         Some(rest) => rest.split_once('/').map(|(_, phase)| phase),
         None => Some(path),
     }
+}
+
+/// The median of a sample set: sorts and takes the middle element
+/// (upper middle for even counts). Every time `run -- perf` reports is
+/// a median, never a mean: medians shrug off the one-off scheduling
+/// hiccups that dominate wall-clock noise.
+///
+/// # Panics
+///
+/// Panics on an empty sample set.
+fn median(mut samples: Vec<f64>) -> f64 {
+    assert!(!samples.is_empty(), "median of zero samples");
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
 }
 
 fn median_u64(samples: Vec<f64>) -> u64 {
@@ -265,6 +277,13 @@ mod tests {
                 "no cell exercises heuristic `{label}`"
             );
         }
+    }
+
+    #[test]
+    fn median_is_order_insensitive_and_takes_middle() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![2.0, 1.0]), 2.0);
+        assert_eq!(median(vec![5.0]), 5.0);
     }
 
     #[test]

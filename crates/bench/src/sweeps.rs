@@ -30,7 +30,7 @@ use std::sync::OnceLock;
 
 use ms_analysis::ProgramContext;
 use ms_ir::Program;
-use ms_sim::{ProgramImage, SimConfig, SimStats, Simulator};
+use ms_sim::{NullSink, ProgramImage, SimConfig, SimStats, Simulator};
 use ms_tasksel::{if_convert, PartitionStats, SelectorBuilder, Strategy, TaskSizeParams};
 use ms_trace::TraceGenerator;
 use ms_workloads::{by_name, fp_suite, integer_suite};
@@ -302,7 +302,8 @@ impl CellJob {
         cells
             .iter()
             .map(|c| CellOutput {
-                sim: Simulator::new(c.sim_config(), &sel.program, &sel.partition).run_image(&image),
+                sim: Simulator::new(c.sim_config(), &sel.program, &sel.partition)
+                    .run_image(&image, &mut NullSink),
                 partition: partition.clone(),
             })
             .collect()

@@ -43,7 +43,7 @@ use crate::builder::{FunctionBuilder, ProgramBuilder};
 use crate::inst::{Inst, Opcode};
 use crate::mem::AddrSpec;
 use crate::program::{BlockId, FuncId, Program};
-use crate::reg::{Reg, RegClass};
+use crate::reg::{Reg, RegClass, NUM_FP_REGS, NUM_INT_REGS};
 
 /// Serialises `program` into the textual format.
 pub fn write_program(program: &Program) -> String {
@@ -192,6 +192,13 @@ fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
     let idx: u8 = rest
         .parse()
         .map_err(|_| ParseError { line, message: format!("bad register index in `{tok}`") })?;
+    let limit = match class {
+        RegClass::Int => NUM_INT_REGS,
+        RegClass::Fp => NUM_FP_REGS,
+    };
+    if idx >= limit {
+        return err(line, format!("register `{tok}` out of range (0..{limit})"));
+    }
     Ok(match class {
         RegClass::Int => Reg::int(idx),
         RegClass::Fp => Reg::fp(idx),
@@ -641,6 +648,21 @@ fn leaf {
         let e = parse_program(bad).unwrap_err();
         assert_eq!(e.line, 6);
         assert!(e.to_string().contains("frob"));
+    }
+
+    #[test]
+    fn out_of_range_registers_are_errors_with_line_numbers() {
+        let program = |inst: &str| {
+            format!("program entry @main\n\nfn main {{\n  entry b0\n  block b0 {{\n    {inst}\n    halt\n  }}\n}}\n")
+        };
+        for inst in ["iadd r32 <- r1, r1", "iadd r1 <- r1, r99", "fadd f1 <- f32, f1"] {
+            let e = parse_program(&program(inst)).unwrap_err();
+            assert_eq!(e.line, 6, "{inst}: {e}");
+            assert!(e.message.contains("out of range"), "{inst}: {e}");
+        }
+        for inst in ["iadd r31 <- r0, r31", "fadd f31 <- f0, f31"] {
+            parse_program(&program(inst)).unwrap_or_else(|e| panic!("{inst}: {e}"));
+        }
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! lane-packed byte-tag probe, and per-PU mutable state is cache-line
 //! aligned. An image is immutable once decoded, so cells that differ
 //! only in machine configuration can run one after another over one
-//! image ([`Simulator::run_image`]) and pay for the decode once.
+//! image and pay for the decode once. [`Simulator::run_image`] is the
+//! one place an engine is built: `run`, `run_tasks` and
+//! `run_with_sink` each decode an image and end there.
 
 use ms_analysis::Liveness;
 use ms_ir::{BlockRef, FxMap, Program, NUM_REGS};
@@ -40,7 +42,6 @@ use crate::cache::{Cache, Hierarchy};
 use crate::config::SimConfig;
 use crate::event::{NullSink, SimEvent, SquashCause, TraceSink};
 use crate::predictor::{Gshare, TaskPredictor};
-use crate::sink::TimelineSink;
 use crate::stats::{CycleBreakdown, SimStats};
 use crate::swar::{self, TagSet};
 use crate::table::{DynInstTable, CLASS_MASK, F_CT, F_LOAD, F_STORE, F_UNPIPELINED, NO_DST};
@@ -48,24 +49,6 @@ use crate::table::{DynInstTable, CLASS_MASK, F_CT, F_LOAD, F_STORE, F_UNPIPELINE
 /// Maximum squash-and-re-execute attempts per task before the engine
 /// forces full memory synchronisation (livelock guard).
 const MAX_ATTEMPTS: u32 = 8;
-
-/// The life of one dynamic task on the machine — the raw material of the
-/// paper's Figure 2 execution time line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskTiming {
-    /// Processing unit the task ran on.
-    pub pu: usize,
-    /// Cycle the sequencer dispatched the task (final attempt).
-    pub dispatch: u64,
-    /// Cycle the task's last instruction completed.
-    pub complete: u64,
-    /// Cycle the task retired (committed architecturally).
-    pub retire: u64,
-    /// Dynamic instructions retired by the task.
-    pub insts: u64,
-    /// Squash-and-re-execute attempts the task needed (1 = clean).
-    pub attempts: u32,
-}
 
 /// A configured Multiscalar timing simulator.
 ///
@@ -122,43 +105,26 @@ impl<'a> Simulator<'a> {
     /// Runs a pre-split dynamic task sequence (lets callers reuse a
     /// split across configurations).
     pub fn run_tasks(&self, trace: &Trace, tasks: &[DynTask]) -> SimStats {
-        self.run_tasks_with_sink(trace, tasks, &mut NullSink)
+        let image = ProgramImage::with_tasks(self.program, self.partition, trace, tasks.to_vec());
+        self.run_image(&image, &mut NullSink)
     }
 
     /// Runs the trace, streaming [`SimEvent`]s into `sink` — the
     /// observability entry point. With [`NullSink`] this is exactly
     /// [`Simulator::run`]: no events are constructed and no attribution
-    /// bookkeeping is allocated.
+    /// bookkeeping is allocated. A [`crate::TraceAggregator`] collects
+    /// the per-task time line (the paper's Figure 2) in its `spans`.
     pub fn run_with_sink<S: TraceSink>(&self, trace: &Trace, sink: &mut S) -> SimStats {
         let image = ProgramImage::new(self.program, self.partition, trace);
-        self.run_image_with_sink(&image, sink)
+        self.run_image(&image, sink)
     }
 
-    /// [`Simulator::run_tasks`] with an event sink.
-    pub fn run_tasks_with_sink<S: TraceSink>(
-        &self,
-        trace: &Trace,
-        tasks: &[DynTask],
-        sink: &mut S,
-    ) -> SimStats {
-        let image = ProgramImage::with_tasks(self.program, self.partition, trace, tasks.to_vec());
-        self.run_image_with_sink(&image, sink)
-    }
-
-    /// Runs an already-decoded image, so cells that differ only in
-    /// machine configuration share one decode. The image must come from
-    /// this simulator's program and partition.
-    pub fn run_image(&self, image: &ProgramImage<'_>) -> SimStats {
-        self.run_image_with_sink(image, &mut NullSink)
-    }
-
-    /// [`Simulator::run_image`] with an event sink — the one place an
-    /// engine is driven; every `run*` method ends here.
-    fn run_image_with_sink<S: TraceSink>(
-        &self,
-        image: &ProgramImage<'_>,
-        sink: &mut S,
-    ) -> SimStats {
+    /// Runs an already-decoded image, streaming events into `sink`, so
+    /// cells that differ only in machine configuration share one
+    /// decode. The image must come from this simulator's program and
+    /// partition. This is the one place an engine is built; every other
+    /// `run*` method ends here.
+    pub fn run_image<S: TraceSink>(&self, image: &ProgramImage<'_>, sink: &mut S) -> SimStats {
         debug_assert!(
             std::ptr::eq(image.program, self.program)
                 && std::ptr::eq(image.partition, self.partition),
@@ -174,17 +140,6 @@ impl<'a> Simulator<'a> {
         ms_prof::counter_add("sim.cycles", stats.total_cycles);
         ms_prof::counter_add("sim.dyn_tasks", stats.num_dyn_tasks as u64);
         stats
-    }
-
-    /// Runs the trace and additionally returns the per-task time line
-    /// (dispatch / complete / retire per dynamic task) — the data behind
-    /// the paper's Figure 2 narrative. Implemented as a [`TimelineSink`]
-    /// over [`Simulator::run_with_sink`]; callers that discard the
-    /// timeline should call [`Simulator::run`], which allocates nothing.
-    pub fn run_with_timeline(&self, trace: &Trace) -> (SimStats, Vec<TaskTiming>) {
-        let mut sink = TimelineSink::new();
-        let stats = self.run_with_sink(trace, &mut sink);
-        (stats, sink.into_timeline())
     }
 }
 
@@ -634,13 +589,6 @@ impl<'e> Engine<'e> {
         }
         self.retire.push(retire);
         self.pus[pu].free = retire;
-        #[cfg(feature = "trace-debug")]
-        if k < 64 {
-            eprintln!(
-                "task {k:4} pu {pu} dispatch {dispatch:6} complete {:6} retire {retire:6} insts {:3}",
-                attempt.complete, attempt.insts
-            );
-        }
 
         // Commit architectural effects: register forwards (ring send
         // scheduling, filtered by dead register analysis) and the
@@ -1100,15 +1048,6 @@ impl<'e> Engine<'e> {
                     }
                 }
 
-                #[cfg(feature = "trace-debug")]
-                if std::env::var("MS_DBG_TASK").ok().and_then(|v| v.parse::<usize>().ok())
-                    == Some(k)
-                {
-                    eprintln!(
-                        "  inst {i_row:3} flags {flags:#04x} fetch {} intra {} inter {} ready {} issue {} complete {}",
-                        my_fetch, intra_ready, inter_ready, ready, c, complete
-                    );
-                }
                 let dst = dst_col[i];
                 if dst != NO_DST {
                     local_reg[dst as usize] = complete;

@@ -31,7 +31,7 @@
 //!   *attribution* (which task boundary, which def-use arc), emitted
 //!   through a [`TraceSink`] passed to [`Simulator::run_with_sink`].
 //!   Sinks: [`JsonlSink`] (schema-versioned JSONL), [`TraceAggregator`]
-//!   (attribution tables), [`TimelineSink`] (per-task timeline),
+//!   (attribution tables, and the per-task time line in its `spans`),
 //!   [`CheckSink`] (streaming invariant checker + stats reconciliation
 //!   — the engine half of the `ms-conform` differential harness, see
 //!   `docs/CONFORMANCE.md`), [`NullSink`] (off — the default, zero
@@ -46,9 +46,10 @@
 //! [`ProgramImage`], register write sets travel as single-`u64` SWAR
 //! masks ([`swar`]), and ARB line membership is a lane-packed byte-tag
 //! probe. [`Simulator`] is the one driver: each `run*` call simulates
-//! one configuration. Sweeps whose cells differ only in machine
-//! configuration decode one image and pass it to
-//! [`Simulator::run_image`] once per cell.
+//! one configuration, and all of them end in [`Simulator::run_image`],
+//! the one place an engine is built. Sweeps whose cells differ only in
+//! machine configuration decode one image and pass it to `run_image`
+//! once per cell.
 //!
 //! Entry points: [`SimConfig`] (presets [`SimConfig::four_pu`],
 //! [`SimConfig::eight_pu`], [`SimConfig::single_pu`]), [`Simulator`],
@@ -71,7 +72,7 @@ mod table;
 pub use cache::{Cache, Hierarchy};
 pub use check::{CheckSink, CommitRec, DispatchRec, MemSquashRec};
 pub use config::{CacheParams, FuCounts, SimConfig};
-pub use engine::{ProgramImage, Simulator, TaskTiming};
+pub use engine::{ProgramImage, Simulator};
 
 /// Version of the timing model itself. Bump whenever a change alters
 /// the statistics a given (program, config, trace) produces — content
@@ -83,5 +84,5 @@ pub use engine::{ProgramImage, Simulator, TaskTiming};
 pub const ENGINE_VERSION: u32 = 2;
 pub use event::{NullSink, SimEvent, SquashCause, Tee, TraceSink, TRACE_SCHEMA_VERSION};
 pub use predictor::{Gshare, ReturnStack, TaskPredictor};
-pub use sink::{CauseCounts, JsonlSink, SquashRecord, TaskSpan, TimelineSink, TraceAggregator};
+pub use sink::{CauseCounts, JsonlSink, SquashRecord, TaskSpan, TraceAggregator};
 pub use stats::{CycleBreakdown, SimStats, TaskSizeHist};

@@ -1,12 +1,12 @@
 //! Ready-made [`TraceSink`] implementations: a schema-versioned JSONL
-//! writer, the per-task timeline collector, and an in-memory aggregator
-//! that turns the event stream into attribution tables (top squash-causing
-//! task boundaries, top stall-causing def-use arcs, per-PU occupancy).
+//! writer, and an in-memory aggregator that collects the per-task time
+//! line ([`TraceAggregator::spans`]) and turns the event stream into
+//! attribution tables (top squash-causing task boundaries, top
+//! stall-causing def-use arcs, per-PU occupancy).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::engine::TaskTiming;
 use crate::event::{SimEvent, SquashCause, TraceSink, TRACE_SCHEMA_VERSION};
 
 /// Buffers the event stream as JSON Lines text: one header record naming
@@ -58,38 +58,9 @@ impl TraceSink for JsonlSink {
     }
 }
 
-/// Collects the per-task [`TaskTiming`] timeline from `TaskCommit`
-/// events — the sink behind [`crate::Simulator::run_with_timeline`].
-/// Callers that don't want the timeline simply don't use this sink, and
-/// nothing is allocated.
-#[derive(Debug, Default)]
-pub struct TimelineSink {
-    timeline: Vec<TaskTiming>,
-}
-
-impl TimelineSink {
-    /// An empty collector.
-    pub fn new() -> Self {
-        TimelineSink::default()
-    }
-
-    /// The collected timeline, in dynamic task order.
-    pub fn into_timeline(self) -> Vec<TaskTiming> {
-        self.timeline
-    }
-}
-
-impl TraceSink for TimelineSink {
-    fn event(&mut self, ev: &SimEvent) {
-        if let SimEvent::TaskCommit { pu, dispatch, complete, retire, insts, attempts, .. } = *ev {
-            self.timeline.push(TaskTiming { pu, dispatch, complete, retire, insts, attempts });
-        }
-    }
-}
-
 /// A committed task's residency on its PU, with its static identity —
-/// the raw material of the per-PU occupancy timeline and the Chrome
-/// trace.
+/// one row of the paper's Figure 2 execution time line, and the raw
+/// material of the per-PU occupancy table and the Chrome trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskSpan {
     /// Dynamic task index.
@@ -494,10 +465,20 @@ mod tests {
     }
 
     #[test]
-    fn timeline_sink_collects_commits_only() {
-        let mut sink = TimelineSink::new();
-        sink.event(&SimEvent::PuIdle { pu: 0, from: 0, to: 1 });
-        sink.event(&SimEvent::TaskCommit {
+    fn aggregator_spans_collect_commits_only() {
+        let mut agg = TraceAggregator::new();
+        agg.event(&SimEvent::TaskDispatch {
+            task: 0,
+            pu: 2,
+            cycle: 1,
+            func: 3,
+            static_task: 7,
+            entry_pc: 0,
+            desc_miss: false,
+        });
+        agg.event(&SimEvent::PuIdle { pu: 0, from: 0, to: 1 });
+        assert!(agg.spans.is_empty(), "only commits make spans");
+        agg.event(&SimEvent::TaskCommit {
             task: 0,
             pu: 2,
             dispatch: 1,
@@ -506,9 +487,19 @@ mod tests {
             insts: 8,
             attempts: 1,
         });
-        let tl = sink.into_timeline();
-        assert_eq!(tl.len(), 1);
-        assert_eq!(tl[0].pu, 2);
-        assert_eq!(tl[0].retire, 10);
+        assert_eq!(
+            agg.spans,
+            vec![TaskSpan {
+                task: 0,
+                pu: 2,
+                dispatch: 1,
+                complete: 9,
+                retire: 10,
+                insts: 8,
+                attempts: 1,
+                func: 3,
+                static_task: 7,
+            }]
+        );
     }
 }

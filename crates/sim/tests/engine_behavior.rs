@@ -5,7 +5,7 @@ use ms_analysis::ProgramContext;
 use ms_ir::{
     AddrSpec, BranchBehavior, FunctionBuilder, Opcode, Program, ProgramBuilder, Reg, Terminator,
 };
-use ms_sim::{SimConfig, Simulator};
+use ms_sim::{SimConfig, Simulator, TraceAggregator};
 use ms_tasksel::{SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
 
@@ -50,8 +50,10 @@ fn timeline_is_well_ordered() {
         .build()
         .select(&ProgramContext::new(p.clone()));
     let trace = TraceGenerator::new(&sel.program, 5).generate(5_000);
-    let (stats, timeline) = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
-        .run_with_timeline(&trace);
+    let mut agg = TraceAggregator::new();
+    let stats = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
+        .run_with_sink(&trace, &mut agg);
+    let timeline = agg.spans;
 
     assert_eq!(timeline.len(), stats.num_dyn_tasks);
     let mut prev_dispatch = 0;
@@ -64,6 +66,7 @@ fn timeline_is_well_ordered() {
         assert!(t.dispatch > prev_dispatch || i == 0, "dispatch order must be strict");
         assert!(t.retire > prev_retire || i == 0, "retire order must be strict");
         assert_eq!(t.pu, i % 4, "round-robin PU assignment");
+        assert_eq!(t.task, i, "spans come in dynamic task order");
         assert!(t.attempts >= 1);
         prev_dispatch = t.dispatch;
         prev_retire = t.retire;
@@ -166,13 +169,14 @@ fn squashed_work_is_accounted() {
     let sel =
         SelectorBuilder::new(Strategy::BasicBlock).build().select(&ProgramContext::new(p.clone()));
     let trace = TraceGenerator::new(&sel.program, 2).generate(6_000);
-    let (stats, timeline) = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
-        .run_with_timeline(&trace);
+    let mut agg = TraceAggregator::new();
+    let stats = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
+        .run_with_sink(&trace, &mut agg);
     assert!(stats.violations > 0);
     assert!(stats.squashed_insts > 0);
     assert!(stats.breakdown.mem_misspec > 0);
     // The squashed tasks show attempts > 1 in the time line.
-    assert!(timeline.iter().any(|t| t.attempts > 1));
+    assert!(agg.spans.iter().any(|t| t.attempts > 1));
     // But correct-path retirement is unaffected.
     assert_eq!(stats.total_insts, trace.num_insts() as u64);
 }

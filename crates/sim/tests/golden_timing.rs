@@ -10,7 +10,7 @@ use ms_analysis::ProgramContext;
 use ms_ir::{
     BranchBehavior, FunctionBuilder, Inst, Opcode, Program, ProgramBuilder, Reg, Terminator,
 };
-use ms_sim::{SimConfig, Simulator};
+use ms_sim::{SimConfig, Simulator, TraceAggregator};
 use ms_tasksel::{SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
 
@@ -152,11 +152,12 @@ fn ring_forwarding_delays_dependent_consumers() {
             .build()
             .select(&ProgramContext::new(p.clone()));
         let trace = TraceGenerator::new(&sel.program, 1).generate_once(10_000);
-        let (stats, timeline) = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
-            .run_with_timeline(&trace);
+        let mut agg = TraceAggregator::new();
+        let stats = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
+            .run_with_sink(&trace, &mut agg);
         // Consumer tasks carry 21 instructions (20 muls + branch).
         let spans: Vec<u64> =
-            timeline.iter().filter(|t| t.insts == 21).map(|t| t.complete - t.dispatch).collect();
+            agg.spans.iter().filter(|t| t.insts == 21).map(|t| t.complete - t.dispatch).collect();
         assert!(spans.len() >= 8, "expected consumer tasks");
         (stats, spans.iter().sum::<u64>() as f64 / spans.len() as f64)
     };

@@ -18,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ms_analysis::ProgramContext;
-use ms_sim::{ProgramImage, SimConfig, Simulator};
+use ms_sim::{NullSink, ProgramImage, SimConfig, Simulator};
 use ms_tasksel::{Selection, SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
 
@@ -80,8 +80,9 @@ fn run_allocs(sel: &Selection, insts: usize, cells: usize) -> (u64, u64, u64) {
     let trace = TraceGenerator::new(&sel.program, 7).generate(insts);
     let image = ProgramImage::new(&sel.program, &sel.partition, &trace);
     let sim = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition);
-    let (allocs, bytes, total_insts) =
-        counted(|| (0..cells).map(|_| sim.run_image(&image).total_insts).sum::<u64>());
+    let (allocs, bytes, total_insts) = counted(|| {
+        (0..cells).map(|_| sim.run_image(&image, &mut NullSink).total_insts).sum::<u64>()
+    });
     assert!(total_insts > 0, "simulation actually ran");
     (allocs, bytes, total_insts)
 }

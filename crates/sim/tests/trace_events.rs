@@ -11,8 +11,7 @@
 
 use ms_analysis::ProgramContext;
 use ms_sim::{
-    CheckSink, JsonlSink, NullSink, SimConfig, SimStats, Simulator, Tee, TimelineSink,
-    TraceAggregator,
+    CheckSink, JsonlSink, NullSink, SimConfig, SimStats, Simulator, Tee, TraceAggregator,
 };
 use ms_tasksel::{Selection, SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
@@ -85,7 +84,18 @@ fn check_sink_reconciles_alongside_the_aggregator() {
         let errors = check.finish(&stats);
         assert!(errors.is_empty(), "{workload}: {} violations, first: {}", errors.len(), errors[0]);
         // The two sinks agree with the stats — and therefore each other.
+        // The aggregator's time line is the checker's commit record,
+        // task for task and field for field.
         assert_eq!(agg.spans.len(), check.commits().len(), "{workload}: commit records");
+        assert_eq!(agg.spans.len(), stats.num_dyn_tasks, "{workload}: one span per task");
+        for (s, c) in agg.spans.iter().zip(check.commits()) {
+            assert_eq!(
+                (s.task, s.pu, s.dispatch, s.complete, s.retire, s.insts, s.attempts),
+                (c.task, c.pu, c.dispatch, c.complete, c.retire, c.insts, c.attempts),
+                "{workload}: span and commit record of task {} differ",
+                c.task
+            );
+        }
         assert_eq!(
             agg.mem_squashes + agg.cascade_squashes,
             check.mem_squashes().len() as u64,
@@ -163,28 +173,6 @@ fn sinks_do_not_perturb_stats() {
         let mut null = NullSink;
         let nulled = sim.run_with_sink(&trace, &mut null);
         assert_eq!(plain.to_json(), nulled.to_json(), "{workload}: NullSink run diverged");
-    }
-}
-
-/// `run_with_timeline` (now routed through `TimelineSink`) agrees with
-/// the commit events: same per-task dispatch/complete/retire/insts.
-#[test]
-fn timeline_matches_commit_events() {
-    let sel = select("compress");
-    let trace = TraceGenerator::new(&sel.program, SEED).generate(INSTS);
-    let sim = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition);
-    let (stats, timeline) = sim.run_with_timeline(&trace);
-    assert_eq!(timeline.len(), stats.num_dyn_tasks);
-    let mut sink = TimelineSink::new();
-    let stats2 = sim.run_with_sink(&trace, &mut sink);
-    let timeline2 = sink.into_timeline();
-    assert_eq!(stats.to_json(), stats2.to_json());
-    assert_eq!(timeline.len(), timeline2.len());
-    for (a, b) in timeline.iter().zip(timeline2.iter()) {
-        assert_eq!(
-            (a.pu, a.dispatch, a.complete, a.retire, a.insts, a.attempts),
-            (b.pu, b.dispatch, b.complete, b.retire, b.insts, b.attempts)
-        );
     }
 }
 

@@ -5,7 +5,7 @@
 #
 #   ./scripts/check.sh
 #
-# 1. release build of every crate (benches and examples included),
+# 1. release build of every crate (examples included),
 # 2. the full test suite on default features (`heavy-tests` scales the
 #    randomized suites up and is opt-in: cargo test --features heavy-tests),
 # 3. the repository benchmark's unit tests (benchmark/, its own
@@ -37,8 +37,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --workspace --release --benches --examples"
-cargo build --workspace --release --benches --examples
+echo "==> cargo build --workspace --release --examples"
+cargo build --workspace --release --examples
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
