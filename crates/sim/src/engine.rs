@@ -27,7 +27,11 @@
 //! held by a [`crate::ProgramImage`], register write sets travel as
 //! single-`u64` SWAR masks ([`crate::swar`]), ARB line membership is a
 //! lane-packed byte-tag probe, and per-PU mutable state is cache-line
-//! aligned. An image is immutable once decoded, so cells that differ
+//! aligned. Run state is sized by the machine, not the trace: each PU's
+//! ring-port slot table is a window of cycles anchored at the dispatch
+//! of the task it last committed (`PuState::ring_slots`), and memory
+//! addresses are read as one slice per step from the trace's flat
+//! address column. An image is immutable once decoded, so cells that differ
 //! only in machine configuration can run one after another over one
 //! image and pay for the decode once. [`Simulator::run_image`] is the
 //! one place an engine is built: `run`, `run_tasks` and
@@ -49,6 +53,13 @@ use crate::table::{DynInstTable, CLASS_MASK, F_CT, F_LOAD, F_STORE, F_UNPIPELINE
 /// Maximum squash-and-re-execute attempts per task before the engine
 /// forces full memory synchronisation (livelock guard).
 const MAX_ATTEMPTS: u32 = 8;
+
+/// Cycles of ring-slot window each PU reserves up front (2 bytes each).
+/// The longest window `run sweeps`, 1M-instruction runs and `run fuzz`
+/// reach is under 2,700 cycles, so the window never reallocates on
+/// those runs; a longer one still grows. The reservation is constant,
+/// not scaled by the trace.
+const RING_WINDOW_RESERVE: usize = 4096;
 
 /// A configured Multiscalar timing simulator.
 ///
@@ -334,11 +345,22 @@ struct PuState {
     gshare: Gshare,
     /// Last-target indirect jump predictor (internal switches).
     indirect: FxMap<u64, u16>,
-    /// Outgoing ring slot usage, indexed by cycle — link bandwidth is a
-    /// property of the PU's ring port, shared by consecutive tasks it
-    /// runs, not per task. `u16` counts: the effective per-cycle
-    /// bandwidth is clamped to 65535, unreachable for any real ring.
+    /// Outgoing ring slot usage per cycle, `ring_slots[i]` counting the
+    /// sends in cycle `ring_base + i` — link bandwidth is a property of
+    /// the PU's ring port, shared by consecutive tasks it runs, not per
+    /// task. `u16` counts: the effective per-cycle bandwidth is clamped
+    /// to 65535, unreachable for any real ring.
+    ///
+    /// The window starts at the dispatch of the task last committed on
+    /// this PU (`commit_regs` slides it there). Nothing behind that
+    /// cycle can be claimed again: a PU's dispatches are monotone, and a
+    /// task only forwards values it computed, whose ready cycles are at
+    /// or after its fetch base and hence its dispatch. So the window
+    /// spans one task's sends plus whatever spilled past the next
+    /// dispatch — a size set by the machine, not the trace.
     ring_slots: Vec<u16>,
+    /// Cycle of `ring_slots[0]`.
+    ring_base: u64,
     /// Cycle the PU's current occupant retires.
     free: u64,
 }
@@ -410,11 +432,8 @@ impl<'e> Engine<'e> {
                 .map(|_| PuState {
                     gshare: Gshare::new(cfg.gshare_history_bits, cfg.gshare_table_bits),
                     indirect: FxMap::default(),
-                    // Sized to a cycle horizon up front, so steady state
-                    // never pays the realloc-and-copy of growing it
-                    // cycle by cycle. `commit_regs` still grows it if a
-                    // run overshoots the estimate.
-                    ring_slots: vec![0; img.trace.num_insts() + 4096],
+                    ring_slots: Vec::with_capacity(RING_WINDOW_RESERVE),
+                    ring_base: 0,
                     free: 0,
                 })
                 .collect(),
@@ -600,7 +619,7 @@ impl<'e> Engine<'e> {
         } else {
             attempt.write_mask
         };
-        self.commit_regs(k, pu, &attempt, mask, sink);
+        self.commit_regs(k, pu, dispatch, &attempt, mask, sink);
         for &(addr, complete, pc) in &attempt.stores {
             self.last_store.insert(addr, StoreSrc { task: k, complete, pc });
         }
@@ -692,11 +711,14 @@ impl<'e> Engine<'e> {
     /// (the compiler of \[3\]/\[18\]), only registers live out of the task's
     /// exit block travel; dead values stay put, saving ring bandwidth
     /// (`mask` is the attempt's write mask, already intersected with
-    /// the exit's live-out mask when the filter applies).
+    /// the exit's live-out mask when the filter applies). `dispatch` is
+    /// the task's final dispatch cycle, where the PU's slot window is
+    /// re-anchored.
     fn commit_regs<S: TraceSink>(
         &mut self,
         k: usize,
         pu: usize,
+        dispatch: u64,
         a: &Attempt,
         mask: u64,
         sink: &mut S,
@@ -707,23 +729,30 @@ impl<'e> Engine<'e> {
         self.reg_forwards += outs.len() as u64;
         outs.sort_by_key(|&(r, c)| (c, r));
         let bw = self.cfg.ring_bandwidth.max(1).min(u32::from(u16::MAX)) as u16;
-        let slots = &mut self.pus[pu].ring_slots;
+        let PuState { ring_slots: slots, ring_base, .. } = &mut self.pus[pu];
+        // Slide the window to this dispatch; the slots behind it are
+        // unreachable (see `PuState::ring_slots`).
+        debug_assert!(dispatch >= *ring_base, "PU {pu} dispatched task {k} before its window");
+        let behind = ((dispatch - *ring_base) as usize).min(slots.len());
+        slots.drain(..behind);
+        *ring_base = dispatch;
         for &(r, ready) in &outs {
-            let mut cycle = ready as usize;
+            debug_assert!(
+                ready >= dispatch,
+                "task {k} forwards r{r} ready at {ready}, before its dispatch at {dispatch}"
+            );
+            let mut off = (ready - dispatch) as usize;
             loop {
-                if cycle >= slots.len() {
-                    // Grow geometrically so steady state stops
-                    // reallocating once the run's horizon is covered.
-                    let len = (cycle + 64).max(slots.len() * 2);
-                    slots.resize(len, 0);
+                if off >= slots.len() {
+                    slots.resize(off + 1, 0);
                 }
-                if slots[cycle] < bw {
-                    slots[cycle] += 1;
+                if slots[off] < bw {
+                    slots[off] += 1;
                     break;
                 }
-                cycle += 1;
+                off += 1;
             }
-            let cycle = cycle as u64;
+            let cycle = dispatch + off as u64;
             if sink.enabled() {
                 sink.event(&SimEvent::FwdSend { task: k, pu, reg: r, ready, sent: cycle });
             }
@@ -763,7 +792,7 @@ impl<'e> Engine<'e> {
         } = self;
         let (cfg, img) = (*cfg, &**img);
         let t = &img.table;
-        let steps = img.trace.steps();
+        let trace = img.trace;
         let p = cfg.num_pus;
         let pu_state = &mut pus[pu];
         let fetch_base = dispatch + cfg.task_start_overhead as u64;
@@ -815,7 +844,8 @@ impl<'e> Engine<'e> {
         let mut i_row = 0usize;
 
         for step_idx in dt.start..dt.end {
-            let step = &steps[step_idx];
+            let outcome = trace.steps()[step_idx].outcome;
+            let mem_addrs = trace.mem_addrs(step_idx);
             let is_last_step = step_idx + 1 == dt.end;
             let b = t.step_block[step_idx] as usize;
             let row0 = t.block_off[b] as usize;
@@ -941,7 +971,7 @@ impl<'e> Engine<'e> {
                     // operand waits of consumers.
                 } else if flags & F_CT == 0 {
                     if flags & F_LOAD != 0 {
-                        let addr = step.mem_addrs[mem_col[i] as usize];
+                        let addr = mem_addrs[mem_col[i] as usize];
                         // ARB capacity.
                         let line = addr >> l1d_shift;
                         mem_lines.insert(line);
@@ -995,7 +1025,7 @@ impl<'e> Engine<'e> {
                         w_mem_acc += lat - 1;
                         complete = c + lat;
                     } else {
-                        let addr = step.mem_addrs[mem_col[i] as usize];
+                        let addr = mem_addrs[mem_col[i] as usize];
                         let line = addr >> l1d_shift;
                         mem_lines.insert(line);
                         if mem_lines.len() > cfg.arb_entries_per_pu as usize && c < head_free {
@@ -1022,7 +1052,7 @@ impl<'e> Engine<'e> {
                     // predictable). The exit CT is the task
                     // predictor's job.
                     if !is_last_step {
-                        let correct = match step.outcome {
+                        let correct = match outcome {
                             CtOutcome::Branch(taken) => {
                                 pu_state.gshare.predict_and_update(pc, taken)
                             }

@@ -45,8 +45,9 @@ pub(crate) struct DynInstTable {
     pub lat: Vec<u8>,
     /// Dense destination register per row ([`NO_DST`] = none).
     pub dst: Vec<u8>,
-    /// Index into the step's `mem_addrs` per row ([`NO_MEM`] = not a
-    /// memory access) — addresses themselves are dynamic, per step.
+    /// Index into the step's [`Trace::mem_addrs`] slice per row
+    /// ([`NO_MEM`] = not a memory access) — addresses themselves are
+    /// dynamic, per step.
     pub mem: Vec<u16>,
     /// Source-operand range per row: `srcs[src_off[r] ..
     /// src_off[r] + src_len[r]]`, in original program order.
@@ -172,7 +173,8 @@ mod tests {
         let trace = TraceGenerator::new(&program, 3).generate(5_000);
         let table = DynInstTable::build(&program, &trace);
         assert_eq!(table.step_block.len(), trace.steps().len());
-        for (si, step) in trace.steps().iter().enumerate() {
+        for si in 0..trace.steps().len() {
+            let mem_addrs = trace.mem_addrs(si);
             let b = table.step_block[si] as usize;
             let off = table.block_off[b] as usize;
             let len = table.block_len[b] as usize;
@@ -189,7 +191,7 @@ mod tests {
                         assert_eq!(f & F_STORE != 0, op.is_store());
                         assert_eq!(u64::from(table.lat[r]), u64::from(op.latency()));
                         let addr = (table.mem[r] != NO_MEM)
-                            .then(|| step.mem_addrs.get(table.mem[r] as usize).copied())
+                            .then(|| mem_addrs.get(table.mem[r] as usize).copied())
                             .flatten();
                         assert_eq!(addr, di.addr);
                     }

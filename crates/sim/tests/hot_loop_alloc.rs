@@ -113,12 +113,14 @@ fn hot_loop_is_allocation_free_in_steady_state() {
          {large_allocs} allocs at {large_insts} insts (delta {delta})"
     );
     // Scratch *bytes* may scale with the image's task count (per-task
-    // columns), but nothing may churn per simulated instruction or
-    // cycle — a leaky hot loop shows up as kilobytes per instruction.
+    // columns, about one byte per instruction), but nothing may scale
+    // with the trace's instructions or cycles: a per-PU array indexed by
+    // cycle costs two bytes per PU per instruction, and a leaky hot loop
+    // kilobytes.
     let extra_insts = large_insts - small_insts;
     let delta_bytes = large_bytes.saturating_sub(small_bytes);
     assert!(
-        delta_bytes <= extra_insts * 64,
+        delta_bytes <= extra_insts * 4,
         "runs allocated {delta_bytes} extra bytes for {extra_insts} extra insts"
     );
 }

@@ -10,7 +10,7 @@ use ms_ir::{
     AddrSpec, BlockId, BlockRef, BranchBehavior, FuncId, FxMap, Program, SplitMix64, Terminator,
 };
 
-use crate::step::{CtOutcome, Trace, TraceStep};
+use crate::step::{addr_offset, CtOutcome, Trace, TraceStep};
 
 /// Base byte address of the simulated stack region (frames grow down).
 const STACK_TOP: u64 = 0x7fff_0000;
@@ -73,12 +73,19 @@ impl<'p> TraceGenerator<'p> {
         // Steps average several instructions each; reserving a quarter
         // of the budget leaves at most a doubling or two of headroom.
         let mut steps: Vec<TraceStep> = Vec::with_capacity(max_insts / 4);
+        let mut addr_off: Vec<u32> = Vec::with_capacity(max_insts / 4 + 1);
+        // Memory instructions are 22–41% of every workload's dynamic
+        // instructions, so half the budget never regrows; capacity that
+        // is never written is never faulted in.
+        let mut addrs: Vec<u64> = Vec::with_capacity(max_insts / 2);
+        addr_off.push(0);
         let mut insts = 0usize;
         while insts < max_insts {
-            match walker.step() {
+            match walker.step(&mut addrs) {
                 Some(step) => {
                     insts += step.num_insts(self.program);
                     steps.push(step);
+                    addr_off.push(addr_offset(addrs.len()));
                 }
                 None => {
                     // Program halted. Restart while budget remains; bail
@@ -92,7 +99,7 @@ impl<'p> TraceGenerator<'p> {
         }
         prof.add_items(insts as u64);
         ms_prof::counter_add("trace.dyn_insts", insts as u64);
-        Trace::new(steps, self.program)
+        Trace::from_columns(steps, addrs, addr_off, insts)
     }
 }
 
@@ -142,19 +149,18 @@ impl<'p> Walker<'p> {
         self.loop_state.clear();
     }
 
-    /// Executes the current block, returning its step and advancing.
-    /// Returns `None` when the program has halted.
-    fn step(&mut self) -> Option<TraceStep> {
+    /// Executes the current block, appending its memory addresses to
+    /// `addrs`, and returns its step and advances. Returns `None` when
+    /// the program has halted.
+    fn step(&mut self, addrs: &mut Vec<u64>) -> Option<TraceStep> {
         let at = self.cur?;
         let func = self.program.function(at.func);
         let blk = func.block(at.block);
         let depth = self.stack.len() as u32;
 
-        // Count first so the vector allocates exactly once — this runs
-        // per step, and `filter_map` hides the size from `collect`.
-        let n_mem = blk.insts().iter().filter(|i| i.mem_ref().is_some()).count();
-        let mut mem_addrs: Vec<u64> = Vec::with_capacity(n_mem);
-        mem_addrs.extend(blk.insts().iter().filter_map(|i| i.mem_ref()).map(|g| self.next_addr(g)));
+        for g in blk.insts().iter().filter_map(|i| i.mem_ref()) {
+            addrs.push(self.next_addr(g));
+        }
 
         let (outcome, next) = match blk.terminator() {
             Terminator::Jump { target } => (CtOutcome::Jump, Some(BlockRef::new(at.func, *target))),
@@ -185,7 +191,7 @@ impl<'p> Walker<'p> {
             Terminator::Halt => (CtOutcome::Halt, None),
         };
         self.cur = next;
-        Some(TraceStep { block: at, mem_addrs, outcome, depth })
+        Some(TraceStep { block: at, outcome, depth })
     }
 
     fn sample_branch(&mut self, at: BlockRef, behavior: &BranchBehavior) -> bool {
@@ -313,6 +319,16 @@ mod tests {
     }
 
     #[test]
+    fn generated_columns_pass_the_checked_constructor() {
+        // Restarts interleave steps with and without addresses.
+        let p = stride_program();
+        let t = TraceGenerator::new(&p, 4).generate(500);
+        let addrs: Vec<u64> = (0..t.steps().len()).flat_map(|i| t.mem_addrs(i).to_vec()).collect();
+        assert!(!addrs.is_empty());
+        assert_eq!(Trace::new(t.steps().to_vec(), addrs, &p), t);
+    }
+
+    #[test]
     fn restart_refills_long_traces() {
         let p = loop_program(3);
         let t = TraceGenerator::new(&p, 2).generate(200);
@@ -348,8 +364,8 @@ mod tests {
         assert_eq!(leaf_step.depth, 1);
     }
 
-    #[test]
-    fn stride_addresses_advance_and_wrap() {
+    /// A six-trip loop whose body loads through a 4-element stride.
+    fn stride_program() -> Program {
         let mut pb = ProgramBuilder::new();
         let g = pb.add_addr_gen(AddrSpec::Stride { base: 0x1000, stride: 8, len: 4 });
         let m = pb.declare_function("main");
@@ -370,13 +386,17 @@ mod tests {
         );
         fb.set_terminator(exit, Terminator::Halt);
         pb.define_function(m, fb.finish(entry).unwrap());
-        let p = pb.finish(m).unwrap();
+        pb.finish(m).unwrap()
+    }
+
+    #[test]
+    fn stride_addresses_advance_and_wrap() {
+        let p = stride_program();
         let t = TraceGenerator::new(&p, 5).generate_once(100);
-        let addrs: Vec<u64> = t
-            .steps()
-            .iter()
-            .filter(|s| !s.mem_addrs.is_empty())
-            .map(|s| s.mem_addrs[0])
+        let addrs: Vec<u64> = (0..t.steps().len())
+            .map(|i| t.mem_addrs(i))
+            .filter(|a| !a.is_empty())
+            .map(|a| a[0])
             .take(6)
             .collect();
         assert_eq!(addrs, vec![0x1000, 0x1008, 0x1010, 0x1018, 0x1000, 0x1008]);
@@ -404,9 +424,11 @@ mod tests {
         pb.define_function(leaf, fb.finish(l0).unwrap());
         let p = pb.finish(m).unwrap();
         let t = TraceGenerator::new(&p, 7).generate_once(20);
-        let main_addr = t.steps()[0].mem_addrs[0];
-        let leaf_addrs: Vec<u64> =
-            t.steps().iter().filter(|s| s.block.func == leaf).map(|s| s.mem_addrs[0]).collect();
+        let main_addr = t.mem_addrs(0)[0];
+        let leaf_addrs: Vec<u64> = (0..t.steps().len())
+            .filter(|&i| t.steps()[i].block.func == leaf)
+            .map(|i| t.mem_addrs(i)[0])
+            .collect();
         assert_eq!(leaf_addrs.len(), 2);
         // Same depth → the two sibling activations reuse the frame.
         assert_eq!(leaf_addrs[0], leaf_addrs[1]);

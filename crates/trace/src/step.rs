@@ -23,16 +23,14 @@ pub enum CtOutcome {
     Halt,
 }
 
-/// One dynamic basic-block execution: the block, the concrete addresses
-/// its memory instructions touched (in order), and its control transfer
-/// outcome.
+/// One dynamic basic-block execution: the block and its control
+/// transfer outcome. The concrete addresses its memory instructions
+/// touched live in the owning [`Trace`]'s address column
+/// ([`Trace::mem_addrs`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceStep {
     /// The executed block.
     pub block: BlockRef,
-    /// One byte address per memory instruction of the block, in program
-    /// order.
-    pub mem_addrs: Vec<u64>,
     /// How the block's terminator resolved.
     pub outcome: CtOutcome,
     /// Call nesting depth at which the block ran (0 = program entry
@@ -116,21 +114,85 @@ impl DynInstRef<'_> {
 }
 
 /// A correct-path dynamic instruction stream, stored as a sequence of
-/// block executions.
+/// block executions plus one flat column of memory addresses.
+///
+/// Step `i`'s addresses are `addrs[addr_off[i]..addr_off[i + 1]]`, one
+/// per memory instruction of its block in program order, so a trace is
+/// three allocations however many steps it has.
 ///
 /// Produced by [`TraceGenerator`](crate::TraceGenerator); consumed by the
 /// dynamic-task splitter and the simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     steps: Vec<TraceStep>,
+    /// Every step's memory addresses, concatenated in step order.
+    addrs: Vec<u64>,
+    /// Per step: where its addresses start in `addrs`, plus one trailing
+    /// entry equal to `addrs.len()`.
+    addr_off: Vec<u32>,
     num_insts: usize,
 }
 
+/// Narrows an address-column position to a step offset.
+///
+/// # Panics
+///
+/// Panics if the column outgrows `u32` offsets (over four billion
+/// memory accesses in one trace) rather than wrapping.
+pub(crate) fn addr_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("trace address column exceeds u32::MAX entries")
+}
+
 impl Trace {
-    /// Wraps a step sequence, counting instructions against `program`.
-    pub fn new(steps: Vec<TraceStep>, program: &Program) -> Self {
-        let num_insts = steps.iter().map(|s| s.num_insts(program)).sum();
-        Trace { steps, num_insts }
+    /// Builds a trace from its steps and the concatenation of their
+    /// memory addresses, counting instructions against `program`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addrs` does not hold exactly one address per memory
+    /// instruction of every step's block, or if it has more entries than
+    /// a `u32` offset can address.
+    pub fn new(steps: Vec<TraceStep>, addrs: Vec<u64>, program: &Program) -> Self {
+        let mut addr_off = Vec::with_capacity(steps.len() + 1);
+        let mut num_insts = 0;
+        let mut end = 0usize;
+        addr_off.push(0);
+        for step in &steps {
+            let blk = program.function(step.block.func).block(step.block.block);
+            num_insts += step.num_insts(program);
+            end += blk.insts().iter().filter(|i| i.opcode().is_mem()).count();
+            addr_off.push(addr_offset(end));
+        }
+        assert_eq!(
+            end,
+            addrs.len(),
+            "the steps' memory instructions and the address column differ in length"
+        );
+        Trace { steps, addrs, addr_off, num_insts }
+    }
+
+    /// Assembles a trace from columns the generator built consistently
+    /// (`addr_off` has one entry per step plus the trailing end).
+    pub(crate) fn from_columns(
+        steps: Vec<TraceStep>,
+        addrs: Vec<u64>,
+        addr_off: Vec<u32>,
+        num_insts: usize,
+    ) -> Self {
+        debug_assert_eq!(addr_off.len(), steps.len() + 1);
+        debug_assert_eq!(addr_off.last().map(|&o| o as usize), Some(addrs.len()));
+        Trace { steps, addrs, addr_off, num_insts }
+    }
+
+    /// The memory addresses step `idx` touched: one per memory
+    /// instruction of its block, in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    #[inline]
+    pub fn mem_addrs(&self, idx: usize) -> &[u64] {
+        &self.addrs[self.addr_off[idx] as usize..self.addr_off[idx + 1] as usize]
     }
 
     /// The block-execution steps.
@@ -179,12 +241,13 @@ impl Trace {
         program: &'p Program,
     ) -> impl Iterator<Item = DynInstRef<'p>> {
         let step = &self.steps[idx];
+        let mem_addrs = self.mem_addrs(idx);
         let blk = program.function(step.block.func).block(step.block.block);
         let pc0 = program.block_pc(step.block);
         let mut mem_i = 0usize;
         let ops = blk.insts().iter().enumerate().map(move |(i, inst)| {
             let addr = if inst.opcode().is_mem() {
-                let a = step.mem_addrs.get(mem_i).copied();
+                let a = mem_addrs.get(mem_i).copied();
                 mem_i += 1;
                 a
             } else {
@@ -236,17 +299,21 @@ mod tests {
         pb.finish(m).unwrap()
     }
 
+    /// One execution of `program_with_mem`'s only block.
+    fn one_step() -> TraceStep {
+        TraceStep {
+            block: BlockRef::new(FuncId::new(0), BlockId::new(0)),
+            outcome: CtOutcome::Return,
+            depth: 0,
+        }
+    }
+
     #[test]
     fn insts_of_step_assigns_addresses_in_order() {
         let p = program_with_mem();
-        let step = TraceStep {
-            block: BlockRef::new(FuncId::new(0), BlockId::new(0)),
-            mem_addrs: vec![0x100, 0x108],
-            outcome: CtOutcome::Return,
-            depth: 0,
-        };
-        let trace = Trace::new(vec![step], &p);
+        let trace = Trace::new(vec![one_step()], vec![0x100, 0x108], &p);
         assert_eq!(trace.num_insts(), 4); // 3 ops + return
+        assert_eq!(trace.mem_addrs(0), &[0x100, 0x108]);
         let insts = trace.insts_of_step(0, &p);
         assert_eq!(insts.len(), 4);
         assert_eq!(insts[0].addr, None);
@@ -262,12 +329,36 @@ mod tests {
     #[test]
     fn step_is_return_matches_terminator() {
         let p = program_with_mem();
-        let step = TraceStep {
-            block: BlockRef::new(FuncId::new(0), BlockId::new(0)),
-            mem_addrs: vec![],
-            outcome: CtOutcome::Return,
-            depth: 0,
-        };
-        assert!(step_is_return(&p, &step));
+        assert!(step_is_return(&p, &one_step()));
+    }
+
+    #[test]
+    fn address_column_ranges_tile_the_steps() {
+        let p = program_with_mem();
+        let trace = Trace::new(vec![one_step(); 3], vec![1, 2, 3, 4, 5, 6], &p);
+        assert_eq!(trace.mem_addrs(0), &[1, 2]);
+        assert_eq!(trace.mem_addrs(1), &[3, 4]);
+        assert_eq!(trace.mem_addrs(2), &[5, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn short_address_column_is_rejected() {
+        let p = program_with_mem();
+        let _ = Trace::new(vec![one_step(); 2], vec![1, 2, 3], &p);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn long_address_column_is_rejected() {
+        let p = program_with_mem();
+        let _ = Trace::new(vec![one_step()], vec![1, 2, 3], &p);
+    }
+
+    #[test]
+    fn address_offsets_narrow_checked() {
+        assert_eq!(addr_offset(u32::MAX as usize), u32::MAX);
+        #[cfg(target_pointer_width = "64")]
+        assert!(std::panic::catch_unwind(|| addr_offset(u32::MAX as usize + 1)).is_err());
     }
 }

@@ -33,7 +33,12 @@
 # 11. cached-rerun smoke: the same sweep run twice with one `--cache-dir`
 #    must write artifacts byte-identical to step 10's uncached run, and
 #    the second run must serve every cell from the content-addressed
-#    cell cache (zero cells simulated, per its run record's footer).
+#    cell cache (zero cells simulated, per its run record's footer),
+# 12. grid digests: the repository benchmark's smoke run must write all
+#    408 grid files byte-identical to benchmark/expected/grids.txt (and
+#    replay every workload with no differing output), so a timing-model
+#    change that moves a single cycle fails here, not only in the
+#    benchmark harness.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -160,5 +165,8 @@ record=$(echo "$printed" | sed -n 's/^\[run record *-> \(.*\)\]$/\1/p')
 [ -n "$record" ] || { echo "warm cached run printed no run record"; exit 1; }
 tail -n 1 "$record" | grep -q '"cache_misses":0' \
     || { echo "warm cached run simulated cells ($record):"; tail -n 1 "$record"; exit 1; }
+
+echo "==> grid digests (benchmark run --smoke vs benchmark/expected/grids.txt)"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 
 echo "All checks passed."
