@@ -108,17 +108,16 @@ fn sim_config(flags: &Flags) -> SimConfig {
 /// invocation's SimConfig/policy fingerprint, one deterministic set
 /// for every subcommand (meaningless entries are simply defaults).
 fn run_params(flags: &Flags) -> Vec<(String, String)> {
-    let s = |v: String| v;
     vec![
         ("strategy".to_string(), flags.strategy.label().to_string()),
-        ("pus".to_string(), s(flags.pus.to_string())),
-        ("in_order".to_string(), s(flags.in_order.to_string())),
-        ("dead_reg".to_string(), s(flags.dead_reg.to_string())),
-        ("targets".to_string(), s(flags.targets.to_string())),
+        ("pus".to_string(), flags.pus.to_string()),
+        ("in_order".to_string(), flags.in_order.to_string()),
+        ("dead_reg".to_string(), flags.dead_reg.to_string()),
+        ("targets".to_string(), flags.targets.to_string()),
         ("insts".to_string(), flags.insts.map_or("default".to_string(), |i| i.to_string())),
-        ("seed".to_string(), s(format!("{:#x}", flags.seed))),
-        ("jobs".to_string(), s(flags.jobs.to_string())),
-        ("out".to_string(), s(flags.out.display().to_string())),
+        ("seed".to_string(), format!("{:#x}", flags.seed)),
+        ("jobs".to_string(), flags.jobs.to_string()),
+        ("out".to_string(), flags.out.display().to_string()),
     ]
 }
 

@@ -323,7 +323,7 @@ fn usize_array(items: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Heuristic;
+    use ms_tasksel::Strategy;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ms-cellcache-{tag}-{}", std::process::id()));
@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn keys_are_stable_across_runs() {
-        let job = CellJob::new("compress", Heuristic::ControlFlow);
+        let job = CellJob::new("compress", Strategy::ControlFlow);
         let ph = program_hash(&job.program_text());
         assert_eq!(cell_key(&job, ph, 1), cell_key(&job.clone(), ph, 1));
         assert_eq!(cell_key(&job, ph, 1).len(), 32);
@@ -346,13 +346,13 @@ mod tests {
 
     #[test]
     fn keys_diverge_when_program_config_or_engine_changes() {
-        let base = CellJob::new("compress", Heuristic::ControlFlow);
+        let base = CellJob::new("compress", Strategy::ControlFlow);
         let ph = program_hash(&base.program_text());
         let key = cell_key(&base, ph, 1);
 
         // Program changes: a different workload, or the same workload
         // through the if-conversion pass, hashes to different text.
-        let other = CellJob::new("go", Heuristic::ControlFlow);
+        let other = CellJob::new("go", Strategy::ControlFlow);
         let other_ph = program_hash(&other.program_text());
         assert_ne!(ph, other_ph);
         assert_ne!(key, cell_key(&other, other_ph, 1));
@@ -376,7 +376,7 @@ mod tests {
             CellJob { ts_thresh: Some(30.0), ..base.clone() },
             CellJob { insts: 1_000, ..base.clone() },
             CellJob { seed: 7, ..base.clone() },
-            CellJob::new("compress", Heuristic::DataDependence),
+            CellJob::new("compress", Strategy::DataDependence),
         ] {
             assert_ne!(key, cell_key(&variant, ph, 1), "{variant:?}");
         }
@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn entries_round_trip_exactly() {
-        let job = CellJob { insts: 2_000, ..CellJob::new("compress", Heuristic::ControlFlow) };
+        let job = CellJob { insts: 2_000, ..CellJob::new("compress", Strategy::ControlFlow) };
         let out = job.run();
         let cache = CellCache::at(tmpdir("roundtrip")).unwrap();
         let key = cache.key_for(&job);
@@ -408,7 +408,7 @@ mod tests {
 
     #[test]
     fn concurrent_stores_of_one_key_never_error() {
-        let job = CellJob { insts: 2_000, ..CellJob::new("compress", Heuristic::BasicBlock) };
+        let job = CellJob { insts: 2_000, ..CellJob::new("compress", Strategy::BasicBlock) };
         let out = job.run();
         let dir = tmpdir("race");
         // Two handles on one directory, as two processes sharing a
@@ -442,7 +442,7 @@ mod tests {
 
     #[test]
     fn corrupt_or_mismatched_entries_are_misses() {
-        let job = CellJob { insts: 2_000, ..CellJob::new("li", Heuristic::BasicBlock) };
+        let job = CellJob { insts: 2_000, ..CellJob::new("li", Strategy::BasicBlock) };
         let out = job.run();
         let cache = CellCache::at(tmpdir("corrupt")).unwrap();
         let key = cache.key_for(&job);

@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use crate::error::{closest, BenchError};
 use crate::perfcmd::DEFAULT_PERF_REPS;
 use crate::sweeps::SWEEP_NAMES;
-use crate::Heuristic;
+use ms_tasksel::{SelectError, Strategy};
 
 /// Every flag any `run` subcommand accepts, with its default. Flags
 /// meaningless to a given subcommand are accepted and ignored (so
@@ -24,7 +24,7 @@ use crate::Heuristic;
 #[derive(Debug, Clone)]
 pub struct Flags {
     /// `--strategy bb|cf|dd|ts|cost|oracle` (default cf).
-    pub strategy: Heuristic,
+    pub strategy: Strategy,
     /// `--pus N` (default 4).
     pub pus: usize,
     /// `--in-order`.
@@ -81,7 +81,7 @@ pub const DEFAULT_FUZZ_SEEDS: u64 = 100;
 impl Default for Flags {
     fn default() -> Self {
         Flags {
-            strategy: Heuristic::ControlFlow,
+            strategy: Strategy::ControlFlow,
             pus: 4,
             in_order: false,
             insts: None,
@@ -236,26 +236,17 @@ pub static FLAGS: &[FlagSpec] = &[
         metavar: Some("NAME"),
         group: FlagGroup::SingleRun,
         help: "selection policy: bb|cf|dd|ts|cost|oracle (see `run -- policies`)",
-        default: Some(|| "cf".to_string()),
+        default: Some(|| Strategy::ControlFlow.label().to_string()),
         apply: Apply::Value(|f, v| {
-            f.strategy = match v.as_str() {
-                "bb" => Heuristic::BasicBlock,
-                "cf" => Heuristic::ControlFlow,
-                "dd" => Heuristic::DataDependence,
-                "ts" => Heuristic::TaskSize,
-                "cost" => Heuristic::Cost,
-                "oracle" => Heuristic::Oracle,
-                other => {
-                    let names: Vec<&'static str> =
-                        Heuristic::extended().iter().map(|h| h.label()).collect();
-                    let hint = closest(other, &names)
-                        .map(|s| format!(" (did you mean `{s}`?)"))
-                        .unwrap_or_default();
-                    return Err(BenchError::Usage(format!(
-                        "unknown strategy `{other}`{hint}; see `run -- policies`"
-                    )));
-                }
-            };
+            f.strategy = v.parse().map_err(|e| {
+                let hint = match e {
+                    SelectError::UnknownPolicy { suggestion: Some(s), .. } => {
+                        format!(" (did you mean `{s}`?)")
+                    }
+                    _ => String::new(),
+                };
+                BenchError::Usage(format!("unknown strategy `{v}`{hint}; see `run -- policies`"))
+            })?;
             Ok(())
         }),
     },
@@ -646,21 +637,16 @@ pub fn help_text() -> String {
     out
 }
 
-/// The `run -- policies` text: every registered selection policy with
-/// its one-line semantics, straight from the core registry (so the list
-/// can never drift from the code).
+/// The `run -- policies` text: every [`Strategy`] with its one-line
+/// semantics, straight from the enum (so the list can never drift from
+/// the code).
 pub fn policies_text() -> String {
     use std::fmt::Write;
     let mut out = String::new();
     out.push_str("selection policies (--strategy NAME; see docs/POLICIES.md):\n");
-    for p in ms_tasksel::policies() {
-        let _ = writeln!(out, "  {:<8} {}", p.name(), p.summary());
+    for s in Strategy::extended() {
+        let _ = writeln!(out, "  {:<8} {}", s.label(), s.summary());
     }
-    let _ = writeln!(
-        out,
-        "  {:<8} {}",
-        "ts", "dd after task-size preprocessing (unroll small loops, include small calls)"
-    );
     out
 }
 
@@ -749,23 +735,15 @@ mod tests {
     #[test]
     fn strategy_suggestions_and_new_names() {
         let (_, flags) = parse_ok(&["compress", "--strategy", "oracle"]);
-        assert_eq!(flags.strategy, Heuristic::Oracle);
+        assert_eq!(flags.strategy, Strategy::Oracle);
         let (_, flags) = parse_ok(&["compress", "--strategy", "cost", "--oracle-max-blocks", "9"]);
-        assert_eq!(flags.strategy, Heuristic::Cost);
+        assert_eq!(flags.strategy, Strategy::Cost);
         assert_eq!(flags.oracle_max_blocks, 9);
         let err = parse(
             ["compress".to_string(), "--strategy".to_string(), "oracel".to_string()].into_iter(),
         )
         .unwrap_err();
         assert!(err.to_string().contains("did you mean `oracle`?"), "{err}");
-    }
-
-    #[test]
-    fn policies_text_lists_every_registered_policy() {
-        let text = policies_text();
-        for name in ms_tasksel::policy_names() {
-            assert!(text.contains(name), "policies text must mention `{name}`");
-        }
     }
 
     #[test]

@@ -20,11 +20,11 @@
 
 use ms_ir::{BlockRef, FuncId};
 use ms_sim::{SimConfig, Simulator, TraceAggregator};
-use ms_tasksel::{CostModel, PartitionStats, Selection, TaskId};
+use ms_tasksel::{CostModel, PartitionStats, Selection, SelectorBuilder, Strategy, TaskId};
 use ms_trace::TraceGenerator;
 use ms_workloads::Workload;
 
-use crate::{run_selection, Heuristic};
+use crate::run_selection;
 
 /// Cycles charged per squash event on top of the measured restart
 /// cycles when converting attribution counts into boundary costs
@@ -140,14 +140,8 @@ pub fn cost_model_from_pilot(pilot: &Selection, agg: &TraceAggregator) -> CostMo
 
 /// The policies compared by the gap table, oracle last (`ts` excluded —
 /// its transformed program is not comparable; see the module docs).
-pub fn gap_policies() -> [Heuristic; 5] {
-    [
-        Heuristic::BasicBlock,
-        Heuristic::ControlFlow,
-        Heuristic::DataDependence,
-        Heuristic::Cost,
-        Heuristic::Oracle,
-    ]
+pub fn gap_policies() -> Vec<Strategy> {
+    Strategy::extended().into_iter().filter(|&s| s != Strategy::TaskSize).collect()
 }
 
 /// Runs the full gap comparison for one workload.
@@ -155,7 +149,7 @@ pub fn run_gap(workload: &Workload, opts: &GapOptions) -> GapReport {
     let ctx = ms_analysis::ProgramContext::new(workload.build());
 
     // Pilot: a traced cf run whose attribution becomes the cost model.
-    let pilot = Heuristic::ControlFlow.selector(opts.targets).select(&ctx);
+    let pilot = Strategy::ControlFlow.selector(opts.targets).select(&ctx);
     let trace = TraceGenerator::new(&pilot.program, opts.seed).generate(opts.insts);
     let mut agg = TraceAggregator::new();
     Simulator::new(opts.config.clone(), &pilot.program, &pilot.partition)
@@ -173,13 +167,12 @@ pub fn run_gap(workload: &Workload, opts: &GapOptions) -> GapReport {
 
     let mut rows = Vec::new();
     for h in gap_policies() {
-        let mut builder = match h {
-            Heuristic::Cost => ms_tasksel::SelectorBuilder::named("cost")
-                .expect("registered")
-                .cost_model(model.clone()),
-            other => ms_tasksel::SelectorBuilder::named(other.label()).expect("registered"),
-        };
-        builder = builder.max_targets(opts.targets).oracle_max_blocks(opts.oracle_max_blocks);
+        let mut builder = SelectorBuilder::new(h)
+            .max_targets(opts.targets)
+            .oracle_max_blocks(opts.oracle_max_blocks);
+        if h == Strategy::Cost {
+            builder = builder.cost_model(model.clone());
+        }
         let sel = builder.build().select(&ctx);
         let stats = PartitionStats::compute(
             &sel.program,
@@ -289,7 +282,7 @@ mod tests {
     fn cost_model_from_pilot_charges_boundaries() {
         let w = ms_workloads::by_name("li").unwrap();
         let ctx = ms_analysis::ProgramContext::new(w.build());
-        let pilot = Heuristic::ControlFlow.selector(4).select(&ctx);
+        let pilot = Strategy::ControlFlow.selector(4).select(&ctx);
         let trace = TraceGenerator::new(&pilot.program, 1).generate(20_000);
         let mut agg = TraceAggregator::new();
         Simulator::new(SimConfig::four_pu(), &pilot.program, &pilot.partition)

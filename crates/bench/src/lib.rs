@@ -23,7 +23,7 @@
 //! `docs/CONFORMANCE.md`).
 //! The `run -- gap` subcommand ([`gapcmd`]) compares every selection
 //! policy against the exact-partition oracle on one benchmark, and
-//! `run -- policies` lists the policy registry (see
+//! `run -- policies` lists the selection strategies (see
 //! `docs/POLICIES.md`). With `--cache-dir`, sweeps probe and fill a
 //! content-addressed cell cache ([`cache`]), so a repeated grid
 //! re-renders byte-identical artifacts without simulating. Every
@@ -56,7 +56,6 @@ pub mod tracecmd;
 pub use error::BenchError;
 
 use ms_sim::{SimConfig, SimStats, Simulator};
-use ms_tasksel::{SelectorBuilder, Strategy, TaskSelector, TaskSizeParams};
 use ms_trace::TraceGenerator;
 
 /// Default dynamic instruction budget per run (big enough for warmed-up
@@ -66,89 +65,9 @@ pub const DEFAULT_TRACE_INSTS: usize = 100_000;
 /// Default trace seed (experiments are exactly reproducible).
 pub const DEFAULT_SEED: u64 = 0x5eed;
 
-/// The partitioning strategies of the paper's evaluation, in Figure 5's
-/// bar order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Heuristic {
-    /// Basic block tasks.
-    BasicBlock,
-    /// Control flow heuristic (N = 4).
-    ControlFlow,
-    /// Data dependence heuristic on top of control flow (N = 4).
-    DataDependence,
-    /// Data dependence + task size heuristic (the paper applies this
-    /// fourth bar to 129.compress and 145.fpppp).
-    TaskSize,
-    /// Cost-model policy: dependence-style growth steered by a measured
-    /// squash/stall cost model from a pilot simulation (see
-    /// `docs/POLICIES.md`). Without a model it scores from the static
-    /// profile.
-    Cost,
-    /// Exact-partition oracle for small functions, `cf` fallback above
-    /// the size cutoff (the `run -- gap` upper-bound baseline).
-    Oracle,
-}
-
-impl Heuristic {
-    /// The paper's four, in Figure 5 bar order.
-    pub fn all() -> [Heuristic; 4] {
-        [
-            Heuristic::BasicBlock,
-            Heuristic::ControlFlow,
-            Heuristic::DataDependence,
-            Heuristic::TaskSize,
-        ]
-    }
-
-    /// Every heuristic the harness can run: the paper's four plus the
-    /// registry's `cost` and `oracle` policies.
-    pub fn extended() -> [Heuristic; 6] {
-        [
-            Heuristic::BasicBlock,
-            Heuristic::ControlFlow,
-            Heuristic::DataDependence,
-            Heuristic::TaskSize,
-            Heuristic::Cost,
-            Heuristic::Oracle,
-        ]
-    }
-
-    /// Short label ("bb", "cf", "dd", "ts", "cost", "oracle") — the
-    /// policy-registry name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Heuristic::BasicBlock => "bb",
-            Heuristic::ControlFlow => "cf",
-            Heuristic::DataDependence => "dd",
-            Heuristic::TaskSize => "ts",
-            Heuristic::Cost => "cost",
-            Heuristic::Oracle => "oracle",
-        }
-    }
-
-    /// The configured selector (target limit `n`).
-    pub fn selector(&self, n: usize) -> TaskSelector {
-        match self {
-            Heuristic::BasicBlock => SelectorBuilder::new(Strategy::BasicBlock).build(),
-            Heuristic::ControlFlow => {
-                SelectorBuilder::new(Strategy::ControlFlow).max_targets(n).build()
-            }
-            Heuristic::DataDependence => {
-                SelectorBuilder::new(Strategy::DataDependence).max_targets(n).build()
-            }
-            Heuristic::TaskSize => SelectorBuilder::new(Strategy::DataDependence)
-                .max_targets(n)
-                .task_size(TaskSizeParams::default())
-                .build(),
-            Heuristic::Cost => {
-                SelectorBuilder::named("cost").expect("registered").max_targets(n).build()
-            }
-            Heuristic::Oracle => {
-                SelectorBuilder::named("oracle").expect("registered").max_targets(n).build()
-            }
-        }
-    }
-}
+/// The old name of [`ms_tasksel::Strategy`], kept because the
+/// repository benchmark's traced replay names it.
+pub use ms_tasksel::Strategy as Heuristic;
 
 /// Runs one experiment for an already-made selection.
 pub fn run_selection(
@@ -173,17 +92,30 @@ pub fn pct_change(base: f64, new: f64) -> String {
 mod tests {
     use super::*;
     use ms_analysis::ProgramContext;
+    use ms_tasksel::Strategy;
 
+    /// Every strategy label round-trips through `FromStr` and
+    /// `--strategy`, and every list of strategies the harness prints or
+    /// runs is `Strategy::extended()` (minus `ts` for the gap table).
     #[test]
-    fn heuristic_labels_are_distinct() {
-        let labels: Vec<&str> = Heuristic::all().iter().map(|h| h.label()).collect();
-        assert_eq!(labels, vec!["bb", "cf", "dd", "ts"]);
-        let ext: Vec<&str> = Heuristic::extended().iter().map(|h| h.label()).collect();
-        assert_eq!(ext, vec!["bb", "cf", "dd", "ts", "cost", "oracle"]);
-        // Every extended label resolves through the selector path.
-        for h in Heuristic::extended() {
-            let _ = h.selector(4);
+    fn strategy_names_round_trip() {
+        let policies = cli::policies_text();
+        for s in Strategy::extended() {
+            assert_eq!(s.label().parse::<Strategy>(), Ok(s));
+            let argv = ["compress", "--strategy", s.label()].map(String::from);
+            let (_, flags) = cli::parse(argv.into_iter()).expect("valid strategy");
+            assert_eq!(flags.strategy, s);
+            assert!(
+                policies.lines().any(|l| l.split_whitespace().next() == Some(s.label())),
+                "`run -- policies` must list `{}`",
+                s.label()
+            );
         }
+        let labels = Strategy::extended().map(|s| s.label());
+        assert_eq!(ms_conform::strategies().map(|(label, _)| label), labels);
+        let gap: Vec<Strategy> =
+            Strategy::extended().into_iter().filter(|&s| s != Strategy::TaskSize).collect();
+        assert_eq!(gapcmd::gap_policies(), gap);
     }
 
     #[test]
@@ -195,7 +127,7 @@ mod tests {
     #[test]
     fn run_selection_produces_stats() {
         let program = ms_workloads::by_name("compress").unwrap().build();
-        let sel = Heuristic::ControlFlow.selector(4).select(&ProgramContext::new(program));
+        let sel = Strategy::ControlFlow.selector(4).select(&ProgramContext::new(program));
         let s = run_selection(&sel, SimConfig::four_pu(), 5_000, 1);
         assert!(s.ipc() > 0.0);
         assert!(s.total_insts >= 5_000);

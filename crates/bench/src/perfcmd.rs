@@ -18,11 +18,11 @@
 use std::time::Instant;
 
 use ms_prof::{Report, SpanStat};
+use ms_tasksel::Strategy;
 
 use crate::json::escape;
 use crate::runscmd::fmt_ns;
 use crate::sweeps::{CellJob, SWEEP_TRACE_INSTS};
-use crate::Heuristic;
 
 /// Default timed repetitions (`--reps`); one extra untimed warm-up
 /// repetition always runs first.
@@ -32,12 +32,12 @@ pub const DEFAULT_PERF_REPS: usize = 5;
 /// floating-point workloads, small enough to rerun on every PR.
 pub fn perf_grid(insts: usize) -> Vec<(String, CellJob)> {
     [
-        ("compress", Heuristic::ControlFlow),
-        ("go", Heuristic::DataDependence),
-        ("li", Heuristic::BasicBlock),
-        ("perl", Heuristic::ControlFlow),
-        ("tomcatv", Heuristic::DataDependence),
-        ("fpppp", Heuristic::TaskSize),
+        ("compress", Strategy::ControlFlow),
+        ("go", Strategy::DataDependence),
+        ("li", Strategy::BasicBlock),
+        ("perl", Strategy::ControlFlow),
+        ("tomcatv", Strategy::DataDependence),
+        ("fpppp", Strategy::TaskSize),
     ]
     .into_iter()
     .map(|(bench, h)| {

@@ -39,7 +39,7 @@ use crate::error::{closest, BenchError};
 use crate::harness::run_parallel_observed;
 use crate::json::JsonObj;
 use crate::progress::SweepObserver;
-use crate::{pct_change, Heuristic, DEFAULT_SEED, DEFAULT_TRACE_INSTS};
+use crate::{pct_change, DEFAULT_SEED, DEFAULT_TRACE_INSTS};
 
 /// Version of the per-cell metrics JSON schema (bump on any field
 /// change; documented field-by-field in `EXPERIMENTS.md`).
@@ -144,8 +144,8 @@ pub struct CellJob {
     /// Workload name (see `ms_workloads::suite`).
     pub bench: &'static str,
     /// Task selection strategy.
-    pub heuristic: Heuristic,
-    /// Heuristic target limit `N`.
+    pub heuristic: Strategy,
+    /// Strategy target limit `N`.
     pub targets: usize,
     /// Override for the task-size heuristic's thresholds (`CALL_THRESH`
     /// = value, `LOOP_THRESH` = value as usize); `None` uses defaults.
@@ -175,7 +175,7 @@ impl CellJob {
     /// A cell with the defaults the ablation sweeps share: `N` = 4,
     /// 4 PUs, out-of-order, dead register analysis on,
     /// [`SWEEP_TRACE_INSTS`] instructions, [`DEFAULT_SEED`].
-    pub fn new(bench: &'static str, heuristic: Heuristic) -> Self {
+    pub fn new(bench: &'static str, heuristic: Strategy) -> Self {
         CellJob {
             bench,
             heuristic,
@@ -340,7 +340,7 @@ impl CellJob {
 /// What [`CellJob::image_key`] compares: workload, if-conversion arms,
 /// heuristic, target limit, task-size threshold bits, trace budget and
 /// seed.
-type ImageKey = (&'static str, Option<usize>, Heuristic, usize, Option<u64>, usize, u64);
+type ImageKey = (&'static str, Option<usize>, Strategy, usize, Option<u64>, usize, u64);
 
 /// The two halves of a cell's metrics: dynamic (simulator) and static
 /// (partition).
@@ -562,14 +562,14 @@ pub fn run_suite(
             deep.push(false);
             programs.len() - 1
         });
-        deep[p] |= job.ts_thresh.is_none() && matches!(job.heuristic, Heuristic::DataDependence);
+        deep[p] |= job.ts_thresh.is_none() && matches!(job.heuristic, Strategy::DataDependence);
     }
     let pool: Vec<OnceLock<ProgramContext>> = programs.iter().map(|_| OnceLock::new()).collect();
     let ctx_of = |p: usize| {
         pool[p].get_or_init(|| {
             let (bench, arms) = programs[p];
             let probe =
-                CellJob { if_convert_arms: arms, ..CellJob::new(bench, Heuristic::BasicBlock) };
+                CellJob { if_convert_arms: arms, ..CellJob::new(bench, Strategy::BasicBlock) };
             let ctx = probe.context();
             ctx.warm(deep[p]);
             ctx
@@ -675,12 +675,10 @@ fn figure5_grid() -> Grid {
     for in_order in [false, true] {
         for pus in [4usize, 8] {
             for w in integer_suite().iter().chain(fp_suite().iter()) {
-                let mut heuristics =
-                    vec![Heuristic::BasicBlock, Heuristic::ControlFlow, Heuristic::DataDependence];
-                if responds_to_task_size(w.name) {
-                    heuristics.push(Heuristic::TaskSize);
-                }
-                for h in heuristics {
+                let bars = Strategy::all()
+                    .into_iter()
+                    .filter(|&h| h != Strategy::TaskSize || responds_to_task_size(w.name));
+                for h in bars {
                     let id = format!(
                         "{}-{}-{}pu-{}",
                         w.name,
@@ -733,13 +731,13 @@ fn figure5_report(results: &Results) -> String {
                 let mut improvements: Vec<f64> = Vec::new();
                 for w in &suite {
                     let suffix = format!("{}pu-{}", pus, if in_order { "io" } else { "ooo" });
-                    let ipc = |h: Heuristic| {
+                    let ipc = |h: Strategy| {
                         get(results, &format!("{}-{}-{}", w.name, h.label(), suffix)).sim.ipc()
                     };
-                    let bb = ipc(Heuristic::BasicBlock);
-                    let cf = ipc(Heuristic::ControlFlow);
-                    let dd = ipc(Heuristic::DataDependence);
-                    let ts = responds_to_task_size(w.name).then(|| ipc(Heuristic::TaskSize));
+                    let bb = ipc(Strategy::BasicBlock);
+                    let cf = ipc(Strategy::ControlFlow);
+                    let dd = ipc(Strategy::DataDependence);
+                    let ts = responds_to_task_size(w.name).then(|| ipc(Strategy::TaskSize));
                     let best = ts.unwrap_or(dd).max(dd).max(cf);
                     improvements.push(100.0 * (best - bb) / bb);
                     writeln!(
@@ -772,7 +770,7 @@ fn figure5_report(results: &Results) -> String {
 fn table1_grid() -> Grid {
     let mut grid = Vec::new();
     for w in ms_workloads::suite() {
-        for h in [Heuristic::BasicBlock, Heuristic::ControlFlow, Heuristic::DataDependence] {
+        for h in [Strategy::BasicBlock, Strategy::ControlFlow, Strategy::DataDependence] {
             let id = format!("{}-{}", w.name, h.label());
             let job = CellJob { pus: 8, insts: DEFAULT_TRACE_INSTS, ..CellJob::new(w.name, h) };
             grid.push((id, job));
@@ -814,9 +812,9 @@ fn table1_report(results: &Results) -> String {
     )
     .unwrap();
     for w in ms_workloads::suite() {
-        let s = |h: Heuristic| &get(results, &format!("{}-{}", w.name, h.label())).sim;
+        let s = |h: Strategy| &get(results, &format!("{}-{}", w.name, h.label())).sim;
         let (bb, cf, dd) =
-            (s(Heuristic::BasicBlock), s(Heuristic::ControlFlow), s(Heuristic::DataDependence));
+            (s(Strategy::BasicBlock), s(Strategy::ControlFlow), s(Strategy::DataDependence));
         let ct = |s: &SimStats| s.ct_insts as f64 / s.num_dyn_tasks.max(1) as f64;
         writeln!(
             text,
@@ -853,7 +851,7 @@ fn targets_grid() -> Grid {
     for name in TARGETS_BENCHES {
         for n in TARGETS_NS {
             let id = format!("{name}-n{n}");
-            let job = CellJob { targets: n, ..CellJob::new(name, Heuristic::ControlFlow) };
+            let job = CellJob { targets: n, ..CellJob::new(name, Strategy::ControlFlow) };
             grid.push((id, job));
         }
     }
@@ -888,12 +886,12 @@ fn thresholds_grid() -> Grid {
     for name in THRESHOLDS_BENCHES {
         grid.push((
             format!("{name}-off"),
-            CellJob { pus: 8, ..CellJob::new(name, Heuristic::DataDependence) },
+            CellJob { pus: 8, ..CellJob::new(name, Strategy::DataDependence) },
         ));
         for t in THRESHOLDS {
             grid.push((
                 format!("{name}-t{t:.0}"),
-                CellJob { pus: 8, ts_thresh: Some(t), ..CellJob::new(name, Heuristic::TaskSize) },
+                CellJob { pus: 8, ts_thresh: Some(t), ..CellJob::new(name, Strategy::TaskSize) },
             ));
         }
     }
@@ -936,7 +934,7 @@ fn pus_grid() -> Grid {
         for p in PU_COUNTS {
             grid.push((
                 format!("{name}-{p}pu"),
-                CellJob { pus: p, ..CellJob::new(name, Heuristic::DataDependence) },
+                CellJob { pus: p, ..CellJob::new(name, Strategy::DataDependence) },
             ));
         }
     }
@@ -971,11 +969,11 @@ fn forwarding_grid() -> Grid {
     for name in FORWARDING_BENCHES {
         grid.push((
             format!("{name}-dead"),
-            CellJob { pus: 8, ..CellJob::new(name, Heuristic::DataDependence) },
+            CellJob { pus: 8, ..CellJob::new(name, Strategy::DataDependence) },
         ));
         grid.push((
             format!("{name}-naive"),
-            CellJob { pus: 8, dead_reg: false, ..CellJob::new(name, Heuristic::DataDependence) },
+            CellJob { pus: 8, dead_reg: false, ..CellJob::new(name, Strategy::DataDependence) },
         ));
     }
     grid
@@ -1021,7 +1019,7 @@ fn predication_grid() -> Grid {
         for (tag, arms) in variants {
             grid.push((
                 format!("{name}-{tag}"),
-                CellJob { if_convert_arms: arms, ..CellJob::new(name, Heuristic::ControlFlow) },
+                CellJob { if_convert_arms: arms, ..CellJob::new(name, Strategy::ControlFlow) },
             ));
         }
     }
@@ -1077,7 +1075,7 @@ fn hardware_grid() -> Grid {
                 CellJob {
                     pus: 8,
                     ring_bandwidth: Some(bw),
-                    ..CellJob::new(name, Heuristic::DataDependence)
+                    ..CellJob::new(name, Strategy::DataDependence)
                 },
             ));
         }
@@ -1089,7 +1087,7 @@ fn hardware_grid() -> Grid {
                 CellJob {
                     pus: 8,
                     arb_entries_per_pu: Some(entries),
-                    ..CellJob::new(name, Heuristic::DataDependence)
+                    ..CellJob::new(name, Strategy::DataDependence)
                 },
             ));
         }
@@ -1101,7 +1099,7 @@ fn hardware_grid() -> Grid {
                 CellJob {
                     pus: 8,
                     sync_table_entries: Some(entries),
-                    ..CellJob::new(name, Heuristic::DataDependence)
+                    ..CellJob::new(name, Strategy::DataDependence)
                 },
             ));
         }
@@ -1189,8 +1187,8 @@ mod tests {
 
     #[test]
     fn run_in_shared_context_matches_standalone_run() {
-        let cf = CellJob { insts: 2_000, ..CellJob::new("compress", Heuristic::ControlFlow) };
-        let dd = CellJob { insts: 2_000, ..CellJob::new("compress", Heuristic::DataDependence) };
+        let cf = CellJob { insts: 2_000, ..CellJob::new("compress", Strategy::ControlFlow) };
+        let dd = CellJob { insts: 2_000, ..CellJob::new("compress", Strategy::DataDependence) };
         let shared = cf.context();
         assert_eq!(cf.run_in(&shared), cf.run());
         assert_eq!(dd.run_in(&shared), dd.run());
@@ -1201,7 +1199,7 @@ mod tests {
     fn grouped_cells_match_cells_run_alone() {
         // Cells that differ only in machine configuration share one
         // decoded image; each must still equal its own standalone run.
-        let base = CellJob { insts: 3_000, ..CellJob::new("go", Heuristic::DataDependence) };
+        let base = CellJob { insts: 3_000, ..CellJob::new("go", Strategy::DataDependence) };
         let cells = [
             CellJob { pus: 1, ..base.clone() },
             CellJob { pus: 8, in_order: true, ..base.clone() },
@@ -1242,7 +1240,7 @@ mod tests {
 
     #[test]
     fn cell_json_is_schema_versioned_and_complete() {
-        let job = CellJob { insts: 3_000, ..CellJob::new("compress", Heuristic::ControlFlow) };
+        let job = CellJob { insts: 3_000, ..CellJob::new("compress", Strategy::ControlFlow) };
         let out = job.run();
         let j = cell_json("unit", "compress-cf", &job, &out);
         assert!(j.starts_with("{\"schema_version\":1,"));
@@ -1267,7 +1265,7 @@ mod tests {
 
     #[test]
     fn cell_jobs_are_deterministic() {
-        let job = CellJob { insts: 2_000, ..CellJob::new("li", Heuristic::BasicBlock) };
+        let job = CellJob { insts: 2_000, ..CellJob::new("li", Strategy::BasicBlock) };
         let a = job.run();
         let b = job.run();
         assert_eq!(a.sim, b.sim);

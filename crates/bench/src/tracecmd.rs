@@ -145,11 +145,11 @@ pub fn chrome_trace(agg: &TraceAggregator, label: &dyn Fn(usize, usize) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Heuristic;
+    use ms_tasksel::Strategy;
 
     #[test]
     fn chrome_trace_is_well_formed() {
-        let sel = Heuristic::ControlFlow.selector(4).select(&ms_analysis::ProgramContext::new(
+        let sel = Strategy::ControlFlow.selector(4).select(&ms_analysis::ProgramContext::new(
             ms_workloads::by_name("li").unwrap().build(),
         ));
         let art = trace_selection(&sel, SimConfig::four_pu(), 2_000, 1);
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn labeler_is_total() {
-        let sel = Heuristic::ControlFlow.selector(4).select(&ms_analysis::ProgramContext::new(
+        let sel = Strategy::ControlFlow.selector(4).select(&ms_analysis::ProgramContext::new(
             ms_workloads::by_name("li").unwrap().build(),
         ));
         let label = boundary_labeler(&sel.program, &sel.partition);

@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use ms_bench::cache::CellCache;
 use ms_bench::progress::SweepObserver;
 use ms_bench::sweeps::{cell_json, run_suite, CellJob, SweepSpec};
-use ms_bench::Heuristic;
 use ms_prof::ledger::ProgressSink;
+use ms_tasksel::Strategy;
 
 /// Every (benchmark, heuristic, threshold) shape the grids use, run both
 /// ways: standalone (cold per-cell context, the pre-scheduler behavior)
@@ -19,16 +19,16 @@ use ms_prof::ledger::ProgressSink;
 #[test]
 fn shared_context_cells_match_standalone_cells_byte_for_byte() {
     for bench in ["compress", "li", "tomcatv"] {
-        let ctx = CellJob::new(bench, Heuristic::BasicBlock).context();
+        let ctx = CellJob::new(bench, Strategy::BasicBlock).context();
         ctx.warm(true);
         let jobs = [
-            CellJob { insts: 4_000, ..CellJob::new(bench, Heuristic::BasicBlock) },
-            CellJob { insts: 4_000, ..CellJob::new(bench, Heuristic::ControlFlow) },
-            CellJob { insts: 4_000, ..CellJob::new(bench, Heuristic::DataDependence) },
+            CellJob { insts: 4_000, ..CellJob::new(bench, Strategy::BasicBlock) },
+            CellJob { insts: 4_000, ..CellJob::new(bench, Strategy::ControlFlow) },
+            CellJob { insts: 4_000, ..CellJob::new(bench, Strategy::DataDependence) },
             CellJob {
                 insts: 4_000,
                 ts_thresh: Some(12.0),
-                ..CellJob::new(bench, Heuristic::DataDependence)
+                ..CellJob::new(bench, Strategy::DataDependence)
             },
         ];
         for (i, job) in jobs.iter().enumerate() {
@@ -48,7 +48,7 @@ fn shared_context_cells_match_standalone_cells_byte_for_byte() {
 /// stays the reference.
 #[test]
 fn if_converted_cells_use_their_own_context() {
-    let plain = CellJob { insts: 4_000, ..CellJob::new("compress", Heuristic::ControlFlow) };
+    let plain = CellJob { insts: 4_000, ..CellJob::new("compress", Strategy::ControlFlow) };
     let conv = CellJob { if_convert_arms: Some(8), ..plain.clone() };
     let plain_out = cell_json("equiv", "plain", &plain, &plain.run());
     let conv_out = cell_json("equiv", "conv", &conv, &conv.run_in(&conv.context()));

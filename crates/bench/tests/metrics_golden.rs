@@ -16,14 +16,14 @@ use std::path::PathBuf;
 
 use ms_bench::harness::run_parallel;
 use ms_bench::sweeps::{cell_json, CellJob, SCHEMA_VERSION};
-use ms_bench::Heuristic;
+use ms_tasksel::Strategy;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/compress-cf-4pu.json")
 }
 
 fn golden_job() -> CellJob {
-    CellJob { insts: 20_000, ..CellJob::new("compress", Heuristic::ControlFlow) }
+    CellJob { insts: 20_000, ..CellJob::new("compress", Strategy::ControlFlow) }
 }
 
 #[test]
@@ -48,7 +48,7 @@ fn parallel_and_serial_grids_are_bit_identical() {
     // A 3×3 sub-grid: three benchmarks × three heuristics.
     let mut grid = Vec::new();
     for bench in ["compress", "go", "tomcatv"] {
-        for h in [Heuristic::BasicBlock, Heuristic::ControlFlow, Heuristic::DataDependence] {
+        for h in [Strategy::BasicBlock, Strategy::ControlFlow, Strategy::DataDependence] {
             grid.push(CellJob { insts: 5_000, ..CellJob::new(bench, h) });
         }
     }

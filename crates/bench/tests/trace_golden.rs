@@ -17,21 +17,20 @@ use std::path::PathBuf;
 
 use ms_bench::harness::run_parallel;
 use ms_bench::tracecmd::{trace_selection, TraceArtifacts};
-use ms_bench::Heuristic;
 use ms_sim::{SimConfig, TRACE_SCHEMA_VERSION};
-use ms_tasksel::Selection;
+use ms_tasksel::{Selection, Strategy};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/compress-cf-4pu-trace.jsonl")
 }
 
-fn select(bench: &str, h: Heuristic) -> Selection {
+fn select(bench: &str, h: Strategy) -> Selection {
     let program = ms_workloads::by_name(bench).unwrap().build();
     h.selector(4).select(&ms_analysis::ProgramContext::new(program))
 }
 
 fn golden_run() -> TraceArtifacts {
-    let sel = select("compress", Heuristic::ControlFlow);
+    let sel = select("compress", Strategy::ControlFlow);
     trace_selection(&sel, SimConfig::four_pu(), 2_000, ms_bench::DEFAULT_SEED)
 }
 
@@ -79,13 +78,13 @@ fn attribution_totals_are_the_stats_counters() {
 /// whether the surrounding grid runs on 1 worker or 4.
 #[test]
 fn trace_artifacts_are_parallel_deterministic() {
-    let grid: Vec<(&str, Heuristic)> = vec![
-        ("compress", Heuristic::ControlFlow),
-        ("go", Heuristic::DataDependence),
-        ("li", Heuristic::BasicBlock),
-        ("tomcatv", Heuristic::ControlFlow),
+    let grid: Vec<(&str, Strategy)> = vec![
+        ("compress", Strategy::ControlFlow),
+        ("go", Strategy::DataDependence),
+        ("li", Strategy::BasicBlock),
+        ("tomcatv", Strategy::ControlFlow),
     ];
-    let run = |&(bench, h): &(&str, Heuristic), _i: usize| {
+    let run = |&(bench, h): &(&str, Strategy), _i: usize| {
         let sel = select(bench, h);
         let art = trace_selection(&sel, SimConfig::four_pu(), 3_000, ms_bench::DEFAULT_SEED);
         (art.jsonl, art.chrome, art.tables)

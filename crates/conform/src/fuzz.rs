@@ -14,7 +14,7 @@ use ms_analysis::ProgramContext;
 use ms_ir::gen::{GenParams, ProgSpec};
 use ms_ir::SplitMix64;
 use ms_sim::SimConfig;
-use ms_tasksel::{SelectorBuilder, Strategy, TaskSelector, TaskSizeParams};
+use ms_tasksel::{Strategy, TaskSelector};
 
 use crate::check_selection;
 
@@ -58,26 +58,11 @@ pub struct FuzzFailure {
     pub original_blocks: usize,
 }
 
-/// Every registered selection policy, labelled as in the experiment
-/// tables: the paper's four evaluation bars plus the `cost` and
-/// `oracle` policies (fuzzed without a pilot cost model — the `cost`
-/// policy then scores from the static profile, which is exactly its
-/// fallback path).
+/// Every [`Strategy`] with its label, target limit 4 (`cost` runs
+/// without a pilot cost model and so scores from the static profile,
+/// which is exactly its fallback path).
 pub fn strategies() -> [(&'static str, TaskSelector); 6] {
-    [
-        ("bb", SelectorBuilder::new(Strategy::BasicBlock).build()),
-        ("cf", SelectorBuilder::new(Strategy::ControlFlow).max_targets(4).build()),
-        ("dd", SelectorBuilder::new(Strategy::DataDependence).max_targets(4).build()),
-        (
-            "ts",
-            SelectorBuilder::new(Strategy::DataDependence)
-                .max_targets(4)
-                .task_size(TaskSizeParams::default())
-                .build(),
-        ),
-        ("cost", SelectorBuilder::named("cost").expect("registered").max_targets(4).build()),
-        ("oracle", SelectorBuilder::named("oracle").expect("registered").max_targets(4).build()),
-    ]
+    Strategy::extended().map(|s| (s.label(), s.selector(4)))
 }
 
 /// Runs one fuzz case: generates the seed's program, pushes it through

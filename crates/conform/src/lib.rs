@@ -19,7 +19,7 @@
 //!
 //! [`check_selection`] / [`check_trace`] bundle all three into one call;
 //! [`fuzz::fuzz_seed`] drives them from randomly generated programs
-//! ([`ms_ir::gen`]) across every registered selection policy, shrinking
+//! ([`ms_ir::gen`]) across every selection strategy, shrinking
 //! any failure to a minimal reproducer. The `run -- fuzz` subcommand and
 //! `docs/CONFORMANCE.md` document the workflow.
 //!

@@ -103,7 +103,7 @@ pub fn to_dot(program: &Program, partition: &TaskPartition, f: FuncId) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selector::{SelectorBuilder, Strategy};
+    use crate::{SelectorBuilder, Strategy};
     use ms_analysis::ProgramContext;
     use ms_ir::{BranchBehavior, FunctionBuilder, Opcode, ProgramBuilder, Reg};
 

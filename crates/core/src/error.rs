@@ -89,14 +89,12 @@ impl Error for PartitionError {}
 pub enum SelectError {
     /// A task partition violated a Multiscalar invariant.
     Partition(PartitionError),
-    /// A policy name did not match the registry
-    /// ([`crate::policies`]); carries the nearest registered name when
-    /// one is plausibly close.
+    /// A policy name is not a [`crate::Strategy`] label; carries the
+    /// nearest label when one is plausibly close.
     UnknownPolicy {
         /// The name that failed to resolve.
         name: String,
-        /// The closest registered policy name, if within editing
-        /// distance.
+        /// The closest strategy label, if within editing distance.
         suggestion: Option<&'static str>,
     },
 }

@@ -16,6 +16,9 @@ use ms_ir::{BlockId, Function, Terminator};
 
 use crate::task::Task;
 
+/// Safety cap on blocks explored per task growth.
+const EXPLORE_LIMIT: usize = 64;
+
 /// Per-function context shared by all growth operations.
 ///
 /// Borrows its analyses (DFS order, loops) rather than computing them,
@@ -31,8 +34,6 @@ pub struct GrowCtx<'a> {
     included_calls: BTreeSet<BlockId>,
     /// Hardware successor-target limit `N`.
     max_targets: usize,
-    /// Safety cap on blocks explored per growth.
-    explore_limit: usize,
 }
 
 impl<'a> GrowCtx<'a> {
@@ -44,9 +45,8 @@ impl<'a> GrowCtx<'a> {
         loops: &'a LoopForest,
         included_calls: BTreeSet<BlockId>,
         max_targets: usize,
-        explore_limit: usize,
     ) -> Self {
-        GrowCtx { func, order, loops, included_calls, max_targets, explore_limit }
+        GrowCtx { func, order, loops, included_calls, max_targets }
     }
 
     /// The function being partitioned.
@@ -182,7 +182,7 @@ impl<'a> GrowCtx<'a> {
             if in_potential.contains(&blk) || taken(blk) {
                 continue;
             }
-            if potential.len() >= self.explore_limit {
+            if potential.len() >= EXPLORE_LIMIT {
                 break;
             }
             potential.push(blk);
@@ -241,7 +241,7 @@ mod tests {
         fb.set_terminator(b3, Terminator::Return);
         let f = fb.finish(b0).unwrap();
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4);
         let task = ctx.grow(b0, &BTreeSet::new(), &no_taken, None);
         assert_eq!(task.len(), 4);
         let targets = task.targets(&f, ctx.included_calls());
@@ -274,7 +274,7 @@ mod tests {
         fb.set_terminator(exit, Terminator::Return);
         let f = fb.finish(entry).unwrap();
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4);
         let task = ctx.grow(head, &BTreeSet::new(), &no_taken, None);
         assert_eq!(task.blocks().iter().copied().collect::<Vec<_>>(), vec![head, mid, latch]);
         let targets = task.targets(&f, ctx.included_calls());
@@ -305,7 +305,7 @@ mod tests {
         fb.set_terminator(exit, Terminator::Return);
         let f = fb.finish(entry).unwrap();
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4);
         let task = ctx.grow(entry, &BTreeSet::new(), &no_taken, None);
         assert!(!task.contains(head));
         assert_eq!(task.blocks().iter().copied().collect::<Vec<_>>(), vec![entry, pre]);
@@ -324,13 +324,13 @@ mod tests {
         let f = fb.finish(b0).unwrap();
 
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4);
         let task = ctx.grow(b0, &BTreeSet::new(), &no_taken, None);
         assert!(task.contains(call) && !task.contains(after));
         assert_eq!(task.targets(&f, ctx.included_calls()), vec![TaskTarget::Call(FuncId::new(1))]);
 
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::from([call]), 4, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::from([call]), 4);
         let task = ctx.grow(b0, &BTreeSet::new(), &no_taken, None);
         assert!(task.contains(after), "included call grows through to the return block");
     }
@@ -372,7 +372,7 @@ mod tests {
         fb.set_terminator(b6, Terminator::Return);
         let f = fb.finish(b0).unwrap();
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 1, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 1);
         let task = ctx.grow(b0, &BTreeSet::new(), &no_taken, None);
         // {b0} has one target (b1): feasible. Adding b1 exposes {b2, b3};
         // the arms lead into distinct loops (terminal), so the count
@@ -380,7 +380,7 @@ mod tests {
         assert_eq!(task.blocks().iter().copied().collect::<Vec<_>>(), vec![b0]);
         // The same region is a single task at N = 2.
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 2, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 2);
         let task = ctx.grow(b0, &BTreeSet::new(), &no_taken, None);
         assert!(task.len() >= 4);
     }
@@ -401,7 +401,7 @@ mod tests {
         fb.set_terminator(b3, Terminator::Return);
         let f = fb.finish(b0).unwrap();
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 2, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 2);
         let task = ctx.grow(b0, &BTreeSet::new(), &no_taken, None);
         // After {b0, b1}: targets {b2, b3} = 2 ≤ 2 feasible; after
         // {b0,b1,b2}: target {b3} = 1; after all four: {Return} = 1.
@@ -420,7 +420,7 @@ mod tests {
         fb.set_terminator(b2, Terminator::Return);
         let f = fb.finish(b0).unwrap();
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4);
         let task = ctx.grow(b0, &BTreeSet::new(), &|b| b == b1, None);
         assert_eq!(task.blocks().iter().copied().collect::<Vec<_>>(), vec![b0]);
     }
@@ -439,7 +439,7 @@ mod tests {
         fb.set_terminator(b3, Terminator::Return);
         let f = fb.finish(b0).unwrap();
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4);
         let allow = |b: BlockId| b != b2;
         let task = ctx.grow(b0, &BTreeSet::new(), &no_taken, Some(&allow));
         assert!(!task.contains(b2));
@@ -459,7 +459,7 @@ mod tests {
         fb.set_terminator(b2, Terminator::Return);
         let f = fb.finish(b0).unwrap();
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4, 64);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4);
         let initial = BTreeSet::from([b0]);
         let task = ctx.grow(b0, &initial, &no_taken, None);
         assert!(task.contains(b0) && task.contains(b1) && task.contains(b2));
@@ -469,15 +469,15 @@ mod tests {
     #[test]
     fn explore_limit_caps_task_size() {
         let mut fb = FunctionBuilder::new("big");
-        let blocks: Vec<BlockId> = (0..50).map(|_| fb.add_block()).collect();
+        let blocks: Vec<BlockId> = (0..2 * EXPLORE_LIMIT).map(|_| fb.add_block()).collect();
         for w in blocks.windows(2) {
             fb.set_terminator(w[0], Terminator::Jump { target: w[1] });
         }
         fb.set_terminator(*blocks.last().unwrap(), Terminator::Return);
         let f = fb.finish(blocks[0]).unwrap();
         let an = analyses(&f);
-        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4, 8);
+        let ctx = GrowCtx::new(&f, &an.0, &an.1, BTreeSet::new(), 4);
         let task = ctx.grow(blocks[0], &BTreeSet::new(), &no_taken, None);
-        assert!(task.len() <= 8);
+        assert!(task.len() <= EXPLORE_LIMIT);
     }
 }

@@ -7,9 +7,8 @@
 //! of the control flow graph. How the compiler draws the task boundaries
 //! determines control-flow speculation accuracy, inter-task data
 //! communication, memory dependence misspeculation, load imbalance and
-//! task overhead. Every heuristic is a named [`SelectionPolicy`] in a
-//! registry ([`policies`]), selectable by name through
-//! [`SelectorBuilder::named`] or by the closed [`Strategy`] enum:
+//! task overhead. Every heuristic is one variant of the [`Strategy`]
+//! enum, which also parses from its label (`"dd".parse()`):
 //!
 //! * `bb` / [`Strategy::BasicBlock`] — one task per basic block
 //!   (baseline),
@@ -19,13 +18,16 @@
 //! * `dd` / [`Strategy::DataDependence`] — the same growth steered to
 //!   include profiled register def-use dependences (and their codependent
 //!   sets) within tasks,
-//! * `ts` / [`SelectorBuilder::task_size`] — the task-size
+//! * `ts` / [`Strategy::TaskSize`] — `dd` after the task-size
 //!   preprocessing: unroll loops smaller than `LOOP_THRESH` and include
-//!   calls to functions dynamically smaller than `CALL_THRESH`,
-//! * `cost` — dependence-style growth steered by a *measured*
-//!   [`CostModel`] from a pilot simulation's squash/stall attribution,
-//! * `oracle` — an exact branch-and-bound partitioner for small
-//!   functions, the upper-bound baseline behind `run -- gap`.
+//!   calls to functions dynamically smaller than `CALL_THRESH` (any
+//!   strategy takes it through [`SelectorBuilder::task_size`]),
+//! * `cost` / [`Strategy::Cost`] — dependence-style growth steered by a
+//!   *measured* [`CostModel`] from a pilot simulation's squash/stall
+//!   attribution,
+//! * `oracle` / [`Strategy::Oracle`] — an exact branch-and-bound
+//!   partitioner for small functions, the upper-bound baseline behind
+//!   `run -- gap`.
 //!
 //! Selection runs over a shared [`ms_analysis::ProgramContext`], so the
 //! CFG analyses every heuristic consumes (dominators, loops, DFS order,
@@ -90,12 +92,9 @@ pub use dot::to_dot;
 pub use error::{PartitionError, SelectError};
 pub use grow::GrowCtx;
 pub use oracle::DEFAULT_ORACLE_MAX_BLOCKS;
-pub use policy::{
-    find_policy, policies, policy_names, BasicBlockPolicy, ControlFlowPolicy, CostPolicy,
-    DataDependencePolicy, OraclePolicy, PolicyView, SelectionPolicy,
-};
+pub use policy::Strategy;
 pub use predicate::if_convert;
-pub use selector::{Selection, SelectorBuilder, Strategy, TaskSelector};
+pub use selector::{Selection, SelectorBuilder, TaskSelector};
 pub use stats::{PartitionStats, SIZE_HIST_BUCKETS};
 pub use task::{FuncPartition, Task, TaskId, TaskPartition, TaskTarget};
 pub use transform::{apply_task_size, unroll_small_loops, TaskSizeParams};

@@ -1,37 +1,34 @@
-//! The selection-policy registry: every partitioning heuristic behind
-//! one [`SelectionPolicy`] trait, discoverable by name.
+//! The selection strategies: the closed set of partitioning policies as
+//! one [`Strategy`] enum, and the partitioning function behind each.
 //!
-//! A policy partitions **one function** into candidate tasks
-//! ([`SelectionPolicy::do_select`]); the surrounding [`TaskSelector`]
-//! owns everything common to all policies — the optional task-size
-//! preprocessing, the per-function [`GrowCtx`], and the single-entry
-//! repair pass that restores the partition invariants afterwards.
-//! Policies are stateless unit structs registered in a static table
-//! ([`policies`]); per-run inputs (the measured [`CostModel`], the
-//! oracle's size cutoff) travel through the [`PolicyView`] instead, so
-//! a policy can be shared by every selector that names it.
+//! A partitioning function turns **one function** into candidate tasks;
+//! the surrounding [`TaskSelector`] owns everything common to all of
+//! them — the optional task-size preprocessing, the per-function
+//! [`GrowCtx`], and the single-entry repair pass that restores the
+//! partition invariants afterwards. Per-run inputs (the measured
+//! [`CostModel`], the oracle's size cutoff) travel through the
+//! [`PolicyView`].
 //!
-//! The registry contains, in listing order:
+//! The strategies, in listing order ([`Strategy::extended`]):
 //!
-//! | name     | selection                                                    |
+//! | label    | selection                                                    |
 //! |----------|--------------------------------------------------------------|
 //! | `bb`     | one task per basic block (the paper's baseline)              |
 //! | `cf`     | greedy control-flow growth within the target limit (§3.3)    |
 //! | `dd`     | `cf` steered to include profiled register dependences (§3.4) |
+//! | `ts`     | `dd` after task-size preprocessing (§3.2)                    |
 //! | `cost`   | `cf` steered by measured squash/stall attribution            |
 //! | `oracle` | exact minimum-boundary partition of small CFGs               |
 //!
-//! `ts` (the task-size heuristic, §3.2) is *preprocessing* — loop
-//! unrolling plus call inclusion before `dd` runs — so it is selected
-//! through [`SelectorBuilder::named`]`("ts")` rather than registered
-//! here. See `docs/POLICIES.md` for per-policy semantics and the cost
-//! model's inputs.
+//! `ts` is *preprocessing* — loop unrolling plus call inclusion before
+//! `dd` runs — so it partitions with the `dd` function and labels its
+//! partitions `dd+ts`. See `docs/POLICIES.md` for per-policy semantics
+//! and the cost model's inputs.
 //!
 //! [`TaskSelector`]: crate::TaskSelector
-//! [`SelectorBuilder::named`]: crate::SelectorBuilder::named
 
 use std::collections::BTreeSet;
-use std::fmt;
+use std::str::FromStr;
 
 use ms_analysis::ProgramContext;
 use ms_ir::{BlockId, BlockRef, FuncId, Function, Terminator};
@@ -39,248 +36,239 @@ use ms_ir::{BlockId, BlockRef, FuncId, Function, Terminator};
 use crate::cost::CostModel;
 use crate::error::{closest, SelectError};
 use crate::grow::GrowCtx;
-use crate::oracle;
+use crate::selector::{SelectorBuilder, TaskSelector};
 use crate::task::{Task, TaskTarget};
 
-/// Everything a policy may consult while partitioning one function:
-/// the shared analysis context, the growth context (terminal rules,
-/// target limit, included calls), and the per-run policy inputs.
+/// A task-selection policy: the paper's four evaluation bars plus the
+/// measured-cost policy and the exact-partition oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Strategy {
+    /// One task per basic block (the paper's baseline).
+    BasicBlock,
+    /// Multi-block tasks grown greedily, exploiting reconvergence to stay
+    /// within the hardware target limit (§3.3).
+    ControlFlow,
+    /// Control-flow growth steered to include profiled register
+    /// dependences and their codependent sets (§3.4). Applied *on top of*
+    /// the control flow heuristic, as in the paper's evaluation.
+    DataDependence,
+    /// Data dependence after the default task-size preprocessing (§3.2);
+    /// the paper applies this fourth bar to 129.compress and 145.fpppp.
+    TaskSize,
+    /// Control-flow growth steered by a *measured* [`CostModel`] from a
+    /// pilot simulation's squash/stall attribution; without a model it
+    /// scores from the static profile.
+    Cost,
+    /// Exact-partition oracle for small functions, `cf` fallback above
+    /// the size cutoff (the `run -- gap` upper-bound baseline).
+    Oracle,
+}
+
+impl Strategy {
+    /// The paper's four, in Figure 5 bar order.
+    pub fn all() -> [Strategy; 4] {
+        [Strategy::BasicBlock, Strategy::ControlFlow, Strategy::DataDependence, Strategy::TaskSize]
+    }
+
+    /// Every strategy: the paper's four, then `cost` and `oracle`.
+    pub fn extended() -> [Strategy; 6] {
+        [
+            Strategy::BasicBlock,
+            Strategy::ControlFlow,
+            Strategy::DataDependence,
+            Strategy::TaskSize,
+            Strategy::Cost,
+            Strategy::Oracle,
+        ]
+    }
+
+    /// Short label ("bb", "cf", "dd", "ts", "cost", "oracle"), as
+    /// `--strategy` takes it and reports print it.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Strategy::BasicBlock => "bb",
+            Strategy::ControlFlow => "cf",
+            Strategy::DataDependence => "dd",
+            Strategy::TaskSize => "ts",
+            Strategy::Cost => "cost",
+            Strategy::Oracle => "oracle",
+        }
+    }
+
+    /// One-line description for `run -- policies`.
+    pub fn summary(&self) -> &'static str {
+        match self {
+            Strategy::BasicBlock => "one task per basic block (the paper's baseline)",
+            Strategy::ControlFlow => {
+                "greedy growth exploiting reconvergence within the target limit (paper 3.3)"
+            }
+            Strategy::DataDependence => {
+                "cf growth steered to include profiled register dependences (paper 3.4)"
+            }
+            Strategy::TaskSize => {
+                "dd after task-size preprocessing (unroll small loops, include small calls)"
+            }
+            Strategy::Cost => {
+                "cf growth steered by measured squash/stall attribution (simulate, attribute, reselect)"
+            }
+            Strategy::Oracle => {
+                "exact minimum-boundary partition of small CFGs (upper-bound oracle)"
+            }
+        }
+    }
+
+    /// The selector with target limit `n` and every other setting at its
+    /// default. `bb` keeps the default limit: its one-block tasks never
+    /// grow, so the limit cannot matter.
+    pub fn selector(&self, n: usize) -> TaskSelector {
+        let builder = SelectorBuilder::new(*self);
+        match self {
+            Strategy::BasicBlock => builder.build(),
+            _ => builder.max_targets(n).build(),
+        }
+    }
+}
+
+impl FromStr for Strategy {
+    type Err = SelectError;
+
+    /// Parses a label; an unknown one reports the nearest label.
+    fn from_str(name: &str) -> Result<Self, SelectError> {
+        Strategy::extended().into_iter().find(|s| s.label() == name).ok_or_else(|| {
+            let labels = Strategy::extended().map(|s| s.label());
+            SelectError::UnknownPolicy {
+                name: name.to_string(),
+                suggestion: closest(name, &labels),
+            }
+        })
+    }
+}
+
+/// Everything a partitioning function may consult while partitioning
+/// one function: the shared analysis context, the growth context
+/// (terminal rules, target limit, included calls), and the per-run
+/// policy inputs.
 #[derive(Debug)]
-pub struct PolicyView<'a> {
+pub(crate) struct PolicyView<'a> {
     /// The function being partitioned.
-    pub fid: FuncId,
+    pub(crate) fid: FuncId,
     /// Analyses of the (possibly task-size-transformed) program.
-    pub ctx: &'a ProgramContext,
+    pub(crate) ctx: &'a ProgramContext,
     /// The growth context over `fid`'s CFG.
-    pub grow: &'a GrowCtx<'a>,
+    pub(crate) grow: &'a GrowCtx<'a>,
     /// The hardware successor-target limit `N`.
-    pub max_targets: usize,
+    pub(crate) max_targets: usize,
     /// The measured cost model, when the selector carries one (the
     /// `cost` policy falls back to profile estimates otherwise).
-    pub cost_model: Option<&'a CostModel>,
+    pub(crate) cost_model: Option<&'a CostModel>,
     /// Largest reachable-block count the `oracle` policy partitions
     /// exactly; bigger functions fall back to `cf` growth.
-    pub oracle_max_blocks: usize,
+    pub(crate) oracle_max_blocks: usize,
 }
 
 impl PolicyView<'_> {
     /// The function being partitioned.
-    pub fn func(&self) -> &Function {
+    pub(crate) fn func(&self) -> &Function {
         self.ctx.function(self.fid)
     }
 }
 
-/// One named partitioning heuristic: turns one function's CFG into a
-/// list of candidate tasks.
-///
-/// Implementations must cover every reachable block (the shared cover
-/// phase in this module does that for the built-in policies); the
-/// selector's repair pass restores single entry afterwards, so a
-/// policy's raw tasks may still have side entries.
-pub trait SelectionPolicy: fmt::Debug + Send + Sync {
-    /// The registry name ("bb", "cf", …), also used as the partition's
-    /// strategy label.
-    fn name(&self) -> &'static str;
+// The partitioning functions. Each covers every reachable block; the
+// selector's repair pass restores single entry afterwards, so the raw
+// tasks may still have side entries.
 
-    /// One-line description for `run -- policies`.
-    fn summary(&self) -> &'static str;
-
-    /// Partitions one function into candidate tasks (pre-repair).
-    fn do_select(&self, view: &PolicyView<'_>) -> Vec<Task>;
+/// `bb`: one task per basic block.
+pub(crate) fn basic_block(view: &PolicyView<'_>) -> Vec<Task> {
+    let mut state = PartitionState::new(view.func().num_blocks());
+    cover(view, &mut state, true, None);
+    state.tasks
 }
 
-/// One task per basic block.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BasicBlockPolicy;
-
-impl SelectionPolicy for BasicBlockPolicy {
-    fn name(&self) -> &'static str {
-        "bb"
-    }
-
-    fn summary(&self) -> &'static str {
-        "one task per basic block (the paper's baseline)"
-    }
-
-    fn do_select(&self, view: &PolicyView<'_>) -> Vec<Task> {
-        let mut state = PartitionState::new(view.func().num_blocks());
-        cover(view, &mut state, true, None);
-        state.tasks
-    }
+/// `cf`: greedy control-flow growth within the target limit (§3.3).
+pub(crate) fn control_flow(view: &PolicyView<'_>) -> Vec<Task> {
+    let mut state = PartitionState::new(view.func().num_blocks());
+    cover(view, &mut state, false, None);
+    state.tasks
 }
 
-/// Greedy control-flow growth within the target limit (§3.3).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ControlFlowPolicy;
-
-impl SelectionPolicy for ControlFlowPolicy {
-    fn name(&self) -> &'static str {
-        "cf"
-    }
-
-    fn summary(&self) -> &'static str {
-        "greedy growth exploiting reconvergence within the target limit (paper 3.3)"
-    }
-
-    fn do_select(&self, view: &PolicyView<'_>) -> Vec<Task> {
-        let mut state = PartitionState::new(view.func().num_blocks());
-        cover(view, &mut state, false, None);
-        state.tasks
-    }
-}
-
-/// Control-flow growth steered to include profiled register
+/// `dd`: control-flow growth steered to include profiled register
 /// dependences and their codependent sets (§3.4).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DataDependencePolicy;
+pub(crate) fn data_dependence(view: &PolicyView<'_>) -> Vec<Task> {
+    let fid = view.fid;
+    let profile = view.ctx.profile();
+    let mut deps = view.ctx.defuse(fid).block_deps();
+    // Quantise frequencies before comparing so that floating point
+    // noise from the profile estimator cannot reorder effectively
+    // tied dependences; ties then break deterministically by ids,
+    // which puts dominating producers (lower block ids in builder
+    // order) first.
+    let qfreq = |b: BlockId| (profile.block_freq(BlockRef::new(fid, b)) * 1024.0).round() as u64;
+    deps.sort_by(|a, b| qfreq(b.1).cmp(&qfreq(a.1)).then_with(|| a.cmp(b)));
+    // The heuristic prioritises by profiled frequency and only acts
+    // on the dependences worth acting on: chasing every cold
+    // dependence would shred the control-flow tasks that already
+    // include most chains (the paper notes the heuristic "has fewer
+    // opportunities" beyond the control flow heuristic, §4.3.1).
+    let cutoff =
+        deps.first().map(|d| profile.block_freq(BlockRef::new(fid, d.1)) * 0.25).unwrap_or(0.0);
+    deps.retain(|d| profile.block_freq(BlockRef::new(fid, d.1)) >= cutoff);
 
-impl SelectionPolicy for DataDependencePolicy {
-    fn name(&self) -> &'static str {
-        "dd"
-    }
-
-    fn summary(&self) -> &'static str {
-        "cf growth steered to include profiled register dependences (paper 3.4)"
-    }
-
-    fn do_select(&self, view: &PolicyView<'_>) -> Vec<Task> {
-        let fid = view.fid;
-        let profile = view.ctx.profile();
-        let mut deps = view.ctx.defuse(fid).block_deps();
-        // Quantise frequencies before comparing so that floating point
-        // noise from the profile estimator cannot reorder effectively
-        // tied dependences; ties then break deterministically by ids,
-        // which puts dominating producers (lower block ids in builder
-        // order) first.
-        let qfreq =
-            |b: BlockId| (profile.block_freq(BlockRef::new(fid, b)) * 1024.0).round() as u64;
-        deps.sort_by(|a, b| qfreq(b.1).cmp(&qfreq(a.1)).then_with(|| a.cmp(b)));
-        // The heuristic prioritises by profiled frequency and only acts
-        // on the dependences worth acting on: chasing every cold
-        // dependence would shred the control-flow tasks that already
-        // include most chains (the paper notes the heuristic "has fewer
-        // opportunities" beyond the control flow heuristic, §4.3.1).
-        let cutoff =
-            deps.first().map(|d| profile.block_freq(BlockRef::new(fid, d.1)) * 0.25).unwrap_or(0.0);
-        deps.retain(|d| profile.block_freq(BlockRef::new(fid, d.1)) >= cutoff);
-
-        let mut state = PartitionState::new(view.func().num_blocks());
-        let arcs: Vec<(BlockId, BlockId)> = deps.iter().map(|d| (d.0, d.1)).collect();
-        expand_dependences(view, &mut state, &arcs);
-        cover(view, &mut state, false, None);
-        state.tasks
-    }
+    let mut state = PartitionState::new(view.func().num_blocks());
+    let arcs: Vec<(BlockId, BlockId)> = deps.iter().map(|d| (d.0, d.1)).collect();
+    expand_dependences(view, &mut state, &arcs);
+    cover(view, &mut state, false, None);
+    state.tasks
 }
 
-/// Control-flow growth steered by *measured* costs: the squash and
-/// stall attribution of a pilot traced run ([`CostModel`]) replaces the
-/// static profile as the steering signal. Stall-heavy def-use arcs are
-/// included within tasks first (the tracer's stall-attribution table),
-/// then cover growth seeds squash-heavy boundaries before cheap ones so
-/// the costly tasks capture their mispredicted exits. Without a model
-/// (or for functions the model never measured) the scores fall back to
-/// profile estimates, which keeps the policy total — fuzzing and the
-/// registry round-trip exercise exactly that path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CostPolicy;
+/// `cost`: control-flow growth steered by *measured* costs: the squash
+/// and stall attribution of a pilot traced run ([`CostModel`]) replaces
+/// the static profile as the steering signal. Stall-heavy def-use arcs
+/// are included within tasks first (the tracer's stall-attribution
+/// table), then cover growth seeds squash-heavy boundaries before cheap
+/// ones so the costly tasks capture their mispredicted exits. Without a
+/// model (or for functions the model never measured) the scores fall
+/// back to profile estimates, which keeps the policy total — fuzzing
+/// exercises exactly that path.
+pub(crate) fn cost(view: &PolicyView<'_>) -> Vec<Task> {
+    let fid = view.fid;
+    let profile = view.ctx.profile();
+    let measured = view.cost_model.filter(|m| m.has_func(fid));
+    let qfreq = |b: BlockId| (profile.block_freq(BlockRef::new(fid, b)) * 1024.0).round() as u64;
+    let arc_score = |p: BlockId, c: BlockId| match measured {
+        Some(m) => m.arc_cost(fid, p, c),
+        None => qfreq(c),
+    };
+    let mut deps = view.ctx.defuse(fid).block_deps();
+    deps.sort_by(|a, b| arc_score(b.0, b.1).cmp(&arc_score(a.0, a.1)).then_with(|| a.cmp(b)));
+    // Act on the arcs carrying at least a quarter of the worst
+    // arc's cost (the dd cutoff, applied to measured cycles), and
+    // never on arcs that measured zero — an unmeasured arc caused
+    // no stalls, so there is nothing to include.
+    let max_score = deps.first().map(|d| arc_score(d.0, d.1)).unwrap_or(0);
+    deps.retain(|d| {
+        let s = arc_score(d.0, d.1);
+        s > 0 && 4 * s >= max_score
+    });
 
-impl SelectionPolicy for CostPolicy {
-    fn name(&self) -> &'static str {
-        "cost"
-    }
-
-    fn summary(&self) -> &'static str {
-        "cf growth steered by measured squash/stall attribution (simulate, attribute, reselect)"
-    }
-
-    fn do_select(&self, view: &PolicyView<'_>) -> Vec<Task> {
-        let fid = view.fid;
-        let profile = view.ctx.profile();
-        let measured = view.cost_model.filter(|m| m.has_func(fid));
-        let qfreq =
-            |b: BlockId| (profile.block_freq(BlockRef::new(fid, b)) * 1024.0).round() as u64;
-        let arc_score = |p: BlockId, c: BlockId| match measured {
-            Some(m) => m.arc_cost(fid, p, c),
-            None => qfreq(c),
-        };
-        let mut deps = view.ctx.defuse(fid).block_deps();
-        deps.sort_by(|a, b| arc_score(b.0, b.1).cmp(&arc_score(a.0, a.1)).then_with(|| a.cmp(b)));
-        // Act on the arcs carrying at least a quarter of the worst
-        // arc's cost (the dd cutoff, applied to measured cycles), and
-        // never on arcs that measured zero — an unmeasured arc caused
-        // no stalls, so there is nothing to include.
-        let max_score = deps.first().map(|d| arc_score(d.0, d.1)).unwrap_or(0);
-        deps.retain(|d| {
-            let s = arc_score(d.0, d.1);
-            s > 0 && 4 * s >= max_score
-        });
-
-        let mut state = PartitionState::new(view.func().num_blocks());
-        let arcs: Vec<(BlockId, BlockId)> = deps.iter().map(|d| (d.0, d.1)).collect();
-        expand_dependences(view, &mut state, &arcs);
-        let boundary_score = |b: BlockId| match measured {
-            Some(m) => m.boundary_cost(fid, b),
-            None => (profile.global_block_freq(BlockRef::new(fid, b)) * 1024.0).round() as u64,
-        };
-        cover(view, &mut state, false, Some(&boundary_score));
-        state.tasks
-    }
+    let mut state = PartitionState::new(view.func().num_blocks());
+    let arcs: Vec<(BlockId, BlockId)> = deps.iter().map(|d| (d.0, d.1)).collect();
+    expand_dependences(view, &mut state, &arcs);
+    let boundary_score = |b: BlockId| match measured {
+        Some(m) => m.boundary_cost(fid, b),
+        None => (profile.global_block_freq(BlockRef::new(fid, b)) * 1024.0).round() as u64,
+    };
+    cover(view, &mut state, false, Some(&boundary_score));
+    state.tasks
 }
 
-/// The exact-partition oracle: enumerates every valid task partition of
-/// a small function and keeps one minimising expected task-boundary
-/// crossings (equivalently, maximising expected dynamic task size).
-/// Functions above [`PolicyView::oracle_max_blocks`] reachable blocks
-/// fall back to `cf` growth — the cutoff and the search's objective are
+/// `oracle`: enumerates every valid task partition of a small function
+/// and keeps one minimising expected task-boundary crossings
+/// (equivalently, maximising expected dynamic task size). Functions
+/// above [`PolicyView::oracle_max_blocks`] reachable blocks fall back
+/// to `cf` growth — the cutoff and the search's objective are
 /// documented in `docs/POLICIES.md`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OraclePolicy;
-
-impl SelectionPolicy for OraclePolicy {
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
-
-    fn summary(&self) -> &'static str {
-        "exact minimum-boundary partition of small CFGs (upper-bound oracle)"
-    }
-
-    fn do_select(&self, view: &PolicyView<'_>) -> Vec<Task> {
-        if let Some(tasks) = oracle::exact_partition(view) {
-            return tasks;
-        }
-        let mut state = PartitionState::new(view.func().num_blocks());
-        cover(view, &mut state, false, None);
-        state.tasks
-    }
-}
-
-/// The policy registry, in listing order.
-static POLICIES: [&dyn SelectionPolicy; 5] =
-    [&BasicBlockPolicy, &ControlFlowPolicy, &DataDependencePolicy, &CostPolicy, &OraclePolicy];
-
-/// Every registered policy, in listing order (`run -- policies`).
-pub fn policies() -> &'static [&'static dyn SelectionPolicy] {
-    &POLICIES
-}
-
-/// Every name [`crate::SelectorBuilder::named`] accepts: the registered
-/// policies plus `ts` (dd with task-size preprocessing).
-pub fn policy_names() -> Vec<&'static str> {
-    let mut names: Vec<&'static str> = POLICIES.iter().map(|p| p.name()).collect();
-    names.push("ts");
-    names
-}
-
-/// Resolves a registry name, suggesting the nearest registered name on
-/// a miss (`ts` is not in the registry — it resolves at the
-/// [`crate::SelectorBuilder::named`] level, which also consults this
-/// function's suggestion list).
-pub fn find_policy(name: &str) -> Result<&'static dyn SelectionPolicy, SelectError> {
-    POLICIES.iter().copied().find(|p| p.name() == name).ok_or_else(|| SelectError::UnknownPolicy {
-        name: name.to_string(),
-        suggestion: closest(name, &policy_names()),
-    })
+pub(crate) fn oracle(view: &PolicyView<'_>) -> Vec<Task> {
+    crate::oracle::exact_partition(view).unwrap_or_else(|| control_flow(view))
 }
 
 /// Mutable bookkeeping during one function's partitioning.
@@ -520,21 +508,23 @@ mod tests {
 
     #[test]
     fn registry_names_are_distinct_and_ordered() {
-        let names: Vec<&str> = policies().iter().map(|p| p.name()).collect();
-        assert_eq!(names, vec!["bb", "cf", "dd", "cost", "oracle"]);
-        assert_eq!(policy_names(), vec!["bb", "cf", "dd", "cost", "oracle", "ts"]);
+        let labels = Strategy::extended().map(|s| s.label());
+        assert_eq!(labels, ["bb", "cf", "dd", "ts", "cost", "oracle"]);
+        assert_eq!(Strategy::all(), Strategy::extended()[..4]);
     }
 
     #[test]
-    fn find_policy_resolves_and_suggests() {
-        assert_eq!(find_policy("cf").unwrap().name(), "cf");
-        let err = find_policy("oracel").unwrap_err();
+    fn from_str_resolves_and_suggests() {
+        for s in Strategy::extended() {
+            assert_eq!(s.label().parse::<Strategy>(), Ok(s));
+        }
+        let err = "oracel".parse::<Strategy>().unwrap_err();
         assert_eq!(
             err,
             SelectError::UnknownPolicy { name: "oracel".into(), suggestion: Some("oracle") }
         );
         // Far-off names get no suggestion.
-        match find_policy("zzzzzzzzzz").unwrap_err() {
+        match "zzzzzzzzzz".parse::<Strategy>().unwrap_err() {
             SelectError::UnknownPolicy { suggestion: None, .. } => {}
             other => panic!("expected no suggestion, got {other:?}"),
         }
@@ -542,8 +532,8 @@ mod tests {
 
     #[test]
     fn summaries_are_nonempty() {
-        for p in policies() {
-            assert!(!p.summary().is_empty(), "{} needs a summary", p.name());
+        for s in Strategy::extended() {
+            assert!(!s.summary().is_empty(), "{} needs a summary", s.label());
         }
     }
 }

@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn converted_programs_run_end_to_end() {
-        use crate::selector::{SelectorBuilder, Strategy};
+        use crate::{SelectorBuilder, Strategy};
         use ms_analysis::ProgramContext;
         let p = diamond_program(3);
         let q = if_convert(&p, 4);

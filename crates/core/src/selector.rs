@@ -1,6 +1,6 @@
-//! The task selector: orchestration around the pluggable
-//! [`SelectionPolicy`] registry — optional task-size preprocessing,
-//! per-function policy dispatch, and single-entry repair.
+//! The task selector: orchestration around the [`Strategy`]
+//! partitioning functions — optional task-size preprocessing,
+//! per-function dispatch, and single-entry repair.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -9,42 +9,11 @@ use ms_analysis::ProgramContext;
 use ms_ir::{BlockId, FuncId, Program};
 
 use crate::cost::CostModel;
-use crate::error::SelectError;
 use crate::grow::GrowCtx;
 use crate::oracle::DEFAULT_ORACLE_MAX_BLOCKS;
-use crate::policy::{
-    find_policy, repair_single_entry, PartitionState, PolicyView, SelectionPolicy,
-};
+use crate::policy::{self, repair_single_entry, PartitionState, PolicyView, Strategy};
 use crate::task::{FuncPartition, Task, TaskPartition};
 use crate::transform::{apply_task_size, TaskSizeParams};
-
-/// Which paper heuristic family partitions the CFG — the closed,
-/// `Copy` subset of the policy registry (see [`crate::policies`] for
-/// the open, by-name surface that also covers `cost` and `oracle`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// One task per basic block (the paper's baseline).
-    BasicBlock,
-    /// Multi-block tasks grown greedily, exploiting reconvergence to stay
-    /// within the hardware target limit (§3.3).
-    ControlFlow,
-    /// Control-flow growth steered to include profiled register
-    /// dependences and their codependent sets (§3.4). Applied *on top of*
-    /// the control flow heuristic, as in the paper's evaluation.
-    DataDependence,
-}
-
-impl Strategy {
-    /// Short label used in reports ("bb", "cf", "dd") — also the
-    /// strategy's name in the policy registry.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Strategy::BasicBlock => "bb",
-            Strategy::ControlFlow => "cf",
-            Strategy::DataDependence => "dd",
-        }
-    }
-}
 
 /// The result of task selection: the (possibly transformed) program and
 /// its partition. The transformed program must be the one traced and
@@ -80,53 +49,31 @@ impl Selection {
 /// use ms_tasksel::{SelectorBuilder, Strategy};
 ///
 /// let selector = SelectorBuilder::new(Strategy::ControlFlow).max_targets(4).build();
-/// assert_eq!(selector.policy_name(), "cf");
-/// // Any registered policy is also reachable by name:
-/// let oracle = SelectorBuilder::named("oracle").unwrap().build();
-/// assert_eq!(oracle.policy_name(), "oracle");
+/// assert_eq!(selector.max_targets(), 4);
+/// // A strategy also parses from its label:
+/// assert_eq!("oracle".parse::<Strategy>(), Ok(Strategy::Oracle));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SelectorBuilder {
-    policy: &'static dyn SelectionPolicy,
+    strategy: Strategy,
     max_targets: usize,
     task_size: Option<TaskSizeParams>,
-    explore_limit: usize,
     cost_model: Option<CostModel>,
     oracle_max_blocks: usize,
 }
 
 impl SelectorBuilder {
     /// Starts a builder for `strategy` with the paper's defaults:
-    /// target limit 4, no task-size preprocessing, explore limit 64.
+    /// target limit 4, and task-size preprocessing only for
+    /// [`Strategy::TaskSize`] (with the default [`TaskSizeParams`]).
     pub fn new(strategy: Strategy) -> Self {
-        let policy = find_policy(strategy.label()).expect("paper strategies are registered");
-        SelectorBuilder::with_policy(policy)
-    }
-
-    /// Starts a builder for a registered policy instance (see
-    /// [`crate::policies`]).
-    pub fn with_policy(policy: &'static dyn SelectionPolicy) -> Self {
         SelectorBuilder {
-            policy,
+            strategy,
             max_targets: 4,
-            task_size: None,
-            explore_limit: 64,
+            task_size: (strategy == Strategy::TaskSize).then(TaskSizeParams::default),
             cost_model: None,
             oracle_max_blocks: DEFAULT_ORACLE_MAX_BLOCKS,
         }
-    }
-
-    /// Starts a builder for a policy by registry name ("bb", "cf",
-    /// "dd", "cost", "oracle"), plus "ts" — the data dependence policy
-    /// with default task-size preprocessing, as in the paper's fourth
-    /// evaluation bar. Unknown names report the nearest registered name.
-    pub fn named(name: &str) -> Result<Self, SelectError> {
-        if name == "ts" {
-            return Ok(
-                SelectorBuilder::new(Strategy::DataDependence).task_size(TaskSizeParams::default())
-            );
-        }
-        Ok(SelectorBuilder::with_policy(find_policy(name)?))
     }
 
     /// The hardware successor-target limit `N` (the paper evaluates 4).
@@ -146,19 +93,6 @@ impl SelectorBuilder {
     #[must_use]
     pub fn task_size(mut self, params: TaskSizeParams) -> Self {
         self.task_size = Some(params);
-        self
-    }
-
-    /// Overrides the safety cap on blocks explored per task growth
-    /// (default 64).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit == 0`.
-    #[must_use]
-    pub fn explore_limit(mut self, limit: usize) -> Self {
-        assert!(limit > 0, "explore limit must be positive");
-        self.explore_limit = limit;
         self
     }
 
@@ -188,10 +122,9 @@ impl SelectorBuilder {
     /// Finishes the builder.
     pub fn build(self) -> TaskSelector {
         TaskSelector {
-            policy: self.policy,
+            strategy: self.strategy,
             max_targets: self.max_targets,
             task_size: self.task_size,
-            explore_limit: self.explore_limit,
             cost_model: self.cost_model,
             oracle_max_blocks: self.oracle_max_blocks,
         }
@@ -232,20 +165,14 @@ impl SelectorBuilder {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TaskSelector {
-    policy: &'static dyn SelectionPolicy,
+    strategy: Strategy,
     max_targets: usize,
     task_size: Option<TaskSizeParams>,
-    explore_limit: usize,
     cost_model: Option<CostModel>,
     oracle_max_blocks: usize,
 }
 
 impl TaskSelector {
-    /// The configured policy's registry name ("bb", "cf", …).
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The configured target limit `N`.
     pub fn max_targets(&self) -> usize {
         self.max_targets
@@ -275,9 +202,14 @@ impl TaskSelector {
             let tasks = self.partition_function(fid, &ctx, included);
             funcs.push(FuncPartition::new(fid, tasks, func.num_blocks()));
         }
+        // `ts` partitions with `dd`, so its label is `dd+ts`.
+        let base = match self.strategy {
+            Strategy::TaskSize => Strategy::DataDependence,
+            s => s,
+        };
         let label = match &self.task_size {
-            None => self.policy.name().to_string(),
-            Some(_) => format!("{}+ts", self.policy.name()),
+            None => base.label().to_string(),
+            Some(_) => format!("{}+ts", base.label()),
         };
         let partition = TaskPartition::new(funcs, included_calls, label);
         debug_assert_eq!(partition.validate(&program).map_err(|e| e.to_string()), Ok(()));
@@ -305,14 +237,7 @@ impl TaskSelector {
         included: BTreeSet<BlockId>,
     ) -> Vec<Task> {
         let func = ctx.function(fid);
-        let grow = GrowCtx::new(
-            func,
-            ctx.order(fid),
-            ctx.loops(fid),
-            included,
-            self.max_targets,
-            self.explore_limit,
-        );
+        let grow = GrowCtx::new(func, ctx.order(fid), ctx.loops(fid), included, self.max_targets);
         let view = PolicyView {
             fid,
             ctx,
@@ -322,7 +247,14 @@ impl TaskSelector {
             oracle_max_blocks: self.oracle_max_blocks,
         };
         let mut state = PartitionState::new(func.num_blocks());
-        for task in self.policy.do_select(&view) {
+        let tasks = match self.strategy {
+            Strategy::BasicBlock => policy::basic_block(&view),
+            Strategy::ControlFlow => policy::control_flow(&view),
+            Strategy::DataDependence | Strategy::TaskSize => policy::data_dependence(&view),
+            Strategy::Cost => policy::cost(&view),
+            Strategy::Oracle => policy::oracle(&view),
+        };
+        for task in tasks {
             state.push(task);
         }
         repair_single_entry(func, &grow, &mut state);
@@ -480,7 +412,7 @@ mod tests {
     }
 
     /// Multi-function program with calls: everything validates and call
-    /// return blocks are task entries, across every registered policy.
+    /// return blocks are task entries, under every strategy.
     #[test]
     fn calls_split_tasks_and_validate() {
         let mut pb = ProgramBuilder::new();
@@ -503,12 +435,8 @@ mod tests {
         fb.set_terminator(l0, Terminator::Return);
         pb.define_function(leaf, fb.finish(l0).unwrap());
         let p = pb.finish(m).unwrap();
-        let mut sels: Vec<Selection> = crate::policies()
-            .iter()
-            .map(|pol| SelectorBuilder::with_policy(*pol).max_targets(4).build().select(&ctx(&p)))
-            .collect();
-        sels.push(SelectorBuilder::named("ts").unwrap().max_targets(4).build().select(&ctx(&p)));
-        for sel in sels {
+        for strategy in Strategy::extended() {
+            let sel = strategy.selector(4).select(&ctx(&p));
             assert!(sel.partition.validate(&sel.program).is_ok(), "{}", sel.partition.strategy());
         }
     }
@@ -542,23 +470,6 @@ mod tests {
         assert!(sel.program.function(p.entry()).num_blocks() > 3);
         assert!(sel.partition.validate(&sel.program).is_ok());
         assert_eq!(sel.partition.strategy(), "cf+ts");
-    }
-
-    /// `named` resolves every registry name and suggests on a typo.
-    #[test]
-    fn named_builder_round_trips_and_suggests() {
-        for name in crate::policy_names() {
-            let sel = SelectorBuilder::named(name).unwrap().build();
-            let expect = if name == "ts" { "dd" } else { name };
-            assert_eq!(sel.policy_name(), expect);
-        }
-        match SelectorBuilder::named("cosr") {
-            Err(SelectError::UnknownPolicy { name, suggestion }) => {
-                assert_eq!(name, "cosr");
-                assert_eq!(suggestion, Some("cost"));
-            }
-            other => panic!("expected UnknownPolicy, got {other:?}"),
-        }
     }
 
     #[test]

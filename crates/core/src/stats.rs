@@ -176,7 +176,7 @@ impl fmt::Display for PartitionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selector::{SelectorBuilder, Strategy};
+    use crate::{SelectorBuilder, Strategy};
     use ms_analysis::ProgramContext;
     use ms_ir::{BranchBehavior, FunctionBuilder, Opcode, ProgramBuilder, Reg, Terminator};
 

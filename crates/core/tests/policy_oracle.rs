@@ -1,11 +1,11 @@
-//! Policy-registry round-trips and oracle-vs-heuristic agreement.
+//! Strategy round-trips and oracle-vs-heuristic agreement.
 //!
 //! The oracle's claim is *exactness* for the boundary objective
 //! (Σ task-entry global frequencies): on CFGs small enough that the
 //! greedy control-flow growth is provably optimal — straight lines and
 //! reconverging diamonds collapse to one task — the oracle must agree
 //! with it, and on every CFG the oracle's objective must never exceed
-//! any registered policy's.
+//! any other strategy's.
 
 use std::collections::BTreeSet;
 
@@ -14,7 +14,7 @@ use ms_ir::{
     BlockId, BlockRef, BranchBehavior, FunctionBuilder, Opcode, Program, ProgramBuilder, Reg,
     Terminator,
 };
-use ms_tasksel::{policies, policy_names, SelectError, Selection, SelectorBuilder};
+use ms_tasksel::{SelectError, Selection, SelectorBuilder, Strategy};
 
 fn build(fb: FunctionBuilder, entry: BlockId) -> Program {
     let mut pb = ProgramBuilder::new();
@@ -27,12 +27,8 @@ fn branch(taken: BlockId, fall: BlockId) -> Terminator {
     Terminator::Branch { taken, fall, cond: vec![], behavior: BranchBehavior::Taken(0.5) }
 }
 
-fn select(name: &str, program: &Program) -> Selection {
-    SelectorBuilder::named(name)
-        .unwrap()
-        .max_targets(4)
-        .build()
-        .select(&ProgramContext::new(program.clone()))
+fn select(strategy: Strategy, program: &Program) -> Selection {
+    strategy.selector(4).select(&ProgramContext::new(program.clone()))
 }
 
 /// Σ task-entry global frequencies — the oracle's objective.
@@ -94,17 +90,14 @@ fn looped() -> Program {
     build(fb, entry)
 }
 
-/// Registry round-trip: every listed policy (including the `ts`
-/// pseudo-policy) selects a valid partition on a canonical program, and
-/// the registry itself is internally consistent.
+/// Every strategy selects a valid partition on a canonical program.
 #[test]
 fn every_listed_policy_selects_on_a_canonical_program() {
-    assert_eq!(policy_names(), vec!["bb", "cf", "dd", "cost", "oracle", "ts"]);
-    assert_eq!(policies().len(), 5);
     let programs = [diamond(), straight_line(6), looped()];
     for program in &programs {
-        for name in policy_names() {
-            let sel = select(name, program);
+        for strategy in Strategy::extended() {
+            let name = strategy.label();
+            let sel = select(strategy, program);
             assert!(
                 sel.partition.validate(&sel.program).is_ok(),
                 "policy `{name}` produced an invalid partition"
@@ -122,14 +115,14 @@ fn every_listed_policy_selects_on_a_canonical_program() {
 
 #[test]
 fn unknown_policy_names_suggest_the_nearest() {
-    match SelectorBuilder::named("oracel") {
+    match "oracel".parse::<Strategy>() {
         Err(SelectError::UnknownPolicy { name, suggestion }) => {
             assert_eq!(name, "oracel");
             assert_eq!(suggestion, Some("oracle"));
         }
         other => panic!("expected a suggestion, got {other:?}"),
     }
-    match SelectorBuilder::named("qqqqqqqqqqqq") {
+    match "qqqqqqqqqqqq".parse::<Strategy>() {
         Err(SelectError::UnknownPolicy { suggestion, .. }) => assert_eq!(suggestion, None),
         other => panic!("expected no suggestion, got {other:?}"),
     }
@@ -140,8 +133,8 @@ fn unknown_policy_names_suggest_the_nearest() {
 #[test]
 fn oracle_agrees_with_greedy_on_a_diamond() {
     let p = diamond();
-    let cf = select("cf", &p);
-    let oracle = select("oracle", &p);
+    let cf = select(Strategy::ControlFlow, &p);
+    let oracle = select(Strategy::Oracle, &p);
     assert_eq!(cf.partition.num_tasks(), 1);
     assert_eq!(oracle.partition.num_tasks(), 1);
     assert_eq!(objective(&cf), objective(&oracle));
@@ -151,8 +144,8 @@ fn oracle_agrees_with_greedy_on_a_diamond() {
 #[test]
 fn oracle_agrees_with_greedy_on_a_straight_line() {
     let p = straight_line(8);
-    let cf = select("cf", &p);
-    let oracle = select("oracle", &p);
+    let cf = select(Strategy::ControlFlow, &p);
+    let oracle = select(Strategy::Oracle, &p);
     assert_eq!(cf.partition.num_tasks(), 1);
     assert_eq!(oracle.partition.num_tasks(), 1);
     assert_eq!(objective(&cf), objective(&oracle));
@@ -163,12 +156,15 @@ fn oracle_agrees_with_greedy_on_a_straight_line() {
 #[test]
 fn oracle_objective_is_a_lower_bound() {
     for program in [diamond(), straight_line(5), looped()] {
-        let oracle_obj = objective(&select("oracle", &program));
-        for name in ["bb", "cf", "dd", "cost"] {
-            let obj = objective(&select(name, &program));
+        let oracle_obj = objective(&select(Strategy::Oracle, &program));
+        for strategy in
+            [Strategy::BasicBlock, Strategy::ControlFlow, Strategy::DataDependence, Strategy::Cost]
+        {
+            let obj = objective(&select(strategy, &program));
             assert!(
                 oracle_obj <= obj + 1e-9,
-                "oracle objective {oracle_obj} exceeds `{name}`'s {obj}"
+                "oracle objective {oracle_obj} exceeds `{}`'s {obj}",
+                strategy.label()
             );
         }
     }
@@ -180,7 +176,7 @@ fn oracle_objective_is_a_lower_bound() {
 #[test]
 fn oracle_keeps_loop_iterations_as_tasks() {
     let p = looped();
-    let sel = select("oracle", &p);
+    let sel = select(Strategy::Oracle, &p);
     let fp = &sel.partition.funcs()[0];
     let head = BlockId::new(1);
     let head_task = fp.task_of(head).unwrap();
@@ -211,7 +207,7 @@ fn oracle_respects_the_target_limit() {
     }
     fb.set_terminator(join, Terminator::Halt);
     let p = build(fb, pre);
-    let sel = select("oracle", &p);
+    let sel = select(Strategy::Oracle, &p);
     assert!(sel.partition.validate(&sel.program).is_ok());
     let included = BTreeSet::new();
     for fp in sel.partition.funcs() {
@@ -234,9 +230,8 @@ fn oracle_respects_the_target_limit() {
 fn oracle_cutoff_gates_the_exact_search() {
     let p = looped();
     let ctx = ProgramContext::new(p.clone());
-    let exact = SelectorBuilder::named("oracle").unwrap().max_targets(4).build().select(&ctx);
-    let fallback = SelectorBuilder::named("oracle")
-        .unwrap()
+    let exact = Strategy::Oracle.selector(4).select(&ctx);
+    let fallback = SelectorBuilder::new(Strategy::Oracle)
         .max_targets(4)
         .oracle_max_blocks(1)
         .build()

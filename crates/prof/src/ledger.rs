@@ -240,6 +240,8 @@ pub struct RunLedger {
     id: String,
     start: Instant,
     events: Vec<String>,
+    /// How many of `events` are `cell` events.
+    cells: usize,
     artifacts: Vec<String>,
 }
 
@@ -311,7 +313,14 @@ impl RunLedger {
         ]);
         let mut file = std::fs::File::create(&path)?;
         writeln!(file, "{}", header.to_json())?;
-        Ok(RunLedger { path, id, start: Instant::now(), events: Vec::new(), artifacts: Vec::new() })
+        Ok(RunLedger {
+            path,
+            id,
+            start: Instant::now(),
+            events: Vec::new(),
+            cells: 0,
+            artifacts: Vec::new(),
+        })
     }
 
     /// The record's id (file stem): `<ts>-<git>-<cmd>`.
@@ -328,6 +337,9 @@ impl RunLedger {
     /// `fields` follow in order. Events carry no timestamps — see the
     /// module docs for why.
     pub fn event(&mut self, kind: &str, fields: Vec<(&str, Value)>) {
+        if kind == "cell" {
+            self.cells += 1;
+        }
         let mut all = vec![
             ("record", Value::Str("event".to_string())),
             ("event", Value::Str(kind.to_string())),
@@ -349,7 +361,6 @@ impl RunLedger {
         exit_code: i32,
         progress: &ProgressSnapshot,
     ) -> std::io::Result<PathBuf> {
-        let cells = self.events.iter().filter(|e| is_cell_event(e)).count();
         let workers = Value::Arr(
             progress
                 .workers
@@ -368,7 +379,7 @@ impl RunLedger {
             ("exit_code", Value::Num(exit_code as f64)),
             ("duration_ns", Value::Num(self.start.elapsed().as_nanos() as f64)),
             ("events", Value::Num(self.events.len() as f64)),
-            ("cells", Value::Num(cells as f64)),
+            ("cells", Value::Num(self.cells as f64)),
             (
                 "artifacts",
                 Value::Arr(self.artifacts.iter().map(|a| Value::Str(a.clone())).collect()),
@@ -397,13 +408,6 @@ impl RunLedger {
         file.write_all(body.as_bytes())?;
         Ok(self.path)
     }
-}
-
-fn is_cell_event(line: &str) -> bool {
-    jsonv::parse(line)
-        .ok()
-        .and_then(|v| v.get("event").and_then(Value::as_str).map(|e| e == "cell"))
-        .unwrap_or(false)
 }
 
 // ------------------------------------------------------------- reading
@@ -553,10 +557,6 @@ pub fn parse_record(text: &str) -> Result<RunRecord, String> {
             }
             Some(other) => return Err(format!("line {}: unknown record `{other}`", i + 2)),
             None => return Err(format!("line {}: missing `record` tag", i + 2)),
-        }
-        if rec.outcome.is_some() {
-            // The footer must be the physically-last line.
-            continue;
         }
     }
     Ok(rec)

@@ -23,8 +23,8 @@
 # 8. profiler smoke: one small `run -- perf` must exit 0 and write its
 #    Chrome pipeline view (docs/PROFILING.md; comparing timings is the
 #    repository benchmark's job, see BENCHMARK.json),
-# 9. conformance fuzz smoke: 25 random programs x every registered
-#    selection policy must match the sequential reference model
+# 9. conformance fuzz smoke: 25 random programs x every selection
+#    strategy must match the sequential reference model
 #    (docs/CONFORMANCE.md),
 # 10. run-ledger smoke: a small sweep must leave a run record that
 #    passes `run -- runs-validate` and shows up in `run -- runs`;

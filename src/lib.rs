@@ -27,6 +27,12 @@
 //! assert!(stats.ipc() > 0.0);
 //! ```
 
+// `cargo test` compiles and runs the README's Rust blocks, so the
+// README cannot name an API that is gone.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+mod readme {}
+
 pub use ms_analysis as analysis;
 pub use ms_ir as ir;
 pub use ms_sim as sim;
@@ -40,8 +46,8 @@ pub mod prelude {
     pub use ms_ir::{Program, ProgramBuilder};
     pub use ms_sim::{SimConfig, SimStats, Simulator};
     pub use ms_tasksel::{
-        CostModel, Selection, SelectionPolicy, SelectorBuilder, Strategy, TaskPartition,
-        TaskSelector, TaskSizeParams,
+        CostModel, Selection, SelectorBuilder, Strategy, TaskPartition, TaskSelector,
+        TaskSizeParams,
     };
     pub use ms_trace::{split_tasks, Trace, TraceGenerator};
 }

@@ -157,9 +157,9 @@ fn snapshot_covers_the_new_surface() {
         "pub fn select(&self, ctx: &ProgramContext)",
         "pub struct ProgramContext",
         "pub struct SelectorBuilder",
-        "pub trait SelectionPolicy",
+        "pub enum Strategy",
         "pub struct CostModel",
-        "pub fn find_policy",
+        "pub fn summary(&self) -> &'static str",
         "pub enum SweepSpec",
         "pub enum BenchError",
         "pub enum IrError",
