@@ -81,7 +81,7 @@ use ms_bench::gapcmd::{self, GapOptions};
 use ms_bench::perfcmd::{self, PerfOptions};
 use ms_bench::progress::{ProgressLine, SweepObserver};
 use ms_bench::runscmd;
-use ms_bench::sweeps::{run_suite, SweepSpec, SWEEP_NAMES};
+use ms_bench::sweeps::{run_suite, SweepSpec};
 use ms_bench::tracecmd::trace_selection;
 use ms_bench::{run_selection, BenchError, DEFAULT_TRACE_INSTS};
 use ms_conform::FuzzParams;
@@ -194,7 +194,7 @@ fn run_one(name: &str, program: Program, flags: &Flags) {
 fn unknown_benchmark(name: &str) -> i32 {
     // The name could be a misspelled sweep, subcommand or benchmark —
     // suggest the nearest match from whichever namespace is closest.
-    if let Some(s) = closest(name, &SWEEP_NAMES) {
+    if let Some(s) = closest(name, &SweepSpec::ALL.map(SweepSpec::name)) {
         let e = BenchError::UnknownSweep { name: name.to_string(), suggestion: Some(s) };
         eprintln!("error: {e}");
     } else if let Some(s) = closest(name, &cli::subcommand_names()) {
@@ -487,8 +487,8 @@ fn real_main() -> i32 {
 
     // Every artifact-producing subcommand leaves a run record; queries
     // (`list`, `runs`, validators) and ad-hoc single runs do not.
-    let ledgered =
-        matches!(cmd, "sweeps" | "perf" | "trace" | "fuzz" | "gap") || SWEEP_NAMES.contains(&cmd);
+    let sweep = SweepSpec::parse(cmd).ok();
+    let ledgered = matches!(cmd, "sweeps" | "perf" | "trace" | "fuzz" | "gap") || sweep.is_some();
     let mut led = if ledgered { open_ledger(cmd, &flags) } else { None };
 
     let mut progress = ProgressSnapshot::default();
@@ -525,9 +525,8 @@ fn real_main() -> i32 {
             progress = snap;
             code
         }
-        name if SWEEP_NAMES.contains(&name) => {
-            let spec = SweepSpec::parse(name).expect("name is in SWEEP_NAMES");
-            let (code, snap) = run_sweeps(&[spec], &flags, &mut led);
+        _ if sweep.is_some() => {
+            let (code, snap) = run_sweeps(sweep.as_slice(), &flags, &mut led);
             progress = snap;
             code
         }

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 
 use crate::error::{closest, BenchError};
 use crate::perfcmd::DEFAULT_PERF_REPS;
-use crate::sweeps::SWEEP_NAMES;
+use crate::sweeps::SweepSpec;
 use ms_tasksel::{SelectError, Strategy};
 
 /// Every flag any `run` subcommand accepts, with its default. Flags
@@ -166,7 +166,8 @@ pub struct FlagSpec {
     pub metavar: Option<&'static str>,
     /// The help section the flag renders under.
     pub group: FlagGroup,
-    /// One help line.
+    /// One help line; `{strategies}` renders as the `|`-joined
+    /// [`Strategy::extended`] labels.
     pub help: &'static str,
     /// Rendered as ` (default …)` in the help, computed because some
     /// defaults are runtime values (core count) or library constants.
@@ -235,7 +236,7 @@ pub static FLAGS: &[FlagSpec] = &[
         name: "--strategy",
         metavar: Some("NAME"),
         group: FlagGroup::SingleRun,
-        help: "selection policy: bb|cf|dd|ts|cost|oracle (see `run -- policies`)",
+        help: "selection policy: {strategies} (see `run -- policies`)",
         default: Some(|| Strategy::ControlFlow.label().to_string()),
         apply: Apply::Value(|f, v| {
             f.strategy = v.parse().map_err(|e| {
@@ -454,7 +455,7 @@ pub struct SubcommandSpec {
 }
 
 /// Every subcommand, in help order. The eight sweep names are listed
-/// as one entry (expanded from [`SWEEP_NAMES`] when rendering).
+/// as one entry (expanded from [`SweepSpec::ALL`] when rendering).
 pub static SUBCOMMANDS: &[SubcommandSpec] = &[
     SubcommandSpec {
         name: "<benchmark>",
@@ -514,7 +515,7 @@ pub static SUBCOMMANDS: &[SubcommandSpec] = &[
     SubcommandSpec {
         name: "policies",
         operands: "",
-        about: &["the selection-policy registry, one line per policy"],
+        about: &["the selection strategies, one line per policy"],
         schema: None,
     },
     SubcommandSpec {
@@ -620,9 +621,11 @@ pub fn help_text() -> String {
             }
         }
         if spec.name == "<sweep>" {
-            let _ = writeln!(out, "  {:<22} {}", "", SWEEP_NAMES.join(" | "));
+            let _ =
+                writeln!(out, "  {:<22} {}", "", SweepSpec::ALL.map(SweepSpec::name).join(" | "));
         }
     }
+    let strategies = Strategy::extended().map(|s| s.label()).join("|");
     for group in FlagGroup::ORDER {
         let _ = writeln!(out, "\n{}", group.title());
         for spec in FLAGS.iter().filter(|s| s.group == group) {
@@ -631,7 +634,8 @@ pub fn help_text() -> String {
                 None => spec.name.to_string(),
             };
             let default = spec.default.map(|d| format!(" (default {})", d())).unwrap_or_default();
-            let _ = writeln!(out, "  {invocation:<22} {}{default}", spec.help);
+            let help = spec.help.replace("{strategies}", &strategies);
+            let _ = writeln!(out, "  {invocation:<22} {help}{default}");
         }
     }
     out
@@ -656,12 +660,12 @@ pub fn list_text() -> String {
     use std::fmt::Write;
     let mut out = String::new();
     out.push_str("sweeps (per-cell metrics artifacts under --out):\n");
-    for spec in crate::sweeps::SweepSpec::ALL {
+    for spec in SweepSpec::ALL {
         let _ = writeln!(
             out,
             "  {:<12} schema v{}  {}",
             spec.name(),
-            spec.schema_version(),
+            crate::sweeps::SCHEMA_VERSION,
             spec.describe()
         );
     }
@@ -752,7 +756,7 @@ mod tests {
         for cmd in subcommand_names() {
             assert!(text.contains(cmd), "help must mention `{cmd}`");
         }
-        for sweep in SWEEP_NAMES {
+        for sweep in SweepSpec::ALL.map(SweepSpec::name) {
             assert!(text.contains(sweep), "help must mention sweep `{sweep}`");
         }
         assert!(text.contains(&format!("metrics schema v{}", crate::sweeps::SCHEMA_VERSION)));

@@ -49,11 +49,6 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// grids use [`DEFAULT_TRACE_INSTS`]).
 pub const SWEEP_TRACE_INSTS: usize = 60_000;
 
-/// All sweep names the driver accepts, in `all` execution order
-/// (always `SweepSpec::ALL`'s names, in the same order).
-pub const SWEEP_NAMES: [&str; 8] =
-    ["figure5", "table1", "targets", "thresholds", "pus", "forwarding", "predication", "hardware"];
-
 /// Typed identity of one experiment sweep — the registry behind the
 /// driver's sweep subcommands, replacing stringly-typed dispatch.
 /// Convert a user-supplied name with [`SweepSpec::parse`]; enumerate
@@ -120,18 +115,13 @@ impl SweepSpec {
         }
     }
 
-    /// The schema version of the per-cell artifacts this sweep writes.
-    pub fn schema_version(self) -> u32 {
-        SCHEMA_VERSION
-    }
-
     /// Resolves a user-supplied sweep name; unknown names report the
     /// nearest registered sweep.
     pub fn parse(name: &str) -> Result<SweepSpec, BenchError> {
         SweepSpec::ALL.into_iter().find(|s| s.name() == name).ok_or_else(|| {
             BenchError::UnknownSweep {
                 name: name.to_string(),
-                suggestion: closest(name, &SWEEP_NAMES),
+                suggestion: closest(name, &SweepSpec::ALL.map(SweepSpec::name)),
             }
         })
     }
@@ -1162,10 +1152,8 @@ mod tests {
 
     #[test]
     fn sweep_spec_round_trips_every_name() {
-        for (spec, name) in SweepSpec::ALL.into_iter().zip(SWEEP_NAMES) {
-            assert_eq!(spec.name(), name, "SWEEP_NAMES out of sync with SweepSpec::ALL");
-            assert_eq!(SweepSpec::parse(name).unwrap(), spec);
-            assert_eq!(spec.schema_version(), SCHEMA_VERSION);
+        for spec in SweepSpec::ALL {
+            assert_eq!(SweepSpec::parse(spec.name()).unwrap(), spec);
             assert!(!spec.describe().is_empty());
         }
     }

@@ -55,7 +55,7 @@ fn list_text_names_every_benchmark_and_sweep() {
     for w in ms_workloads::suite() {
         assert!(text.contains(w.name), "list must mention benchmark `{}`", w.name);
     }
-    for name in ms_bench::sweeps::SWEEP_NAMES {
+    for name in ms_bench::sweeps::SweepSpec::ALL.map(|s| s.name()) {
         assert!(text.contains(name), "list must mention sweep `{name}`");
     }
 }

@@ -35,7 +35,7 @@ const SPARSE_WAYS_THRESHOLD: u64 = 8192;
 
 /// A set-associative LRU cache (tags only).
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub(crate) struct Cache {
     ways: Ways,
     assoc: usize,
     line_shift: u32,
@@ -53,7 +53,7 @@ impl Cache {
     ///
     /// Panics if the parameters are not powers of two or the cache has
     /// fewer than one set.
-    pub fn new(p: CacheParams) -> Self {
+    pub(crate) fn new(p: CacheParams) -> Self {
         assert!(p.line.is_power_of_two(), "line size must be a power of two");
         let num_lines = p.size / p.line;
         let num_sets = (num_lines / p.assoc as u64).max(1);
@@ -77,7 +77,7 @@ impl Cache {
 
     /// Accesses `addr`; returns `true` on hit and fills the line on miss.
     #[inline]
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         self.stamp += 1;
         let line = addr >> self.line_shift;
         let set = line & self.set_mask;
@@ -112,19 +112,19 @@ impl Cache {
     }
 
     /// The hit latency in cycles.
-    pub fn hit_latency(&self) -> u32 {
+    pub(crate) fn hit_latency(&self) -> u32 {
         self.hit_latency
     }
 
     /// (hits, misses) counters.
-    pub fn counters(&self) -> (u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }
 
 /// The L1 → L2 → memory hierarchy for one access stream.
 #[derive(Debug, Clone)]
-pub struct Hierarchy {
+pub(crate) struct Hierarchy {
     l1: Cache,
     l2: Cache,
     mem_latency: u32,
@@ -133,13 +133,13 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// Builds a hierarchy (the L2 is private to this stream in the
     /// model; the engine instantiates one hierarchy per stream kind).
-    pub fn new(l1: CacheParams, l2: CacheParams, mem_latency: u32) -> Self {
+    pub(crate) fn new(l1: CacheParams, l2: CacheParams, mem_latency: u32) -> Self {
         Hierarchy { l1: Cache::new(l1), l2: Cache::new(l2), mem_latency }
     }
 
     /// Total access latency for `addr`.
     #[inline]
-    pub fn access(&mut self, addr: u64) -> u32 {
+    pub(crate) fn access(&mut self, addr: u64) -> u32 {
         if self.l1.access(addr) {
             return self.l1.hit_latency();
         }
@@ -150,7 +150,7 @@ impl Hierarchy {
     }
 
     /// (L1 hits, L1 misses) counters.
-    pub fn l1_counters(&self) -> (u64, u64) {
+    pub(crate) fn l1_counters(&self) -> (u64, u64) {
         self.l1.counters()
     }
 }

@@ -43,7 +43,12 @@ use ms_tasksel::{TaskPartition, TaskTarget};
 use ms_trace::{split_tasks, CtOutcome, DynExit, DynTask, Trace};
 
 use crate::cache::{Cache, Hierarchy};
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, ARB_HIT_LATENCY, BRANCH_MISPREDICT_PENALTY, FU_COUNTS, GSHARE_HISTORY_BITS,
+    GSHARE_TABLE_BITS, ISSUE_LIST, ISSUE_WIDTH, L1_HIT_LATENCY, L1_LINE, L2, MEM_LATENCY,
+    RING_HOP_LATENCY, ROB_SIZE, SQUASH_RESTART, TASK_CACHE, TASK_MISPREDICT_RESTART,
+    TASK_PRED_HISTORY_BITS, TASK_PRED_TABLE_BITS,
+};
 use crate::event::{NullSink, SimEvent, SquashCause, TraceSink};
 use crate::predictor::{Gshare, TaskPredictor};
 use crate::stats::{CycleBreakdown, SimStats};
@@ -424,13 +429,13 @@ impl<'e> Engine<'e> {
         Engine {
             cfg,
             img,
-            icache: Hierarchy::new(cfg.l1i, cfg.l2, cfg.mem_latency),
-            dcache: Hierarchy::new(cfg.l1d, cfg.l2, cfg.mem_latency),
-            task_cache: Cache::new(cfg.task_cache),
-            task_pred: TaskPredictor::new(cfg.task_pred_history_bits, cfg.task_pred_table_bits),
+            icache: Hierarchy::new(cfg.l1(), L2, MEM_LATENCY),
+            dcache: Hierarchy::new(cfg.l1(), L2, MEM_LATENCY),
+            task_cache: Cache::new(TASK_CACHE),
+            task_pred: TaskPredictor::new(TASK_PRED_HISTORY_BITS, TASK_PRED_TABLE_BITS),
             pus: (0..cfg.num_pus)
                 .map(|_| PuState {
-                    gshare: Gshare::new(cfg.gshare_history_bits, cfg.gshare_table_bits),
+                    gshare: Gshare::new(GSHARE_HISTORY_BITS, GSHARE_TABLE_BITS),
                     indirect: FxMap::default(),
                     ring_slots: Vec::with_capacity(RING_WINDOW_RESERVE),
                     ring_base: 0,
@@ -477,7 +482,7 @@ impl<'e> Engine<'e> {
             // wrong path: squash it and restart from the resolved
             // target.
             self.stats.ctrl_squashes += 1;
-            let restart = self.prev_resolve + self.cfg.task_mispredict_restart as u64;
+            let restart = self.prev_resolve + TASK_MISPREDICT_RESTART as u64;
             let lost = restart.saturating_sub(dispatch);
             if sink.enabled() {
                 sink.event(&SimEvent::TaskSquash {
@@ -499,7 +504,7 @@ impl<'e> Engine<'e> {
         let entry_pc = self.img.task_entry_pc[k];
         let desc_miss = !self.task_cache.access(entry_pc);
         if desc_miss {
-            dispatch += self.cfg.l2.hit_latency as u64;
+            dispatch += L2.hit_latency as u64;
         }
         if sink.enabled() {
             sink.event(&SimEvent::TaskDispatch {
@@ -525,7 +530,7 @@ impl<'e> Engine<'e> {
                     let insts = self.scratch.attempt.insts;
                     self.stats.violations += 1;
                     self.stats.squashed_insts += insts;
-                    let restart = v.cycle + self.cfg.squash_restart as u64;
+                    let restart = v.cycle + SQUASH_RESTART as u64;
                     let lost = restart.saturating_sub(dispatch);
                     self.stats.breakdown.mem_misspec += lost;
                     if sink.enabled() {
@@ -807,8 +812,7 @@ impl<'e> Engine<'e> {
         let issue_slots = &mut scratch.issue_slots; // cycle − fetch_base → issued
         issue_slots.clear();
         let fu_free = &mut scratch.fu_free;
-        let fu_counts = [cfg.fus.int, cfg.fus.fp, cfg.fus.branch, cfg.fus.mem];
-        for (units, &n) in fu_free.iter_mut().zip(&fu_counts) {
+        for (units, &n) in fu_free.iter_mut().zip(&FU_COUNTS) {
             units.clear();
             units.resize(n as usize, 0);
         }
@@ -817,8 +821,7 @@ impl<'e> Engine<'e> {
         let mut last_issue = 0u64;
         // Cache line sizes are asserted powers of two (`Cache::new`), so
         // line mapping is a shift — not a 64-bit divide per instruction.
-        let l1i_shift = cfg.l1i.line.trailing_zeros();
-        let l1d_shift = cfg.l1d.line.trailing_zeros();
+        let l1_shift = L1_LINE.trailing_zeros();
         let mem_lines = &mut scratch.mem_lines;
         mem_lines.clear();
         let mut arb_overflow = false;
@@ -862,18 +865,18 @@ impl<'e> Engine<'e> {
                 let flags = flags_col[i];
                 let pc = pc0 + 4 * i as u64;
                 // ---- Fetch ----
-                let line = pc >> l1i_shift;
+                let line = pc >> l1_shift;
                 if line != cur_line {
                     cur_line = line;
                     let lat = icache.access(pc);
-                    if lat > cfg.l1i.hit_latency {
-                        let stall = (lat - cfg.l1i.hit_latency) as u64;
+                    if lat > L1_HIT_LATENCY {
+                        let stall = (lat - L1_HIT_LATENCY) as u64;
                         fetch_cycle += stall;
                         fetched = 0;
                         w_front_acc += stall;
                     }
                 }
-                if fetched >= cfg.issue_width {
+                if fetched >= ISSUE_WIDTH {
                     fetch_cycle += 1;
                     fetched = 0;
                 }
@@ -899,7 +902,7 @@ impl<'e> Engine<'e> {
                         if !retired {
                             let m = (k - rs.task) as u64; // 1..P-1 in flight
                             let hops = m.min(p as u64);
-                            let arrival = rs.send + (hops - 1) * cfg.ring_hop_latency as u64;
+                            let arrival = rs.send + (hops - 1) * RING_HOP_LATENCY as u64;
                             if arrival > inter_ready {
                                 inter_ready = arrival;
                                 inter_src = Some((rs.task, d));
@@ -919,13 +922,13 @@ impl<'e> Engine<'e> {
                 }
 
                 // ---- Window constraints ----
-                if i_row >= cfg.rob_size as usize {
-                    ready = ready.max(window[i_row - cfg.rob_size as usize].1);
+                if i_row >= ROB_SIZE as usize {
+                    ready = ready.max(window[i_row - ROB_SIZE as usize].1);
                 }
                 if cfg.in_order {
                     ready = ready.max(last_issue);
-                } else if i_row >= cfg.issue_list as usize {
-                    ready = ready.max(window[i_row - cfg.issue_list as usize].0);
+                } else if i_row >= ISSUE_LIST as usize {
+                    ready = ready.max(window[i_row - ISSUE_LIST as usize].0);
                 }
 
                 // ---- Issue slot + FU ----
@@ -946,7 +949,7 @@ impl<'e> Engine<'e> {
                         if off >= issue_slots.len() {
                             issue_slots.resize(off + 8, 0);
                         }
-                        if issue_slots[off] < cfg.issue_width {
+                        if issue_slots[off] < ISSUE_WIDTH {
                             issue_slots[off] += 1;
                             break;
                         }
@@ -973,7 +976,7 @@ impl<'e> Engine<'e> {
                     if flags & F_LOAD != 0 {
                         let addr = mem_addrs[mem_col[i] as usize];
                         // ARB capacity.
-                        let line = addr >> l1d_shift;
+                        let line = addr >> l1_shift;
                         mem_lines.insert(line);
                         if mem_lines.len() > cfg.arb_entries_per_pu as usize && c < head_free {
                             let stall = head_free - c;
@@ -1001,7 +1004,7 @@ impl<'e> Engine<'e> {
                                 let wait = (ss.complete + 1).saturating_sub(c);
                                 w_mem_acc += wait;
                                 c += wait;
-                                lat = cfg.arb_hit_latency as u64;
+                                lat = ARB_HIT_LATENCY as u64;
                             } else if ss.complete > c {
                                 // Premature load: violation when the
                                 // store completes.
@@ -1013,10 +1016,10 @@ impl<'e> Engine<'e> {
                                         store_pc: ss.pc,
                                     });
                                 }
-                                lat = cfg.arb_hit_latency as u64;
+                                lat = ARB_HIT_LATENCY as u64;
                             } else {
                                 // ARB forwards the speculative value.
-                                lat = cfg.arb_hit_latency as u64;
+                                lat = ARB_HIT_LATENCY as u64;
                             }
                         } else {
                             lat = dcache.access(addr) as u64;
@@ -1026,7 +1029,7 @@ impl<'e> Engine<'e> {
                         complete = c + lat;
                     } else {
                         let addr = mem_addrs[mem_col[i] as usize];
-                        let line = addr >> l1d_shift;
+                        let line = addr >> l1_shift;
                         mem_lines.insert(line);
                         if mem_lines.len() > cfg.arb_entries_per_pu as usize && c < head_free {
                             let stall = head_free - c;
@@ -1068,7 +1071,7 @@ impl<'e> Engine<'e> {
                         if correct {
                             br_hits_acc += 1;
                         } else {
-                            let redirect = complete + cfg.branch_mispredict_penalty as u64;
+                            let redirect = complete + BRANCH_MISPREDICT_PENALTY as u64;
                             if redirect > fetch_cycle {
                                 w_front_acc += redirect - fetch_cycle;
                                 fetch_cycle = redirect;
@@ -1121,7 +1124,7 @@ fn account(cfg: &SimConfig, b: &mut CycleBreakdown, a: &Attempt, dispatch: u64, 
     b.load_imbalance += imbalance;
     b.end_overhead += cfg.task_end_overhead as u64;
     let exec_span = a.complete.saturating_sub(dispatch + cfg.task_start_overhead as u64);
-    let ideal = a.insts.div_ceil(cfg.issue_width as u64).max(1);
+    let ideal = a.insts.div_ceil(ISSUE_WIDTH as u64).max(1);
     let stall = exec_span.saturating_sub(ideal);
     b.useful += exec_span.min(ideal);
     let weights =

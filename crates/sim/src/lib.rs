@@ -9,6 +9,12 @@
 //! adjacent bypass), an Address Resolution Buffer with a 256-entry memory
 //! dependence synchronisation table, and an L1/L2/memory hierarchy.
 //!
+//! The paper evaluates one machine, so those parameters are constants
+//! of the timing model. [`SimConfig`] holds only the ones its
+//! experiments vary: the PU count, in-order issue, dead register
+//! analysis, ring bandwidth, ARB entries and sync-table entries, plus
+//! the two task overheads and a test-only fault switch.
+//!
 //! The simulator is trace-driven: it consumes the correct-path dynamic
 //! task sequence (from [`ms_trace`]) and models control misspeculation as
 //! wrong-path occupancy + restart, and memory dependence misspeculation
@@ -69,9 +75,8 @@ mod stats;
 pub mod swar;
 mod table;
 
-pub use cache::{Cache, Hierarchy};
 pub use check::{CheckSink, CommitRec, DispatchRec, MemSquashRec};
-pub use config::{CacheParams, FuCounts, SimConfig};
+pub use config::SimConfig;
 pub use engine::{ProgramImage, Simulator};
 
 /// Version of the timing model itself. Bump whenever a change alters
@@ -83,6 +88,5 @@ pub use engine::{ProgramImage, Simulator};
 /// bump conservatively invalidates cached cells across the rewrite.
 pub const ENGINE_VERSION: u32 = 2;
 pub use event::{NullSink, SimEvent, SquashCause, Tee, TraceSink, TRACE_SCHEMA_VERSION};
-pub use predictor::{Gshare, ReturnStack, TaskPredictor};
 pub use sink::{CauseCounts, JsonlSink, SquashRecord, TaskSpan, TraceAggregator};
 pub use stats::{CycleBreakdown, SimStats, TaskSizeHist};

@@ -25,7 +25,7 @@ impl Counter2 {
 /// table of 2-bit counters. Used for intra-task conditional branches
 /// (paper: 16-bit history, 64K entries).
 #[derive(Debug, Clone)]
-pub struct Gshare {
+pub(crate) struct Gshare {
     table: Vec<Counter2>,
     history: u64,
     history_mask: u64,
@@ -39,7 +39,7 @@ impl Gshare {
     /// # Panics
     ///
     /// Panics if `table_bits` is 0 or greater than 28.
-    pub fn new(history_bits: u32, table_bits: u32) -> Self {
+    pub(crate) fn new(history_bits: u32, table_bits: u32) -> Self {
         assert!(table_bits > 0 && table_bits <= 28, "unreasonable gshare table size");
         Gshare {
             table: vec![Counter2::new(); 1 << table_bits],
@@ -53,14 +53,9 @@ impl Gshare {
         (((pc >> 2) ^ self.history) & self.index_mask) as usize
     }
 
-    /// Predicts the direction of the branch at `pc`.
-    pub fn predict(&self, pc: u64) -> bool {
-        self.table[self.index(pc)].taken()
-    }
-
     /// Predicts, updates with the actual outcome, and reports whether the
     /// prediction was correct.
-    pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
+    pub(crate) fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
         let idx = self.index(pc);
         let correct = self.table[idx].taken() == taken;
         self.table[idx].update(taken);
@@ -83,7 +78,7 @@ struct TaskEntry {
 /// The target number selects among a task's ≤ N static successor
 /// targets.
 #[derive(Debug, Clone)]
-pub struct TaskPredictor {
+pub(crate) struct TaskPredictor {
     table: Vec<TaskEntry>,
     /// Folded path history of task entry PCs.
     path: u64,
@@ -98,7 +93,7 @@ impl TaskPredictor {
     /// # Panics
     ///
     /// Panics if `table_bits` is 0 or greater than 28.
-    pub fn new(history_bits: u32, table_bits: u32) -> Self {
+    pub(crate) fn new(history_bits: u32, table_bits: u32) -> Self {
         assert!(table_bits > 0 && table_bits <= 28, "unreasonable task predictor size");
         TaskPredictor {
             table: vec![TaskEntry { target: 0, conf: Counter2::new() }; 1 << table_bits],
@@ -112,12 +107,6 @@ impl TaskPredictor {
         (((task_pc >> 2) ^ self.path) & self.index_mask) as usize
     }
 
-    /// Predicts the target index (0-based, into the task's target list)
-    /// the task at `task_pc` will exit to.
-    pub fn predict(&self, task_pc: u64) -> usize {
-        self.table[self.index(task_pc)].target as usize
-    }
-
     /// Predicts, updates with the actual target index, folds the task
     /// into the path history, and reports whether the prediction was
     /// correct. `num_targets == 1` is trivially correct (nothing to
@@ -127,7 +116,12 @@ impl TaskPredictor {
     /// beyond index 3 cannot be represented, so tasks selected with more
     /// successors than the hardware tracks are systematically
     /// mispredicted when they exit through the extra targets (§2.4.2).
-    pub fn predict_and_update(&mut self, task_pc: u64, actual: usize, num_targets: usize) -> bool {
+    pub(crate) fn predict_and_update(
+        &mut self,
+        task_pc: u64,
+        actual: usize,
+        num_targets: usize,
+    ) -> bool {
         const HW_TARGETS: usize = 4; // 2-bit target number
         let idx = self.index(task_pc);
         let entry = &mut self.table[idx];
@@ -144,43 +138,6 @@ impl TaskPredictor {
         // Fold (path << 3) ^ pc, as in path-based next-trace predictors.
         self.path = (((self.path << 3) ^ (task_pc >> 2)) ^ actual as u64) & self.history_mask;
         correct
-    }
-}
-
-/// A return address stack for the sequencer. The paper predicts
-/// call/return task targets accurately; we model an ideal stack that only
-/// fails on overflow (deep recursion).
-#[derive(Debug, Clone)]
-pub struct ReturnStack<T> {
-    stack: Vec<T>,
-    capacity: usize,
-    overflowed: bool,
-}
-
-impl<T> ReturnStack<T> {
-    /// Creates a stack with the given capacity.
-    pub fn new(capacity: usize) -> Self {
-        ReturnStack { stack: Vec::new(), capacity, overflowed: false }
-    }
-
-    /// Pushes a return target (dropping the oldest on overflow).
-    pub fn push(&mut self, v: T) {
-        if self.stack.len() == self.capacity {
-            self.stack.remove(0);
-            self.overflowed = true;
-        }
-        self.stack.push(v);
-    }
-
-    /// Pops the predicted return target.
-    pub fn pop(&mut self) -> Option<T> {
-        self.stack.pop()
-    }
-
-    /// Whether the stack ever overflowed (predictions after an overflow
-    /// may be wrong).
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
     }
 }
 
@@ -226,7 +183,8 @@ mod tests {
             g.predict_and_update(0x2000, false);
         }
         // Steady state: both biased branches predicted correctly.
-        assert!(g.predict(0x1000) || !g.predict(0x2000));
+        assert!(g.predict_and_update(0x1000, true));
+        assert!(g.predict_and_update(0x2000, false));
     }
 
     #[test]
@@ -270,21 +228,5 @@ mod tests {
             }
         }
         assert!(correct > 400, "path-correlated targets learned, got {correct}");
-    }
-
-    #[test]
-    fn return_stack_is_lifo_and_tracks_overflow() {
-        let mut r = ReturnStack::new(2);
-        r.push(1);
-        r.push(2);
-        assert_eq!(r.pop(), Some(2));
-        assert_eq!(r.pop(), Some(1));
-        assert_eq!(r.pop(), None);
-        assert!(!r.overflowed());
-        r.push(1);
-        r.push(2);
-        r.push(3);
-        assert!(r.overflowed());
-        assert_eq!(r.pop(), Some(3));
     }
 }

@@ -38,7 +38,12 @@
 #    408 grid files byte-identical to benchmark/expected/grids.txt (and
 #    replay every workload with no differing output), so a timing-model
 #    change that moves a single cycle fails here, not only in the
-#    benchmark harness.
+#    benchmark harness,
+# 13. long-trace digests: the 18 one-million-instruction `dd` runs on
+#    8 PUs (the benchmark's `long_trace` workload, run once) must print
+#    stats lines identical to benchmark/expected/long_trace.txt, so the
+#    engine is pinned on a large working set too, not only on the
+#    60k-instruction grid cells.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -168,5 +173,9 @@ tail -n 1 "$record" | grep -q '"cache_misses":0' \
 
 echo "==> grid digests (benchmark run --smoke vs benchmark/expected/grids.txt)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+
+echo "==> long-trace digests (benchmark measure long_trace vs benchmark/expected/long_trace.txt)"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    measure --workload long_trace --seed 0x5eed --seconds 0 --trace 0
 
 echo "All checks passed."
