@@ -19,7 +19,7 @@
 //! re-selection (simulate → attribute → reselect).
 
 use ms_ir::{BlockRef, FuncId};
-use ms_sim::{SimConfig, Simulator, TraceAggregator};
+use ms_sim::{EventLog, SimConfig, Simulator};
 use ms_tasksel::{CostModel, PartitionStats, Selection, SelectorBuilder, Strategy, TaskId};
 use ms_trace::TraceGenerator;
 use ms_workloads::Workload;
@@ -28,7 +28,7 @@ use crate::run_selection;
 
 /// Cycles charged per squash event on top of the measured restart
 /// cycles when converting attribution counts into boundary costs
-/// (dispatch/rollback overhead the aggregator does not time directly).
+/// (dispatch/rollback overhead the event log does not time directly).
 pub const SQUASH_PENALTY_CYCLES: u64 = 8;
 
 /// Everything `run -- gap` needs besides the workload.
@@ -99,10 +99,10 @@ pub struct GapReport {
 ///   cycles` is mapped back to the static def-use arcs between those two
 ///   pilot tasks carrying that register, accumulating the cycles onto
 ///   every matching `(producer block, consumer block)` arc.
-pub fn cost_model_from_pilot(pilot: &Selection, agg: &TraceAggregator) -> CostModel {
+pub fn cost_model_from_pilot(pilot: &Selection, log: &EventLog) -> CostModel {
     let mut model = CostModel::new();
     let partition = &pilot.partition;
-    for ((f, t), counts) in agg.top_squash_boundaries(usize::MAX) {
+    for ((f, t), counts) in log.top_squash_boundaries(usize::MAX) {
         if f >= partition.funcs().len() {
             continue;
         }
@@ -115,7 +115,7 @@ pub fn cost_model_from_pilot(pilot: &Selection, agg: &TraceAggregator) -> CostMo
         let cost = counts.total() * SQUASH_PENALTY_CYCLES + counts.lost_cycles;
         model.add_boundary_cost(fid, entry, cost);
     }
-    for (((pf, pt), (cf, ct), reg), cycles) in agg.top_stall_arcs(usize::MAX) {
+    for (((pf, pt), (cf, ct), reg), cycles) in log.top_stall_arcs(usize::MAX) {
         // Static def-use arcs are intra-function; cross-function
         // forwarding (through calls/returns) has no single CFG arc to
         // charge, so those rows stay with the boundary costs alone.
@@ -151,10 +151,10 @@ pub fn run_gap(workload: &Workload, opts: &GapOptions) -> GapReport {
     // Pilot: a traced cf run whose attribution becomes the cost model.
     let pilot = Strategy::ControlFlow.selector(opts.targets).select(&ctx);
     let trace = TraceGenerator::new(&pilot.program, opts.seed).generate(opts.insts);
-    let mut agg = TraceAggregator::new();
+    let mut log = EventLog::new();
     Simulator::new(opts.config.clone(), &pilot.program, &pilot.partition)
-        .run_with_sink(&trace, &mut agg);
-    let model = cost_model_from_pilot(&pilot, &agg);
+        .run_with_sink(&trace, &mut log);
+    let model = cost_model_from_pilot(&pilot, &log);
 
     // Oracle eligibility is a property of the shared program, not of any
     // one selection (no policy here transforms the program).
@@ -284,10 +284,10 @@ mod tests {
         let ctx = ms_analysis::ProgramContext::new(w.build());
         let pilot = Strategy::ControlFlow.selector(4).select(&ctx);
         let trace = TraceGenerator::new(&pilot.program, 1).generate(20_000);
-        let mut agg = TraceAggregator::new();
+        let mut log = EventLog::new();
         Simulator::new(SimConfig::four_pu(), &pilot.program, &pilot.partition)
-            .run_with_sink(&trace, &mut agg);
-        let model = cost_model_from_pilot(&pilot, &agg);
+            .run_with_sink(&trace, &mut log);
+        let model = cost_model_from_pilot(&pilot, &log);
         // A 20k-instruction li run always squashes somewhere.
         assert!(!model.is_empty(), "pilot attribution produced an empty model");
     }

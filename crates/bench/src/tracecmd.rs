@@ -1,7 +1,7 @@
-//! The `run -- trace <workload>` subcommand: one simulation with the
-//! event trace on, producing
+//! The `run -- trace <workload>` subcommand: one simulation recorded
+//! into an [`EventLog`], from which every artifact is read:
 //!
-//! * a schema-versioned JSONL event trace ([`ms_sim::JsonlSink`]),
+//! * a schema-versioned JSONL event trace ([`EventLog::to_jsonl`]),
 //! * a Chrome `trace_event` JSON loadable in `chrome://tracing` /
 //!   <https://ui.perfetto.dev> (task spans per PU, squash instants),
 //! * text attribution tables (top squash-causing task boundaries, top
@@ -12,7 +12,7 @@
 
 use ms_ir::FuncId;
 use ms_sim::{
-    JsonlSink, SimConfig, SimStats, Simulator, Tee, TraceAggregator, TRACE_SCHEMA_VERSION,
+    EventLog, SimConfig, SimEvent, SimStats, Simulator, SquashCause, TRACE_SCHEMA_VERSION,
 };
 use ms_tasksel::{Selection, TaskId, TaskPartition};
 use ms_trace::TraceGenerator;
@@ -33,8 +33,8 @@ pub struct TraceArtifacts {
     pub tables: String,
     /// The run's aggregate statistics (identical to an untraced run).
     pub stats: SimStats,
-    /// The event aggregator, for programmatic access to the tables.
-    pub agg: TraceAggregator,
+    /// The recorded event stream, for programmatic access to every view.
+    pub log: EventLog,
 }
 
 /// Runs one traced simulation of an already-made selection and builds
@@ -47,17 +47,16 @@ pub fn trace_selection(
     seed: u64,
 ) -> TraceArtifacts {
     let trace = TraceGenerator::new(&sel.program, seed).generate(trace_insts);
-    let mut jsonl = JsonlSink::new();
-    let mut agg = TraceAggregator::new();
-    let stats = Simulator::new(config, &sel.program, &sel.partition)
-        .run_with_sink(&trace, &mut Tee::new(&mut jsonl, &mut agg));
+    let mut log = EventLog::new();
+    let stats =
+        Simulator::new(config, &sel.program, &sel.partition).run_with_sink(&trace, &mut log);
     let label = boundary_labeler(&sel.program, &sel.partition);
-    let tables = agg.render(TOP_K, &label);
-    let chrome = chrome_trace(&agg, &label);
-    TraceArtifacts { jsonl: jsonl.into_string(), chrome, tables, stats, agg }
+    let tables = log.render(TOP_K, &label);
+    let chrome = chrome_trace(&log, &label);
+    TraceArtifacts { jsonl: log.to_jsonl(), chrome, tables, stats, log }
 }
 
-/// A labeler from the aggregator's `(func index, static task index)`
+/// A labeler from the log's `(func index, static task index)`
 /// pairs to stable boundary names (`main/t2@b5`); unknown indices (a
 /// task squashed before its dispatch event, never the case today)
 /// render as `?`.
@@ -77,13 +76,13 @@ pub fn boundary_labeler<'a>(
     }
 }
 
-/// Converts the aggregated spans and squashes into Chrome `trace_event`
-/// JSON: one complete (`ph:"X"`) event per committed task on its PU's
-/// timeline row, one instant (`ph:"i"`) per squash, cycles as
-/// microseconds.
-pub fn chrome_trace(agg: &TraceAggregator, label: &dyn Fn(usize, usize) -> String) -> String {
+/// Converts the log's task spans and squashes into Chrome `trace_event`
+/// JSON: one timeline row per PU, one complete (`ph:"X"`) event per
+/// committed task on its PU's row, one instant (`ph:"i"`) per squash,
+/// cycles as microseconds.
+pub fn chrome_trace(log: &EventLog, label: &dyn Fn(usize, usize) -> String) -> String {
     let mut events: Vec<String> = Vec::new();
-    let pus = agg.pu_occupancy().len();
+    let pus = log.pu_occupancy().len();
     for pu in 0..pus {
         let mut args = JsonObj::new();
         args.str("name", &format!("pu {pu}"));
@@ -95,7 +94,7 @@ pub fn chrome_trace(agg: &TraceAggregator, label: &dyn Fn(usize, usize) -> Strin
             .raw("args", &args.finish());
         events.push(o.finish());
     }
-    for s in &agg.spans {
+    for s in log.spans() {
         let mut args = JsonObj::new();
         args.num_u64("task", s.task as u64)
             .num_u64("insts", s.insts)
@@ -112,21 +111,22 @@ pub fn chrome_trace(agg: &TraceAggregator, label: &dyn Fn(usize, usize) -> Strin
             .raw("args", &args.finish());
         events.push(o.finish());
     }
-    for q in &agg.squashes {
-        let name = match q.kind {
-            0 => "squash:ctrl",
-            1 => "squash:mem",
-            _ => "squash:cascade",
+    for ev in log.events() {
+        let SimEvent::TaskSquash { task, pu, cycle, cause, .. } = *ev else { continue };
+        let name = match cause {
+            SquashCause::Control { .. } => "squash:ctrl",
+            SquashCause::Memory { .. } => "squash:mem",
+            SquashCause::Cascade { .. } => "squash:cascade",
         };
         let mut args = JsonObj::new();
-        args.num_u64("task", q.task as u64);
+        args.num_u64("task", task as u64);
         let mut o = JsonObj::new();
         o.str("name", name)
             .str("cat", "squash")
             .str("ph", "i")
-            .num_u64("ts", q.cycle)
+            .num_u64("ts", cycle)
             .num_u64("pid", 0)
-            .num_u64("tid", q.pu as u64)
+            .num_u64("tid", pu as u64)
             .str("s", "t")
             .raw("args", &args.finish());
         events.push(o.finish());

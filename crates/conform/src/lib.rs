@@ -9,9 +9,9 @@
 //!    walk of the trace computing per-task instruction counts, register
 //!    write sets, task identities, and the cross-task memory conflict
 //!    set — with no timing model at all.
-//! 2. **Event-stream checker** ([`ms_sim::CheckSink`]): cycle-level
-//!    invariants validated as events fire, plus reconciliation against
-//!    the run's [`SimStats`].
+//! 2. **Event-stream checker** ([`ms_sim::EventLog::check`]):
+//!    cycle-level invariants replayed over the run's recorded events, plus
+//!    reconciliation against the run's [`SimStats`].
 //! 3. **Differential diff** ([`diff`]): the engine's recorded outcome
 //!    against the reference model — the only layer that catches
 //!    *self-consistent* engine bugs, where events and counters agree
@@ -50,7 +50,7 @@ pub use fuzz::{fuzz_seed, strategies, FuzzFailure, FuzzParams};
 pub use reference::{reference, RefTask, Reference};
 
 use ms_ir::Program;
-use ms_sim::{CheckSink, SimConfig, SimStats, Simulator};
+use ms_sim::{EventLog, SimConfig, SimStats, Simulator};
 use ms_tasksel::{Selection, TaskPartition};
 use ms_trace::{Trace, TraceGenerator};
 
@@ -71,8 +71,9 @@ pub fn check_selection(sel: &Selection, cfg: SimConfig, insts: usize, seed: u64)
     check_trace(&sel.program, &sel.partition, &trace, cfg)
 }
 
-/// Runs `trace` through the engine under the event-stream checker, then
-/// diffs the recorded outcome against the sequential reference model.
+/// Runs `trace` through the engine into an [`EventLog`], checks the log,
+/// then diffs the recorded outcome against the sequential reference
+/// model.
 pub fn check_trace(
     program: &Program,
     partition: &TaskPartition,
@@ -80,9 +81,9 @@ pub fn check_trace(
     cfg: SimConfig,
 ) -> CheckRun {
     let oracle = reference(program, partition, trace);
-    let mut sink = CheckSink::new();
-    let stats = Simulator::new(cfg, program, partition).run_with_sink(trace, &mut sink);
-    let mut errors = sink.finish(&stats);
-    errors.extend(diff(&oracle, &sink, &stats));
+    let mut log = EventLog::new();
+    let stats = Simulator::new(cfg, program, partition).run_with_sink(trace, &mut log);
+    let mut errors = log.check(&stats);
+    errors.extend(diff(&oracle, &log, &stats));
     CheckRun { stats, errors }
 }

@@ -5,13 +5,13 @@
 //! The injected fault ([`SimConfig::with_injected_commit_undercount`])
 //! undercounts committed instructions on every third task *before* both
 //! the commit event and the stats accounting — so the event stream and
-//! the counters agree with each other and the `CheckSink` reconciliation
-//! passes. Only the diff against the sequential reference model can see
-//! the miscount.
+//! the counters agree with each other and the `EventLog::check`
+//! reconciliation passes. Only the diff against the sequential reference
+//! model can see the miscount.
 
 use ms_analysis::ProgramContext;
 use ms_conform::{check_selection, diff, fuzz_seed, reference, FuzzParams};
-use ms_sim::{CheckSink, SimConfig, Simulator};
+use ms_sim::{EventLog, SimConfig, Simulator};
 use ms_tasksel::{SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
 
@@ -25,17 +25,17 @@ fn injected_bug_passes_internal_checks_but_fails_the_diff() {
     let trace = TraceGenerator::new(&sel.program, 0x5eed).generate(10_000);
 
     let cfg = SimConfig::four_pu().with_injected_commit_undercount();
-    let mut sink = CheckSink::new();
-    let stats = Simulator::new(cfg, &sel.program, &sel.partition).run_with_sink(&trace, &mut sink);
+    let mut log = EventLog::new();
+    let stats = Simulator::new(cfg, &sel.program, &sel.partition).run_with_sink(&trace, &mut log);
 
     // The fault is self-consistent: every streaming and reconciliation
-    // check of the sink still passes…
-    let internal = sink.finish(&stats);
+    // check of the log still passes…
+    let internal = log.check(&stats);
     assert!(internal.is_empty(), "internal checks should pass: {internal:?}");
 
     // …and only the differential oracle notices.
     let oracle = reference(&sel.program, &sel.partition, &trace);
-    let diffs = diff(&oracle, &sink, &stats);
+    let diffs = diff(&oracle, &log, &stats);
     assert!(!diffs.is_empty(), "the diff must catch the injected undercount");
     assert!(
         diffs.iter().any(|d| d.contains("insts")),

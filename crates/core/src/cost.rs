@@ -1,12 +1,12 @@
 //! The measured cost model consumed by the `cost` selection policy:
 //! squash cost per candidate task boundary and stall cycles per register
 //! def-use arc, as attributed by a pilot simulation's event trace
-//! (`ms_sim::TraceAggregator` → `docs/TRACING.md`).
+//! (`ms_sim::EventLog` → `docs/TRACING.md`).
 //!
 //! The model is deliberately a plain data table so that the *producer*
 //! (the tracer, which knows dynamic behaviour) and the *consumer* (the
 //! selector, which only sees the static CFG) can live in different
-//! crates: the bench harness converts the aggregator's
+//! crates: the bench harness converts the event log's
 //! `(func, static_task)` attribution keys to the task entry blocks of
 //! the pilot partition and feeds them in here; the `cost` policy then
 //! re-selects the very same program with the measured costs in place of

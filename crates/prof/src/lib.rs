@@ -25,8 +25,8 @@
 //! With a collector [`enable`]d, spans nest: each guard pushes its name
 //! on a stack, and on drop charges its wall time to the `/`-joined
 //! path (`select/analysis.defuse`). The registry half records named
-//! [counters](counter_add), [gauges](gauge_set) and monotonic
-//! [histograms](hist_record) with fixed log2 buckets. [`disable`]
+//! [counters](counter_add) and monotonic [histograms](hist_record)
+//! with fixed log2 buckets. [`disable`]
 //! returns everything as a [`Report`] — aggregated span stats, raw span
 //! instances (for the Chrome `trace_event` view), and the registry.
 //!
@@ -56,7 +56,6 @@ mod profiler;
 mod report;
 
 pub use profiler::{
-    counter_add, disable, enable, gauge_set, hist_record, is_enabled, span, span_owned,
-    NullProfiler, Span,
+    counter_add, disable, enable, hist_record, is_enabled, span, span_owned, NullProfiler, Span,
 };
 pub use report::{hist_bucket, HistStat, Report, SpanInstance, SpanStat};

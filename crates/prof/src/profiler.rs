@@ -30,7 +30,6 @@ struct Collector {
     /// Every closed span occurrence, in closing order.
     instances: Vec<SpanInstance>,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, HistStat>,
 }
 
@@ -42,7 +41,6 @@ impl Collector {
             aggs: BTreeMap::new(),
             instances: Vec::new(),
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
         }
     }
@@ -81,7 +79,6 @@ impl Collector {
                 .collect(),
             instances: self.instances,
             counters: self.counters.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            gauges: self.gauges.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
             hists: self.hists.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         }
     }
@@ -185,16 +182,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
     });
 }
 
-/// Sets the named gauge to `v` (last write wins). No-op while profiling
-/// is off.
-pub fn gauge_set(name: &'static str, v: f64) {
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            col.gauges.insert(name, v);
-        }
-    });
-}
-
 /// Records `v` into the named histogram's log2 bucket (see
 /// [`hist_bucket`]). No-op while profiling is off.
 pub fn hist_record(name: &'static str, v: u64) {
@@ -263,13 +250,10 @@ mod tests {
         enable();
         counter_add("c", 2);
         counter_add("c", 3);
-        gauge_set("g", 1.5);
-        gauge_set("g", 2.5);
         hist_record("h", 0);
         hist_record("h", 5);
         let r = disable().unwrap();
         assert_eq!(r.counters, [("c".to_string(), 5)]);
-        assert_eq!(r.gauges, [("g".to_string(), 2.5)]);
         let (name, h) = &r.hists[0];
         assert_eq!(name, "h");
         assert_eq!((h.count, h.sum), (2, 5));

@@ -69,8 +69,6 @@ pub struct Report {
     pub instances: Vec<SpanInstance>,
     /// Counters, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauges, sorted by name.
-    pub gauges: Vec<(String, f64)>,
     /// Histograms, sorted by name.
     pub hists: Vec<(String, HistStat)>,
 }

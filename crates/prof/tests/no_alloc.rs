@@ -78,7 +78,6 @@ fn disabled_profiling_allocates_nothing() {
     drop(ms_prof::span("warmup"));
     ms_prof::counter_add("warmup", 1);
     ms_prof::hist_record("warmup", 1);
-    ms_prof::gauge_set("warmup", 1.0);
 
     let _gate = gate();
     let counted = min_allocs_over_windows(|| {
@@ -87,7 +86,6 @@ fn disabled_profiling_allocates_nothing() {
             s.add_items(i);
             ms_prof::counter_add("hot.counter", i);
             ms_prof::hist_record("hot.hist", i);
-            ms_prof::gauge_set("hot.gauge", i as f64);
             drop(s);
             drop(ms_prof::NullProfiler.span("hot"));
         }

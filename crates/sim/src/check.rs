@@ -1,9 +1,10 @@
-//! The simulator's self-checking sink: streaming validation of the
-//! event-level invariants every run must satisfy, plus end-of-run
-//! reconciliation against the aggregate [`SimStats`] counters.
+//! The simulator's self-check, read from an [`EventLog`]: the
+//! event-level invariants every run must satisfy, replayed in event
+//! order, plus end-of-run reconciliation against the aggregate
+//! [`SimStats`] counters.
 //!
-//! [`CheckSink`] validates what can be judged from the event stream and
-//! the engine's contract alone, as the events fire:
+//! The replay validates what can be judged from the event stream and
+//! the engine's contract alone:
 //!
 //! * tasks dispatch and commit in sequential (dynamic index) order;
 //! * per-task timing is sane (`dispatch ≤ complete ≤ retire`) and the
@@ -18,241 +19,80 @@
 //! * per-PU idle intervals are non-empty, non-overlapping, and — with
 //!   the busy spans from the commits — tile each PU's timeline exactly.
 //!
-//! [`CheckSink::finish`] then reconciles event totals with the run's
+//! The reconciliation then matches event totals with the run's
 //! [`SimStats`] (the identities documented in [`crate::event`]). What
 //! the stream *cannot* judge — whether a memory squash corresponds to a
 //! real address conflict, whether per-task instruction counts match a
 //! program-order walk of the trace — is the job of the sequential
-//! reference model in the `ms-conform` crate, which consumes this sink's
-//! records ([`CheckSink::commits`], [`CheckSink::mem_squashes`], …).
+//! reference model in the `ms-conform` crate, which reads the same log.
 //!
 //! Checking is strictly opt-in: the plain [`crate::Simulator::run`] path
 //! uses the [`crate::NullSink`] and stays allocation-free (pinned by the
-//! counting-allocator tests); attaching a `CheckSink` never changes the
+//! counting-allocator tests); recording a log never changes the
 //! simulated outcome, only observes it.
 
 use ms_ir::NUM_REGS;
 
-use crate::event::{SimEvent, SquashCause, TraceSink};
+use crate::event::{SimEvent, SquashCause};
+use crate::sink::EventLog;
 use crate::stats::SimStats;
 
 /// Cap on recorded violation messages (a broken run can emit millions of
 /// bad events; the first few dozen identify the bug).
 const MAX_ERRORS: usize = 64;
 
-/// One task dispatch, as recorded from [`SimEvent::TaskDispatch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchRec {
-    /// Dynamic task index.
-    pub task: usize,
-    /// Processing unit.
-    pub pu: usize,
-    /// Dispatch cycle of the first attempt.
-    pub cycle: u64,
-    /// Owning function index.
-    pub func: usize,
-    /// Static task index within the function's partition.
-    pub static_task: usize,
-    /// PC of the static task's entry block.
-    pub entry_pc: u64,
+impl EventLog {
+    /// Checks the recorded run (see the module docs for the invariant
+    /// list): every streaming violation in event order, then the
+    /// event/counter reconciliation failures against `stats`. An empty
+    /// vector means the run passed all checks.
+    ///
+    /// ```
+    /// use ms_sim::{EventLog, SimConfig, Simulator};
+    /// # use ms_analysis::ProgramContext;
+    /// # use ms_tasksel::{SelectorBuilder, Strategy};
+    /// # use ms_trace::TraceGenerator;
+    /// # let program = ms_workloads::by_name("compress").unwrap().build();
+    /// # let sel = SelectorBuilder::new(Strategy::ControlFlow)
+    /// #     .build()
+    /// #     .select(&ProgramContext::new(program));
+    /// # let trace = TraceGenerator::new(&sel.program, 1).generate(2_000);
+    /// let mut log = EventLog::new();
+    /// let stats = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
+    ///     .run_with_sink(&trace, &mut log);
+    /// assert_eq!(log.check(&stats), Vec::<String>::new());
+    /// ```
+    pub fn check(&self, stats: &SimStats) -> Vec<String> {
+        let mut replay = Replay::default();
+        for ev in self.events() {
+            replay.event(ev);
+        }
+        replay.finish(stats)
+    }
 }
 
-/// One task commit, as recorded from [`SimEvent::TaskCommit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitRec {
-    /// Dynamic task index.
-    pub task: usize,
-    /// Processing unit.
-    pub pu: usize,
-    /// Dispatch cycle of the final attempt.
-    pub dispatch: u64,
-    /// Completion cycle of the final attempt.
-    pub complete: u64,
-    /// Retirement cycle.
-    pub retire: u64,
-    /// Dynamic instructions retired.
-    pub insts: u64,
-    /// Attempts needed (1 = clean).
-    pub attempts: u32,
-}
-
-/// One memory-dependence squash, as recorded from
-/// [`SimEvent::TaskSquash`] with a memory or cascade cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemSquashRec {
-    /// Dynamic task index of the victim.
-    pub task: usize,
-    /// Dynamic task index of the violated store's task.
-    pub store_task: usize,
-    /// PC of the violated store.
-    pub store_pc: u64,
-    /// PC of the premature load.
-    pub load_pc: u64,
-    /// Whether the squash was a cascade (re-execution attempt ≥ 2).
-    pub cascade: bool,
-}
-
-/// The checking sink (see the module docs for the invariant list).
-///
-/// Use it like any other sink — alone or in a [`crate::Tee`] — then call
-/// [`CheckSink::finish`] with the run's stats; an empty report means the
-/// run satisfied every checked invariant.
-///
-/// ```
-/// use ms_sim::{CheckSink, SimConfig, Simulator};
-/// # use ms_analysis::ProgramContext;
-/// # use ms_tasksel::{SelectorBuilder, Strategy};
-/// # use ms_trace::TraceGenerator;
-/// # let program = ms_workloads::by_name("compress").unwrap().build();
-/// # let sel = SelectorBuilder::new(Strategy::ControlFlow)
-/// #     .build()
-/// #     .select(&ProgramContext::new(program));
-/// # let trace = TraceGenerator::new(&sel.program, 1).generate(2_000);
-/// let mut check = CheckSink::new();
-/// let stats = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
-///     .run_with_sink(&trace, &mut check);
-/// assert_eq!(check.finish(&stats), Vec::<String>::new());
-/// ```
-#[derive(Debug, Default)]
-pub struct CheckSink {
-    dispatches: Vec<DispatchRec>,
-    commits: Vec<CommitRec>,
-    mem_squashes: Vec<MemSquashRec>,
-    sends: Vec<(usize, usize)>,
+/// The checker's running state while it replays a log.
+#[derive(Default)]
+struct Replay {
     errors: Vec<String>,
     dropped_errors: u64,
+    /// First-attempt dispatch cycle of every dispatch seen, in order.
+    dispatch_cycles: Vec<u64>,
+    commits: usize,
+    last_retire: Option<u64>,
+    committed_insts: u64,
+    /// Memory/cascade squashes of the task currently executing.
+    cur_mem_squashes: u32,
     ctrl_squashes: u64,
+    mem_squashes: u64,
+    sends: u64,
     fwd_stall_cycles: u64,
     arb_conflicts: u64,
-    idle: Vec<Vec<(u64, u64)>>,
-    cur_mem_squashes: u32,
+    /// Per PU: busy cycles, idle cycles, end of the last idle interval.
+    pus: Vec<(u64, u64, Option<u64>)>,
 }
 
-impl CheckSink {
-    /// A fresh checker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Dispatch records, in dynamic task order.
-    pub fn dispatches(&self) -> &[DispatchRec] {
-        &self.dispatches
-    }
-
-    /// Commit records, in dynamic task order.
-    pub fn commits(&self) -> &[CommitRec] {
-        &self.commits
-    }
-
-    /// Every memory/cascade squash observed, in event order.
-    pub fn mem_squashes(&self) -> &[MemSquashRec] {
-        &self.mem_squashes
-    }
-
-    /// Every `(producing task, dense register)` forwarded on the ring.
-    pub fn sends(&self) -> &[(usize, usize)] {
-        &self.sends
-    }
-
-    /// Invariant violations recorded so far (streaming checks only;
-    /// [`CheckSink::finish`] adds the reconciliation checks).
-    pub fn errors(&self) -> &[String] {
-        &self.errors
-    }
-
-    /// Closes the run: returns every recorded streaming violation plus
-    /// the event/counter reconciliation failures against `stats`. An
-    /// empty vector means the run passed all checks.
-    pub fn finish(&self, stats: &SimStats) -> Vec<String> {
-        let mut out = self.errors.clone();
-        if self.dropped_errors > 0 {
-            out.push(format!("… {} further violations dropped", self.dropped_errors));
-        }
-        let mut check = |ok: bool, msg: String| {
-            if !ok {
-                out.push(msg);
-            }
-        };
-        check(
-            self.dispatches.len() == stats.num_dyn_tasks,
-            format!(
-                "dispatch events {} != num_dyn_tasks {}",
-                self.dispatches.len(),
-                stats.num_dyn_tasks
-            ),
-        );
-        check(
-            self.commits.len() == stats.num_dyn_tasks,
-            format!(
-                "commit events {} != num_dyn_tasks {}",
-                self.commits.len(),
-                stats.num_dyn_tasks
-            ),
-        );
-        check(
-            self.ctrl_squashes == stats.ctrl_squashes,
-            format!(
-                "ctrl squash events {} != ctrl_squashes {}",
-                self.ctrl_squashes, stats.ctrl_squashes
-            ),
-        );
-        check(
-            self.mem_squashes.len() as u64 == stats.violations,
-            format!(
-                "mem+cascade squash events {} != violations {}",
-                self.mem_squashes.len(),
-                stats.violations
-            ),
-        );
-        let committed: u64 = self.commits.iter().map(|c| c.insts).sum();
-        check(
-            committed == stats.total_insts,
-            format!("committed insts {committed} != total_insts {}", stats.total_insts),
-        );
-        check(
-            self.sends.len() as u64 == stats.reg_forwards,
-            format!("fwd_send events {} != reg_forwards {}", self.sends.len(), stats.reg_forwards),
-        );
-        check(
-            self.fwd_stall_cycles == stats.fwd_stall_cycles,
-            format!(
-                "fwd_stall event cycles {} != fwd_stall_cycles {}",
-                self.fwd_stall_cycles, stats.fwd_stall_cycles
-            ),
-        );
-        let idle_total: u64 =
-            self.idle.iter().flatten().map(|&(from, to)| to.saturating_sub(from)).sum();
-        check(
-            idle_total == stats.pu_idle_cycles,
-            format!("idle event cycles {idle_total} != pu_idle_cycles {}", stats.pu_idle_cycles),
-        );
-        check(
-            self.arb_conflicts == stats.arb_overflows,
-            format!("arb events {} != arb_overflows {}", self.arb_conflicts, stats.arb_overflows),
-        );
-        if let Some(last) = self.commits.last() {
-            check(
-                last.retire == stats.total_cycles,
-                format!("last retire {} != total_cycles {}", last.retire, stats.total_cycles),
-            );
-        }
-        // Busy + idle tile each PU's timeline exactly.
-        for pu in 0..stats.num_pus {
-            let busy: u64 =
-                self.commits.iter().filter(|c| c.pu == pu).map(|c| c.retire - c.dispatch).sum();
-            let idle: u64 =
-                self.idle.get(pu).map(|v| v.iter().map(|&(from, to)| to - from).sum()).unwrap_or(0);
-            check(
-                busy + idle == stats.total_cycles,
-                format!(
-                    "pu {pu}: busy {busy} + idle {idle} != total_cycles {}",
-                    stats.total_cycles
-                ),
-            );
-        }
-        out
-    }
-
+impl Replay {
     fn err(&mut self, msg: String) {
         if self.errors.len() < MAX_ERRORS {
             self.errors.push(msg);
@@ -266,18 +106,23 @@ impl CheckSink {
             self.err(msg());
         }
     }
-}
 
-impl TraceSink for CheckSink {
+    fn pu(&mut self, pu: usize) -> &mut (u64, u64, Option<u64>) {
+        if self.pus.len() <= pu {
+            self.pus.resize(pu + 1, (0, 0, None));
+        }
+        &mut self.pus[pu]
+    }
+
     fn event(&mut self, ev: &SimEvent) {
         match *ev {
-            SimEvent::TaskDispatch { task, pu, cycle, func, static_task, entry_pc, .. } => {
-                let expected = self.dispatches.len();
+            SimEvent::TaskDispatch { task, cycle, .. } => {
+                let expected = self.dispatch_cycles.len();
                 self.check(task == expected, || {
                     format!("dispatch of task {task} out of order (expected {expected})")
                 });
                 self.cur_mem_squashes = 0;
-                self.dispatches.push(DispatchRec { task, pu, cycle, func, static_task, entry_pc });
+                self.dispatch_cycles.push(cycle);
             }
             SimEvent::TaskSquash { task, attempt, cause, .. } => match cause {
                 SquashCause::Control { predecessor, .. } => {
@@ -288,15 +133,15 @@ impl TraceSink for CheckSink {
                     self.check(predecessor + 1 == task, || {
                         format!("ctrl squash of task {task} blames non-adjacent {predecessor}")
                     });
-                    let next = self.dispatches.len();
+                    let next = self.dispatch_cycles.len();
                     self.check(task == next, || {
                         format!("ctrl squash hit dispatched task {task} (next dispatch {next})")
                     });
                 }
-                SquashCause::Memory { store_task, store_pc, load_pc, .. }
-                | SquashCause::Cascade { store_task, store_pc, load_pc, .. } => {
+                SquashCause::Memory { store_task, .. }
+                | SquashCause::Cascade { store_task, .. } => {
                     let cascade = matches!(cause, SquashCause::Cascade { .. });
-                    let current = self.dispatches.len().wrapping_sub(1);
+                    let current = self.dispatch_cycles.len().wrapping_sub(1);
                     self.check(task == current, || {
                         format!("mem squash of task {task} but task {current} is executing")
                     });
@@ -310,24 +155,18 @@ impl TraceSink for CheckSink {
                         )
                     });
                     self.cur_mem_squashes += 1;
-                    self.mem_squashes.push(MemSquashRec {
-                        task,
-                        store_task,
-                        store_pc,
-                        load_pc,
-                        cascade,
-                    });
+                    self.mem_squashes += 1;
                 }
             },
             SimEvent::TaskCommit { task, pu, dispatch, complete, retire, insts, attempts } => {
-                let expected = self.commits.len();
+                let expected = self.commits;
                 self.check(task == expected, || {
                     format!("commit of task {task} out of sequential order (expected {expected})")
                 });
-                self.check(task + 1 == self.dispatches.len(), || {
+                self.check(task + 1 == self.dispatch_cycles.len(), || {
                     format!("commit of task {task} before its dispatch")
                 });
-                if let Some(first) = self.dispatches.get(task).map(|d| d.cycle) {
+                if let Some(&first) = self.dispatch_cycles.get(task) {
                     self.check(dispatch >= first, || {
                         format!("task {task}: final dispatch {dispatch} precedes first {first}")
                     });
@@ -338,7 +177,7 @@ impl TraceSink for CheckSink {
                 self.check(retire >= complete, || {
                     format!("task {task}: retire {retire} precedes complete {complete}")
                 });
-                if let Some(prev_retire) = self.commits.last().map(|c| c.retire) {
+                if let Some(prev_retire) = self.last_retire {
                     self.check(retire > prev_retire, || {
                         format!(
                             "task {task}: retire {retire} not after predecessor's {prev_retire}"
@@ -352,18 +191,13 @@ impl TraceSink for CheckSink {
                         expected_attempts - 1
                     )
                 });
-                self.commits.push(CommitRec {
-                    task,
-                    pu,
-                    dispatch,
-                    complete,
-                    retire,
-                    insts,
-                    attempts,
-                });
+                self.commits += 1;
+                self.last_retire = Some(retire);
+                self.committed_insts += insts;
+                self.pu(pu).0 += retire.saturating_sub(dispatch);
             }
             SimEvent::FwdSend { task, reg, ready, sent, .. } => {
-                let committed = self.commits.len().wrapping_sub(1);
+                let committed = self.commits.wrapping_sub(1);
                 self.check(task == committed, || {
                     format!("fwd_send from task {task} outside its commit window")
                 });
@@ -373,7 +207,7 @@ impl TraceSink for CheckSink {
                 self.check(reg < NUM_REGS, || {
                     format!("task {task}: forwarded register {reg} out of range")
                 });
-                self.sends.push((task, reg));
+                self.sends += 1;
             }
             SimEvent::FwdStall { task, producer, reg, cycles } => {
                 self.check(producer < task, || {
@@ -384,18 +218,17 @@ impl TraceSink for CheckSink {
             }
             SimEvent::PuIdle { pu, from, to } => {
                 self.check(to > from, || format!("pu {pu}: empty idle interval [{from}, {to})"));
-                if self.idle.len() <= pu {
-                    self.idle.resize(pu + 1, Vec::new());
-                }
-                if let Some(&(_, prev_to)) = self.idle[pu].last() {
+                if let Some(prev_to) = self.pu(pu).2 {
                     self.check(from >= prev_to, || {
                         format!("pu {pu}: idle interval [{from}, {to}) overlaps previous")
                     });
                 }
-                self.idle[pu].push((from, to));
+                let state = self.pu(pu);
+                state.1 += to.saturating_sub(from);
+                state.2 = Some(to);
             }
             SimEvent::ArbConflict { task, .. } => {
-                let current = self.dispatches.len().wrapping_sub(1);
+                let current = self.dispatch_cycles.len().wrapping_sub(1);
                 self.check(task == current, || {
                     format!("arb conflict for task {task} but task {current} is executing")
                 });
@@ -403,11 +236,98 @@ impl TraceSink for CheckSink {
             }
         }
     }
+
+    fn finish(self, stats: &SimStats) -> Vec<String> {
+        let mut out = self.errors;
+        if self.dropped_errors > 0 {
+            out.push(format!("… {} further violations dropped", self.dropped_errors));
+        }
+        let mut check = |ok: bool, msg: String| {
+            if !ok {
+                out.push(msg);
+            }
+        };
+        let dispatches = self.dispatch_cycles.len();
+        check(
+            dispatches == stats.num_dyn_tasks,
+            format!("dispatch events {dispatches} != num_dyn_tasks {}", stats.num_dyn_tasks),
+        );
+        check(
+            self.commits == stats.num_dyn_tasks,
+            format!("commit events {} != num_dyn_tasks {}", self.commits, stats.num_dyn_tasks),
+        );
+        check(
+            self.ctrl_squashes == stats.ctrl_squashes,
+            format!(
+                "ctrl squash events {} != ctrl_squashes {}",
+                self.ctrl_squashes, stats.ctrl_squashes
+            ),
+        );
+        check(
+            self.mem_squashes == stats.violations,
+            format!(
+                "mem+cascade squash events {} != violations {}",
+                self.mem_squashes, stats.violations
+            ),
+        );
+        check(
+            self.committed_insts == stats.total_insts,
+            format!(
+                "committed insts {} != total_insts {}",
+                self.committed_insts, stats.total_insts
+            ),
+        );
+        check(
+            self.sends == stats.reg_forwards,
+            format!("fwd_send events {} != reg_forwards {}", self.sends, stats.reg_forwards),
+        );
+        check(
+            self.fwd_stall_cycles == stats.fwd_stall_cycles,
+            format!(
+                "fwd_stall event cycles {} != fwd_stall_cycles {}",
+                self.fwd_stall_cycles, stats.fwd_stall_cycles
+            ),
+        );
+        let idle_total: u64 = self.pus.iter().map(|&(_, idle, _)| idle).sum();
+        check(
+            idle_total == stats.pu_idle_cycles,
+            format!("idle event cycles {idle_total} != pu_idle_cycles {}", stats.pu_idle_cycles),
+        );
+        check(
+            self.arb_conflicts == stats.arb_overflows,
+            format!("arb events {} != arb_overflows {}", self.arb_conflicts, stats.arb_overflows),
+        );
+        if let Some(last) = self.last_retire {
+            check(
+                last == stats.total_cycles,
+                format!("last retire {last} != total_cycles {}", stats.total_cycles),
+            );
+        }
+        // Busy + idle tile each PU's timeline exactly.
+        for pu in 0..stats.num_pus {
+            let (busy, idle, _) = self.pus.get(pu).copied().unwrap_or_default();
+            check(
+                busy + idle == stats.total_cycles,
+                format!(
+                    "pu {pu}: busy {busy} + idle {idle} != total_cycles {}",
+                    stats.total_cycles
+                ),
+            );
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TraceSink;
+
+    /// Checks `log` against empty stats: its streaming violations, then
+    /// whatever does not reconcile with an empty run.
+    fn violations(log: &EventLog) -> Vec<String> {
+        log.check(&SimStats::default())
+    }
 
     fn commit(task: usize, dispatch: u64, retire: u64) -> SimEvent {
         SimEvent::TaskCommit {
@@ -423,7 +343,7 @@ mod tests {
 
     #[test]
     fn clean_stream_reconciles() {
-        let mut c = CheckSink::new();
+        let mut c = EventLog::new();
         c.event(&SimEvent::TaskDispatch {
             task: 0,
             pu: 0,
@@ -444,14 +364,14 @@ mod tests {
             ..SimStats::default()
         };
         // total_cycles (12) != last retire (10): deliberately one error.
-        let errors = c.finish(&stats);
+        let errors = c.check(&stats);
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(errors[0].contains("last retire"), "{errors:?}");
     }
 
     #[test]
     fn out_of_order_commit_is_flagged() {
-        let mut c = CheckSink::new();
+        let mut c = EventLog::new();
         for t in 0..2 {
             c.event(&SimEvent::TaskDispatch {
                 task: t,
@@ -464,16 +384,13 @@ mod tests {
             });
         }
         c.event(&commit(1, 1, 9));
-        assert!(
-            c.errors().iter().any(|e| e.contains("out of sequential order")),
-            "{:?}",
-            c.errors()
-        );
+        let errors = violations(&c);
+        assert!(errors.iter().any(|e| e.contains("out of sequential order")), "{errors:?}");
     }
 
     #[test]
     fn retire_must_strictly_increase() {
-        let mut c = CheckSink::new();
+        let mut c = EventLog::new();
         for t in 0..2 {
             c.event(&SimEvent::TaskDispatch {
                 task: t,
@@ -486,12 +403,13 @@ mod tests {
             });
             c.event(&commit(t, 0, 7));
         }
-        assert!(c.errors().iter().any(|e| e.contains("not after predecessor")), "{:?}", c.errors());
+        let errors = violations(&c);
+        assert!(errors.iter().any(|e| e.contains("not after predecessor")), "{errors:?}");
     }
 
     #[test]
     fn receive_before_send_is_flagged() {
-        let mut c = CheckSink::new();
+        let mut c = EventLog::new();
         c.event(&SimEvent::TaskDispatch {
             task: 0,
             pu: 0,
@@ -503,17 +421,18 @@ mod tests {
         });
         c.event(&commit(0, 0, 5));
         c.event(&SimEvent::FwdSend { task: 0, pu: 0, reg: 3, ready: 9, sent: 4 });
-        assert!(c.errors().iter().any(|e| e.contains("before ready")), "{:?}", c.errors());
+        let errors = violations(&c);
+        assert!(errors.iter().any(|e| e.contains("before ready")), "{errors:?}");
     }
 
     #[test]
     fn error_flood_is_capped() {
-        let mut c = CheckSink::new();
+        let mut c = EventLog::new();
         for _ in 0..(MAX_ERRORS + 10) {
             c.event(&SimEvent::PuIdle { pu: 0, from: 5, to: 5 });
         }
-        assert_eq!(c.errors().len(), MAX_ERRORS);
-        let stats = SimStats { num_pus: 0, ..SimStats::default() };
-        assert!(c.finish(&stats).iter().any(|e| e.contains("dropped")));
+        let errors = violations(&c);
+        assert_eq!(errors.len(), MAX_ERRORS + 1, "{errors:?}");
+        assert_eq!(errors[MAX_ERRORS], "… 10 further violations dropped");
     }
 }

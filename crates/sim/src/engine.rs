@@ -128,8 +128,9 @@ impl<'a> Simulator<'a> {
     /// Runs the trace, streaming [`SimEvent`]s into `sink` — the
     /// observability entry point. With [`NullSink`] this is exactly
     /// [`Simulator::run`]: no events are constructed and no attribution
-    /// bookkeeping is allocated. A [`crate::TraceAggregator`] collects
-    /// the per-task time line (the paper's Figure 2) in its `spans`.
+    /// bookkeeping is allocated. An [`crate::EventLog`] records the
+    /// stream; its `spans` are the per-task time line (the paper's
+    /// Figure 2).
     pub fn run_with_sink<S: TraceSink>(&self, trace: &Trace, sink: &mut S) -> SimStats {
         let image = ProgramImage::new(self.program, self.partition, trace);
         self.run_image(&image, sink)

@@ -320,38 +320,6 @@ impl TraceSink for NullSink {
     fn event(&mut self, _ev: &SimEvent) {}
 }
 
-/// Fans one event stream out to two sinks (e.g. a JSONL writer plus an
-/// in-memory aggregator in a single simulation run).
-#[derive(Debug)]
-pub struct Tee<'a, A: TraceSink, B: TraceSink> {
-    /// First receiver.
-    pub a: &'a mut A,
-    /// Second receiver.
-    pub b: &'a mut B,
-}
-
-impl<'a, A: TraceSink, B: TraceSink> Tee<'a, A, B> {
-    /// Wraps two sinks into one.
-    pub fn new(a: &'a mut A, b: &'a mut B) -> Self {
-        Tee { a, b }
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for Tee<'_, A, B> {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn event(&mut self, ev: &SimEvent) {
-        if self.a.enabled() {
-            self.a.event(ev);
-        }
-        if self.b.enabled() {
-            self.b.event(ev);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,22 +405,5 @@ mod tests {
             |c| SimEvent::TaskSquash { task: 0, pu: 0, cycle: 0, attempt: 1, cause: c }.to_json();
         assert!(j(mem).contains("\"cause\":\"mem\""));
         assert!(j(cas).contains("\"cause\":\"cascade\""));
-    }
-
-    #[test]
-    fn tee_forwards_to_both() {
-        #[derive(Default)]
-        struct Counter(u64);
-        impl TraceSink for Counter {
-            fn event(&mut self, _ev: &SimEvent) {
-                self.0 += 1;
-            }
-        }
-        let mut a = Counter::default();
-        let mut b = Counter::default();
-        let mut tee = Tee::new(&mut a, &mut b);
-        assert!(tee.enabled());
-        tee.event(&SimEvent::PuIdle { pu: 0, from: 0, to: 1 });
-        assert_eq!((a.0, b.0), (1, 1));
     }
 }

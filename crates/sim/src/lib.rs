@@ -36,12 +36,14 @@
 //! * **events** — an optional [`SimEvent`] stream with squash/stall
 //!   *attribution* (which task boundary, which def-use arc), emitted
 //!   through a [`TraceSink`] passed to [`Simulator::run_with_sink`].
-//!   Sinks: [`JsonlSink`] (schema-versioned JSONL), [`TraceAggregator`]
-//!   (attribution tables, and the per-task time line in its `spans`),
-//!   [`CheckSink`] (streaming invariant checker + stats reconciliation
-//!   — the engine half of the `ms-conform` differential harness, see
-//!   `docs/CONFORMANCE.md`), [`NullSink`] (off — the default, zero
-//!   cost), [`Tee`] (fan-out).
+//!   There are two sinks. [`NullSink`] turns tracing off (the default,
+//!   zero cost). [`EventLog`] records the stream, and every view is
+//!   read from that one record: the schema-versioned JSONL
+//!   ([`EventLog::to_jsonl`]), the per-task time line
+//!   ([`EventLog::spans`]), the attribution tables
+//!   ([`EventLog::render`]) and the invariant checker with stats
+//!   reconciliation ([`EventLog::check`] — the engine half of the
+//!   `ms-conform` differential harness, see `docs/CONFORMANCE.md`).
 //!   Event semantics and the reconciliation invariants against
 //!   [`SimStats`] are documented in `docs/TRACING.md`.
 //!
@@ -75,7 +77,6 @@ mod stats;
 pub mod swar;
 mod table;
 
-pub use check::{CheckSink, CommitRec, DispatchRec, MemSquashRec};
 pub use config::SimConfig;
 pub use engine::{ProgramImage, Simulator};
 
@@ -87,6 +88,6 @@ pub use engine::{ProgramImage, Simulator};
 /// shared decoded images) — statistics are bit-identical to version 1, but the
 /// bump conservatively invalidates cached cells across the rewrite.
 pub const ENGINE_VERSION: u32 = 2;
-pub use event::{NullSink, SimEvent, SquashCause, Tee, TraceSink, TRACE_SCHEMA_VERSION};
-pub use sink::{CauseCounts, JsonlSink, SquashRecord, TaskSpan, TraceAggregator};
+pub use event::{NullSink, SimEvent, SquashCause, TraceSink, TRACE_SCHEMA_VERSION};
+pub use sink::{CauseCounts, EventLog, TaskSpan};
 pub use stats::{CycleBreakdown, SimStats, TaskSizeHist};

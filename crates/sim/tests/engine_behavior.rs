@@ -5,7 +5,7 @@ use ms_analysis::ProgramContext;
 use ms_ir::{
     AddrSpec, BranchBehavior, FunctionBuilder, Opcode, Program, ProgramBuilder, Reg, Terminator,
 };
-use ms_sim::{SimConfig, Simulator, TraceAggregator};
+use ms_sim::{EventLog, SimConfig, Simulator};
 use ms_tasksel::{SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
 
@@ -50,10 +50,10 @@ fn timeline_is_well_ordered() {
         .build()
         .select(&ProgramContext::new(p.clone()));
     let trace = TraceGenerator::new(&sel.program, 5).generate(5_000);
-    let mut agg = TraceAggregator::new();
+    let mut log = EventLog::new();
     let stats = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
-        .run_with_sink(&trace, &mut agg);
-    let timeline = agg.spans;
+        .run_with_sink(&trace, &mut log);
+    let timeline = log.spans();
 
     assert_eq!(timeline.len(), stats.num_dyn_tasks);
     let mut prev_dispatch = 0;
@@ -169,14 +169,14 @@ fn squashed_work_is_accounted() {
     let sel =
         SelectorBuilder::new(Strategy::BasicBlock).build().select(&ProgramContext::new(p.clone()));
     let trace = TraceGenerator::new(&sel.program, 2).generate(6_000);
-    let mut agg = TraceAggregator::new();
+    let mut log = EventLog::new();
     let stats = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
-        .run_with_sink(&trace, &mut agg);
+        .run_with_sink(&trace, &mut log);
     assert!(stats.violations > 0);
     assert!(stats.squashed_insts > 0);
     assert!(stats.breakdown.mem_misspec > 0);
     // The squashed tasks show attempts > 1 in the time line.
-    assert!(agg.spans.iter().any(|t| t.attempts > 1));
+    assert!(log.spans().iter().any(|t| t.attempts > 1));
     // But correct-path retirement is unaffected.
     assert_eq!(stats.total_insts, trace.num_insts() as u64);
 }

@@ -10,7 +10,7 @@ use ms_analysis::ProgramContext;
 use ms_ir::{
     BranchBehavior, FunctionBuilder, Inst, Opcode, Program, ProgramBuilder, Reg, Terminator,
 };
-use ms_sim::{SimConfig, Simulator, TraceAggregator};
+use ms_sim::{EventLog, SimConfig, Simulator};
 use ms_tasksel::{SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
 
@@ -152,12 +152,12 @@ fn ring_forwarding_delays_dependent_consumers() {
             .build()
             .select(&ProgramContext::new(p.clone()));
         let trace = TraceGenerator::new(&sel.program, 1).generate_once(10_000);
-        let mut agg = TraceAggregator::new();
+        let mut log = EventLog::new();
         let stats = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
-            .run_with_sink(&trace, &mut agg);
+            .run_with_sink(&trace, &mut log);
         // Consumer tasks carry 21 instructions (20 muls + branch).
         let spans: Vec<u64> =
-            agg.spans.iter().filter(|t| t.insts == 21).map(|t| t.complete - t.dispatch).collect();
+            log.spans().iter().filter(|t| t.insts == 21).map(|t| t.complete - t.dispatch).collect();
         assert!(spans.len() >= 8, "expected consumer tasks");
         (stats, spans.iter().sum::<u64>() as f64 / spans.len() as f64)
     };

@@ -66,5 +66,5 @@ mod step;
 
 pub use gen::TraceGenerator;
 pub use split::{split_tasks, DynExit, DynTask};
-pub use stats::{measure_profile, DynTaskStats};
-pub use step::{step_is_return, CtOutcome, DynInst, DynInstKind, DynInstRef, Trace, TraceStep};
+pub use stats::measure_profile;
+pub use step::{step_is_return, CtOutcome, DynInstKind, DynInstRef, Trace, TraceStep};

@@ -1,9 +1,8 @@
-//! Measured statistics over traces and dynamic task sequences.
+//! Measured statistics over traces.
 
 use ms_analysis::Profile;
 use ms_ir::Program;
 
-use crate::split::DynTask;
 use crate::step::{CtOutcome, Trace};
 
 /// Measures an execution [`Profile`] from a trace — the dynamic analogue
@@ -59,52 +58,13 @@ pub fn measure_profile(trace: &Trace, program: &Program) -> Profile {
     Profile::from_raw(block_freq, invocations, dyn_size)
 }
 
-/// Summary statistics of a dynamic task sequence — the quantities Table 1
-/// of the paper reports per benchmark.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynTaskStats {
-    /// Number of dynamic tasks.
-    pub num_tasks: usize,
-    /// Mean dynamic instructions per task ("#dyn inst").
-    pub avg_insts: f64,
-    /// Mean dynamic control-transfer instructions per task ("#ct inst").
-    pub avg_ct_insts: f64,
-    /// Total dynamic instructions.
-    pub total_insts: usize,
-}
-
-impl DynTaskStats {
-    /// Computes statistics for a task split of `trace`.
-    pub fn compute(tasks: &[DynTask], trace: &Trace, program: &Program) -> Self {
-        let mut total_insts = 0usize;
-        let mut total_ct = 0usize;
-        for t in tasks {
-            for s in &trace.steps()[t.start..t.end] {
-                total_insts += s.num_insts(program);
-                let blk = program.function(s.block.func).block(s.block.block);
-                total_ct += usize::from(blk.terminator().emits_ct_inst());
-            }
-        }
-        let n = tasks.len().max(1) as f64;
-        DynTaskStats {
-            num_tasks: tasks.len(),
-            avg_insts: total_insts as f64 / n,
-            avg_ct_insts: total_ct as f64 / n,
-            total_insts,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::TraceGenerator;
-    use crate::split::split_tasks;
-    use ms_analysis::ProgramContext;
     use ms_ir::{
         BlockRef, BranchBehavior, FunctionBuilder, Opcode, ProgramBuilder, Reg, Terminator,
     };
-    use ms_tasksel::{SelectorBuilder, Strategy};
 
     fn looped_call_program() -> Program {
         let mut pb = ProgramBuilder::new();
@@ -154,23 +114,5 @@ mod tests {
         // Per-invocation block frequency of the call block ≈ 10.
         let callb = BlockRef::new(p.entry(), ms_ir::BlockId::new(1));
         assert!((measured.block_freq(callb) - estimated.block_freq(callb)).abs() < 0.5);
-    }
-
-    #[test]
-    fn dyn_task_stats_count_instructions_and_cts() {
-        let p = looped_call_program();
-        let sel = SelectorBuilder::new(Strategy::ControlFlow)
-            .max_targets(4)
-            .build()
-            .select(&ProgramContext::new(p.clone()));
-        let trace = TraceGenerator::new(&sel.program, 2).generate(500);
-        let tasks = split_tasks(&trace, &sel.program, &sel.partition);
-        let stats = DynTaskStats::compute(&tasks, &trace, &sel.program);
-        assert_eq!(stats.num_tasks, tasks.len());
-        assert_eq!(stats.total_insts, trace.num_insts());
-        assert!(stats.avg_insts >= stats.avg_ct_insts);
-        // Every step carries one control transfer except halts (one per
-        // program restart), so the average stays close to one per step.
-        assert!(stats.avg_ct_insts > 0.8, "avg ct {}", stats.avg_ct_insts);
     }
 }

@@ -56,42 +56,9 @@ pub enum DynInstKind {
     Ct,
 }
 
-/// A materialised dynamic instruction (operands resolved against the
-/// program and copied out).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynInst {
-    /// Instruction address.
-    pub pc: u64,
-    /// Operation kind.
-    pub kind: DynInstKind,
-    /// Destination register, if any.
-    pub dst: Option<Reg>,
-    /// Source registers.
-    pub srcs: Vec<Reg>,
-    /// Concrete memory address for loads/stores.
-    pub addr: Option<u64>,
-}
-
-impl DynInst {
-    /// Whether this is a load.
-    pub fn is_load(&self) -> bool {
-        matches!(self.kind, DynInstKind::Op(op) if op.is_load())
-    }
-
-    /// Whether this is a store.
-    pub fn is_store(&self) -> bool {
-        matches!(self.kind, DynInstKind::Op(op) if op.is_store())
-    }
-
-    /// Whether this is a control transfer.
-    pub fn is_ct(&self) -> bool {
-        matches!(self.kind, DynInstKind::Ct)
-    }
-}
-
-/// A borrowed view of one dynamic instruction — [`DynInst`] without the
-/// copied-out operand list. [`Trace::inst_refs`] yields these so the
-/// simulator's per-instruction loop allocates nothing.
+/// A borrowed view of one dynamic instruction, with its operands
+/// resolved against the program. [`Trace::inst_refs`] yields these so
+/// the simulator's per-instruction loop allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct DynInstRef<'p> {
     /// Instruction address.
@@ -210,25 +177,7 @@ impl Trace {
         self.steps.is_empty()
     }
 
-    /// Materialises the dynamic instructions of step `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn insts_of_step(&self, idx: usize, program: &Program) -> Vec<DynInst> {
-        self.inst_refs(idx, program)
-            .map(|r| DynInst {
-                pc: r.pc,
-                kind: r.kind,
-                dst: r.dst,
-                srcs: r.srcs.to_vec(),
-                addr: r.addr,
-            })
-            .collect()
-    }
-
-    /// The dynamic instructions of step `idx` as borrowed views —
-    /// [`Trace::insts_of_step`] without the materialisation. The
+    /// The dynamic instructions of step `idx` as borrowed views. The
     /// simulator's hot loop runs on this; a step's control transfer, if
     /// it emits one, is always the final instruction yielded.
     ///
@@ -309,19 +258,19 @@ mod tests {
     }
 
     #[test]
-    fn insts_of_step_assigns_addresses_in_order() {
+    fn inst_refs_assign_addresses_in_order() {
         let p = program_with_mem();
         let trace = Trace::new(vec![one_step()], vec![0x100, 0x108], &p);
         assert_eq!(trace.num_insts(), 4); // 3 ops + return
         assert_eq!(trace.mem_addrs(0), &[0x100, 0x108]);
-        let insts = trace.insts_of_step(0, &p);
+        let insts: Vec<_> = trace.inst_refs(0, &p).collect();
         assert_eq!(insts.len(), 4);
         assert_eq!(insts[0].addr, None);
         assert_eq!(insts[1].addr, Some(0x100));
-        assert!(insts[1].is_load());
+        assert!(matches!(insts[1].kind, DynInstKind::Op(op) if op.is_load()));
         assert_eq!(insts[2].addr, Some(0x108));
-        assert!(insts[2].is_store());
-        assert!(insts[3].is_ct());
+        assert!(matches!(insts[2].kind, DynInstKind::Op(op) if op.is_store()));
+        assert!(matches!(insts[3].kind, DynInstKind::Ct));
         // PCs advance by 4.
         assert_eq!(insts[3].pc, insts[0].pc + 12);
     }

@@ -7,7 +7,7 @@
 //! ```
 
 use multiscalar::prelude::*;
-use multiscalar::sim::TraceAggregator;
+use multiscalar::sim::EventLog;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "m88ksim".to_string());
@@ -19,13 +19,14 @@ fn main() {
         .build()
         .select(&ProgramContext::new(program));
     let trace = TraceGenerator::new(&sel.program, 0x5eed).generate(2_000);
-    let mut agg = TraceAggregator::new();
+    let mut log = EventLog::new();
     let stats = Simulator::new(SimConfig::with_pus(pus), &sel.program, &sel.partition)
-        .run_with_sink(&trace, &mut agg);
+        .run_with_sink(&trace, &mut log);
 
     // Render a window of tasks from the steady state.
-    let skip = agg.spans.len().saturating_sub(40).min(20);
-    let window: Vec<_> = agg.spans.iter().skip(skip).take(32).collect();
+    let spans = log.spans();
+    let skip = spans.len().saturating_sub(40).min(20);
+    let window: Vec<_> = spans.iter().skip(skip).take(32).collect();
     let t0 = window.first().map(|t| t.dispatch).unwrap_or(0);
     let t1 = window.last().map(|t| t.retire).unwrap_or(1);
     let span = (t1 - t0).max(1);

@@ -23,23 +23,27 @@
 # 8. profiler smoke: one small `run -- perf` must exit 0 and write its
 #    Chrome pipeline view (docs/PROFILING.md; comparing timings is the
 #    repository benchmark's job, see BENCHMARK.json),
-# 9. conformance fuzz smoke: 25 random programs x every selection
+# 9. trace smoke: one `run -- trace` must write the JSONL event trace
+#    and Chrome view byte-identical to the library's golden files
+#    (crates/bench/tests/golden/compress-cf-4pu-trace.*), tying the CLI
+#    path to the pinned artifacts (docs/TRACING.md),
+# 10. conformance fuzz smoke: 25 random programs x every selection
 #    strategy must match the sequential reference model
 #    (docs/CONFORMANCE.md),
-# 10. run-ledger smoke: a small sweep must leave a run record that
+# 11. run-ledger smoke: a small sweep must leave a run record that
 #    passes `run -- runs-validate` and shows up in `run -- runs`;
 #    target/experiments/runs/ is pruned to the newest 50 records
 #    (docs/OBSERVABILITY.md),
-# 11. cached-rerun smoke: the same sweep run twice with one `--cache-dir`
-#    must write artifacts byte-identical to step 10's uncached run, and
+# 12. cached-rerun smoke: the same sweep run twice with one `--cache-dir`
+#    must write artifacts byte-identical to step 11's uncached run, and
 #    the second run must serve every cell from the content-addressed
 #    cell cache (zero cells simulated, per its run record's footer),
-# 12. grid digests: the repository benchmark's smoke run must write all
+# 13. grid digests: the repository benchmark's smoke run must write all
 #    408 grid files byte-identical to benchmark/expected/grids.txt (and
 #    replay every workload with no differing output), so a timing-model
 #    change that moves a single cycle fails here, not only in the
 #    benchmark harness,
-# 13. long-trace digests: the 18 one-million-instruction `dd` runs on
+# 14. long-trace digests: the 18 one-million-instruction `dd` runs on
 #    8 PUs (the benchmark's `long_trace` workload, run once) must print
 #    stats lines identical to benchmark/expected/long_trace.txt, so the
 #    engine is pinned on a large working set too, not only on the
@@ -121,6 +125,15 @@ cargo run -p ms-bench --release --bin run -q -- perf --reps 1 --insts 2000 --out
 [ -f "$smoke_dir/perf/pipeline.chrome.json" ] \
     || { echo "perf did not write $smoke_dir/perf/pipeline.chrome.json"; exit 1; }
 
+echo "==> trace smoke (run -- trace vs crates/bench/tests/golden, docs/TRACING.md)"
+trace_dir=target/trace-smoke
+rm -rf "$trace_dir"
+cargo run -p ms-bench --release --bin run -q -- trace compress --insts 2000 --out "$trace_dir" --quiet
+for ext in jsonl chrome.json; do
+    cmp "$trace_dir/trace/compress-cf.$ext" "crates/bench/tests/golden/compress-cf-4pu-trace.$ext" \
+        || { echo "run -- trace wrote a $ext differing from the golden file"; exit 1; }
+done
+
 echo "==> conformance fuzz smoke (run -- fuzz --seeds 25)"
 # Differential check: the engine vs the sequential reference model on
 # random programs under every selection policy; failures shrink to
@@ -128,7 +141,7 @@ echo "==> conformance fuzz smoke (run -- fuzz --seeds 25)"
 cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 25 --out target/fuzz-smoke
 
 echo "==> run-ledger smoke (run -- runs, docs/OBSERVABILITY.md)"
-# The perf/fuzz steps above each left a run record; add the
+# The perf/trace/fuzz steps above each left a run record; add the
 # cheapest sweep so the sweep scheduler's telemetry path is exercised
 # too, then assert the ledger round-trips: every record validates and
 # the listing surfaces the sweep we just ran.
@@ -156,7 +169,7 @@ fi
 echo "==> cached-rerun smoke (run -- forwarding --cache-dir, EXPERIMENTS.md)"
 # The same grid twice through one cell cache: a cold pass that fills
 # it, then a warm pass that must simulate nothing. Both trees must be
-# byte-identical to step 10's uncached forwarding tree. The warm run's
+# byte-identical to step 11's uncached forwarding tree. The warm run's
 # own record (the path it prints) must say "cache_misses":0.
 cache_smoke=target/cache-smoke
 rm -rf "$cache_smoke"
