@@ -55,8 +55,7 @@ pub mod tracecmd;
 
 pub use error::BenchError;
 
-use ms_sim::{SimConfig, SimStats, Simulator};
-use ms_trace::TraceGenerator;
+use ms_sim::{NullSink, SimConfig, SimStats, Simulator};
 
 /// Default dynamic instruction budget per run (big enough for warmed-up
 /// predictors and caches, small enough to sweep 18 × 4 × 4 configs).
@@ -69,15 +68,21 @@ pub const DEFAULT_SEED: u64 = 0x5eed;
 /// repository benchmark's traced replay names it.
 pub use ms_tasksel::Strategy as Heuristic;
 
-/// Runs one experiment for an already-made selection.
+/// Runs one experiment for an already-made selection, streaming the
+/// trace through the simulator chunk by chunk
+/// ([`Simulator::run_streamed`]), so memory does not grow with
+/// `trace_insts`.
 pub fn run_selection(
     sel: &ms_tasksel::Selection,
     config: SimConfig,
     trace_insts: usize,
     seed: u64,
 ) -> SimStats {
-    let trace = TraceGenerator::new(&sel.program, seed).generate(trace_insts);
-    Simulator::new(config, &sel.program, &sel.partition).run(&trace)
+    Simulator::new(config, &sel.program, &sel.partition).run_streamed(
+        seed,
+        trace_insts,
+        &mut NullSink,
+    )
 }
 
 /// Formats a ratio as a signed percentage ("+23%").

@@ -9,9 +9,9 @@
 //! forwarded registers, blamed memory conflicts) disagrees with this
 //! model, the engine is wrong, however plausible its cycle counts look.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use ms_ir::Program;
+use ms_ir::{FxMap, Program};
 use ms_tasksel::TaskPartition;
 use ms_trace::{split_tasks, DynInstKind, Trace};
 
@@ -55,7 +55,7 @@ pub fn reference(program: &Program, partition: &TaskPartition, trace: &Trace) ->
     let mut tasks = Vec::with_capacity(dyn_tasks.len());
     let mut mem_conflicts = BTreeSet::new();
     // addr → (dynamic task, store pc) of the last store, in program order.
-    let mut last_store: HashMap<u64, (usize, u64)> = HashMap::new();
+    let mut last_store: FxMap<u64, (usize, u64)> = FxMap::default();
     let mut total_insts = 0u64;
     let mut total_ct_insts = 0u64;
     for (k, dt) in dyn_tasks.iter().enumerate() {

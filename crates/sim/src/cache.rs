@@ -40,6 +40,9 @@ pub(crate) struct Cache {
     assoc: usize,
     line_shift: u32,
     set_mask: u64,
+    /// Set-index bits above the line offset (`set_mask.count_ones()`,
+    /// computed once: the build targets no `popcnt` instruction).
+    tag_shift: u32,
     hit_latency: u32,
     stamp: u64,
     hits: u64,
@@ -68,6 +71,7 @@ impl Cache {
             assoc: p.assoc as usize,
             line_shift: p.line.trailing_zeros(),
             set_mask: num_sets - 1,
+            tag_shift: num_sets.trailing_zeros(),
             hit_latency: p.hit_latency,
             stamp: 0,
             hits: 0,
@@ -81,7 +85,7 @@ impl Cache {
         self.stamp += 1;
         let line = addr >> self.line_shift;
         let set = line & self.set_mask;
-        let tag = line >> self.set_mask.count_ones();
+        let tag = line >> self.tag_shift;
         let assoc = self.assoc;
         let ways: &mut [(u64, u64)] = match &mut self.ways {
             Ways::Dense(v) => &mut v[set as usize * assoc..][..assoc],

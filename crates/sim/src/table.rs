@@ -15,10 +15,8 @@
 //! tie-breaks on — so timing statistics are bit-identical to the
 //! chased path.
 
-use std::collections::HashMap;
-
-use ms_ir::{BlockRef, FuClass, Opcode, Program};
-use ms_trace::Trace;
+use ms_ir::{BlockRef, FuClass, FxMap, Opcode, Program};
+use ms_trace::TraceStep;
 
 /// `dst` column value for "no destination register".
 pub(crate) const NO_DST: u8 = u8::MAX;
@@ -36,7 +34,9 @@ pub(crate) const F_UNPIPELINED: u8 = 1 << 5;
 
 /// The decoded program image: one row per static instruction of every
 /// block the trace executes, in struct-of-arrays layout, plus the
-/// step → block mapping.
+/// step → block mapping. The rows depend only on the program and
+/// persist across the chunks of a streamed run; the step column follows
+/// the chunk's steps.
 #[derive(Debug, Default)]
 pub(crate) struct DynInstTable {
     /// Packed flags per instruction row (see the `F_*` constants).
@@ -59,21 +59,28 @@ pub(crate) struct DynInstTable {
     pub block_off: Vec<u32>,
     pub block_len: Vec<u32>,
     pub block_pc0: Vec<u64>,
+    /// Decoded-block index per block already decoded.
+    blocks: FxMap<BlockRef, u32>,
     /// Decoded-block index per trace step.
     pub step_block: Vec<u32>,
 }
 
 impl DynInstTable {
-    /// Decodes every distinct block `trace` executes.
-    pub fn build(program: &Program, trace: &Trace) -> Self {
-        let mut t = DynInstTable::default();
-        let mut index: HashMap<BlockRef, u32> = HashMap::new();
-        t.step_block.reserve(trace.steps().len());
-        for step in trace.steps() {
-            let b = *index.entry(step.block).or_insert_with(|| t.decode_block(program, step.block));
-            t.step_block.push(b);
+    /// Appends the decoded-block index of every step in `steps`,
+    /// decoding each block the first time a step executes it.
+    pub fn push_steps(&mut self, program: &Program, steps: &[TraceStep]) {
+        self.step_block.reserve(steps.len());
+        for step in steps {
+            let b = match self.blocks.get(&step.block) {
+                Some(&b) => b,
+                None => {
+                    let b = self.decode_block(program, step.block);
+                    self.blocks.insert(step.block, b);
+                    b
+                }
+            };
+            self.step_block.push(b);
         }
-        t
     }
 
     /// Decodes one block into the arrays, returning its block index.
@@ -171,7 +178,8 @@ mod tests {
     fn decoded_rows_match_inst_refs() {
         let program = ms_workloads::by_name("compress").unwrap().build();
         let trace = TraceGenerator::new(&program, 3).generate(5_000);
-        let table = DynInstTable::build(&program, &trace);
+        let mut table = DynInstTable::default();
+        table.push_steps(&program, trace.steps());
         assert_eq!(table.step_block.len(), trace.steps().len());
         for si in 0..trace.steps().len() {
             let mem_addrs = trace.mem_addrs(si);

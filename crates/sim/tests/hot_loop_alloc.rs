@@ -2,7 +2,8 @@
 //!
 //! This test binary installs a counting `#[global_allocator]` and
 //! measures the allocations made *inside* [`Simulator::run_image`] for
-//! the same program at two trace lengths. Everything the engine
+//! the same program at two trace lengths, and inside the streamed
+//! [`Simulator::run_streamed`] at two budgets of several chunks each. Everything the engine
 //! allocates is front-loaded into engine construction (scratch sized
 //! from the [`ProgramImage`] and [`SimConfig`]), so the count may depend
 //! on the image's task count — but it must not scale with the
@@ -122,6 +123,40 @@ fn hot_loop_is_allocation_free_in_steady_state() {
     assert!(
         delta_bytes <= extra_insts * 4,
         "runs allocated {delta_bytes} extra bytes for {extra_insts} extra insts"
+    );
+}
+
+/// Allocations inside one streamed four-PU run of `insts` from `sel`:
+/// trace generation, splitting and decoding included.
+fn streamed_allocs(sel: &Selection, insts: usize) -> (u64, u64, u64) {
+    let sim = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition);
+    let (allocs, bytes, stats) = counted(|| sim.run_streamed(7, insts, &mut NullSink));
+    (allocs, bytes, stats.total_insts)
+}
+
+#[test]
+fn streamed_runs_allocate_per_chunk_buffers_once() {
+    let sel = selection();
+    let _ = streamed_allocs(&sel, 2_000);
+
+    // Two chunks against eight: the chunk buffers, the task split and
+    // the decoded columns are reused chunk to chunk, so the extra chunks
+    // may only top up capacity a few times.
+    let (small_allocs, small_bytes, small_insts) = streamed_allocs(&sel, 150_000);
+    let (large_allocs, large_bytes, large_insts) = streamed_allocs(&sel, 600_000);
+    assert!(small_insts >= 150_000 && large_insts >= 600_000, "budgets are spent");
+    let delta = large_allocs.saturating_sub(small_allocs);
+    assert!(
+        delta <= 16,
+        "streamed runs allocate per chunk: {small_allocs} allocs at {small_insts} insts -> \
+         {large_allocs} allocs at {large_insts} insts (delta {delta})"
+    );
+    // Nothing may scale with the budget: no per-task column outlives its
+    // chunk, and no chunk buffer is reallocated from scratch.
+    let delta_bytes = large_bytes.saturating_sub(small_bytes);
+    assert!(
+        delta_bytes <= small_bytes / 4,
+        "4x the budget requested {delta_bytes} more bytes (of {small_bytes})"
     );
 }
 

@@ -12,6 +12,12 @@ use ms_ir::{
 
 use crate::step::{addr_offset, CtOutcome, Trace, TraceStep};
 
+/// Instructions per chunk of a streamed run: the trace generator fills,
+/// the splitter cuts and the simulator decodes about this many at a
+/// time, so a run's trace memory is set by this constant and not by its
+/// instruction budget.
+pub const TRACE_CHUNK_INSTS: usize = 1 << 17;
+
 /// Base byte address of the simulated stack region (frames grow down).
 const STACK_TOP: u64 = 0x7fff_0000;
 /// Bytes reserved per call frame.
@@ -57,49 +63,104 @@ impl<'p> TraceGenerator<'p> {
     /// comes first. The program restarts from its entry if it halts
     /// before `max_insts` *and* made progress, so short programs can fill
     /// long traces (modelling an outer driver loop).
+    ///
+    /// This is the one-chunk case of [`TraceGenerator::stream`]: the
+    /// whole trace is held at once.
     pub fn generate(&self, max_insts: usize) -> Trace {
-        self.run(max_insts, true)
+        self.whole(max_insts, true)
     }
 
     /// Like [`TraceGenerator::generate`], but never restarts: the trace
     /// ends at the first program halt even if the budget remains.
     pub fn generate_once(&self, max_insts: usize) -> Trace {
-        self.run(max_insts, false)
+        self.whole(max_insts, false)
     }
 
-    fn run(&self, max_insts: usize, restart: bool) -> Trace {
+    /// A resumable stream of the steps [`TraceGenerator::generate`]
+    /// would produce for `max_insts`, handed out chunk by chunk through
+    /// [`TraceStream::fill`]. Nothing it allocates scales with
+    /// `max_insts`.
+    pub fn stream(&self, max_insts: usize) -> TraceStream<'p> {
+        TraceStream::new(self.program, self.seed, max_insts, true)
+    }
+
+    fn whole(&self, max_insts: usize, restart: bool) -> Trace {
+        let mut trace = Trace::default();
+        TraceStream::new(self.program, self.seed, max_insts, restart).fill(&mut trace, usize::MAX);
+        trace
+    }
+}
+
+/// A trace generation in progress: the walker's state plus the
+/// instruction budget left. Each [`TraceStream::fill`] appends the next
+/// steps to a caller-owned [`Trace`], so one buffer serves every chunk
+/// of an arbitrarily long run.
+#[derive(Debug)]
+pub struct TraceStream<'p> {
+    walker: Walker<'p>,
+    restart: bool,
+    max_insts: usize,
+    /// Instructions generated so far, over every chunk.
+    insts: usize,
+}
+
+impl<'p> TraceStream<'p> {
+    fn new(program: &'p Program, seed: u64, max_insts: usize, restart: bool) -> Self {
+        TraceStream { walker: Walker::new(program, seed), restart, max_insts, insts: 0 }
+    }
+
+    /// Appends steps to `trace` until it holds at least `chunk_insts`
+    /// instructions (at least one step is appended), the budget is spent
+    /// or the program ends for good. Returns `true` once the stream is
+    /// over: no later call appends anything.
+    ///
+    /// The steps are exactly those of [`TraceGenerator::generate`] for
+    /// the same budget, in order, however the calls chunk them. The
+    /// buffers grow for at most [`TRACE_CHUNK_INSTS`] instructions ahead.
+    pub fn fill(&mut self, trace: &mut Trace, chunk_insts: usize) -> bool {
         let prof = ms_prof::span("trace.generate");
-        let mut walker = Walker::new(self.program, self.seed);
-        // Steps average several instructions each; reserving a quarter
-        // of the budget leaves at most a doubling or two of headroom.
-        let mut steps: Vec<TraceStep> = Vec::with_capacity(max_insts / 4);
-        let mut addr_off: Vec<u32> = Vec::with_capacity(max_insts / 4 + 1);
-        // Memory instructions are 22–41% of every workload's dynamic
-        // instructions, so half the budget never regrows; capacity that
-        // is never written is never faulted in.
-        let mut addrs: Vec<u64> = Vec::with_capacity(max_insts / 2);
-        addr_off.push(0);
-        let mut insts = 0usize;
-        while insts < max_insts {
-            match walker.step(&mut addrs) {
+        let program = self.walker.program;
+        // Every workload averages 3.8–24.5 instructions per step, so a
+        // third of the chunk in steps never regrows; memory instructions
+        // are 22–41% of their dynamic instructions, so half the chunk in
+        // addresses never regrows either. Capacity that is never written
+        // is never faulted in, and none of it scales with the budget.
+        let ahead =
+            chunk_insts.min(self.max_insts.saturating_sub(self.insts)).min(TRACE_CHUNK_INSTS);
+        trace.steps.reserve((ahead / 3).saturating_sub(trace.steps.len()));
+        trace.addr_off.reserve((ahead / 3 + 1).saturating_sub(trace.addr_off.len()));
+        trace.addrs.reserve((ahead / 2).saturating_sub(trace.addrs.len()));
+        let first = trace.steps.len();
+        let before = self.insts;
+        let ended = loop {
+            if self.insts >= self.max_insts {
+                break true;
+            }
+            if trace.num_insts >= chunk_insts && trace.steps.len() > first {
+                break false;
+            }
+            match self.walker.step(&mut trace.addrs) {
                 Some(step) => {
-                    insts += step.num_insts(self.program);
-                    steps.push(step);
-                    addr_off.push(addr_offset(addrs.len()));
+                    let n = step.num_insts(program);
+                    self.insts += n;
+                    trace.num_insts += n;
+                    trace.steps.push(step);
+                    trace.addr_off.push(addr_offset(trace.addrs.len()));
                 }
                 None => {
-                    // Program halted. Restart while budget remains; bail
+                    // Program halted. Restart while budget remains; stop
                     // if the program emits nothing (avoid spinning).
-                    if !restart || steps.is_empty() || insts == 0 {
-                        break;
+                    if !self.restart || self.insts == 0 {
+                        break true;
                     }
-                    walker.restart();
+                    self.walker.restart();
                 }
             }
-        }
-        prof.add_items(insts as u64);
-        ms_prof::counter_add("trace.dyn_insts", insts as u64);
-        Trace::from_columns(steps, addrs, addr_off, insts)
+        };
+        let added = (self.insts - before) as u64;
+        prof.add_items(added);
+        ms_prof::counter_add("trace.dyn_insts", added);
+        ended
     }
 }
 

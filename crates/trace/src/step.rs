@@ -88,16 +88,26 @@ impl DynInstRef<'_> {
 /// three allocations however many steps it has.
 ///
 /// Produced by [`TraceGenerator`](crate::TraceGenerator); consumed by the
-/// dynamic-task splitter and the simulator.
+/// dynamic-task splitter and the simulator. A streamed trace is one
+/// chunk at a time: [`TraceStream::fill`](crate::TraceStream::fill)
+/// appends to it and [`Trace::drop_front`] forgets the steps already
+/// simulated, so the buffers keep their capacity from chunk to chunk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    steps: Vec<TraceStep>,
+    pub(crate) steps: Vec<TraceStep>,
     /// Every step's memory addresses, concatenated in step order.
-    addrs: Vec<u64>,
+    pub(crate) addrs: Vec<u64>,
     /// Per step: where its addresses start in `addrs`, plus one trailing
     /// entry equal to `addrs.len()`.
-    addr_off: Vec<u32>,
-    num_insts: usize,
+    pub(crate) addr_off: Vec<u32>,
+    pub(crate) num_insts: usize,
+}
+
+impl Default for Trace {
+    /// An empty trace, ready to be filled by a [`crate::TraceStream`].
+    fn default() -> Self {
+        Trace { steps: Vec::new(), addrs: Vec::new(), addr_off: vec![0], num_insts: 0 }
+    }
 }
 
 /// Narrows an address-column position to a step offset.
@@ -138,17 +148,25 @@ impl Trace {
         Trace { steps, addrs, addr_off, num_insts }
     }
 
-    /// Assembles a trace from columns the generator built consistently
-    /// (`addr_off` has one entry per step plus the trailing end).
-    pub(crate) fn from_columns(
-        steps: Vec<TraceStep>,
-        addrs: Vec<u64>,
-        addr_off: Vec<u32>,
-        num_insts: usize,
-    ) -> Self {
-        debug_assert_eq!(addr_off.len(), steps.len() + 1);
-        debug_assert_eq!(addr_off.last().map(|&o| o as usize), Some(addrs.len()));
-        Trace { steps, addrs, addr_off, num_insts }
+    /// Forgets the first `n` steps and their addresses, keeping the
+    /// buffers' capacity; step `n` becomes step 0. The instruction count
+    /// is recounted over the steps that remain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the number of steps.
+    pub fn drop_front(&mut self, n: usize, program: &Program) {
+        if n == 0 {
+            return;
+        }
+        let base = self.addr_off[n];
+        self.num_insts = self.steps[n..].iter().map(|s| s.num_insts(program)).sum();
+        self.steps.drain(..n);
+        self.addrs.drain(..base as usize);
+        self.addr_off.drain(..n);
+        for off in &mut self.addr_off {
+            *off -= base;
+        }
     }
 
     /// The memory addresses step `idx` touched: one per memory
