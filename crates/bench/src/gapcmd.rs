@@ -21,7 +21,6 @@
 use ms_ir::{BlockRef, FuncId};
 use ms_sim::{EventLog, SimConfig, Simulator};
 use ms_tasksel::{CostModel, PartitionStats, Selection, SelectorBuilder, Strategy, TaskId};
-use ms_trace::TraceGenerator;
 use ms_workloads::Workload;
 
 use crate::run_selection;
@@ -150,10 +149,9 @@ pub fn run_gap(workload: &Workload, opts: &GapOptions) -> GapReport {
 
     // Pilot: a traced cf run whose attribution becomes the cost model.
     let pilot = Strategy::ControlFlow.selector(opts.targets).select(&ctx);
-    let trace = TraceGenerator::new(&pilot.program, opts.seed).generate(opts.insts);
     let mut log = EventLog::new();
     Simulator::new(opts.config.clone(), &pilot.program, &pilot.partition)
-        .run_with_sink(&trace, &mut log);
+        .run_streamed(opts.seed, opts.insts, &mut log);
     let model = cost_model_from_pilot(&pilot, &log);
 
     // Oracle eligibility is a property of the shared program, not of any
@@ -283,10 +281,9 @@ mod tests {
         let w = ms_workloads::by_name("li").unwrap();
         let ctx = ms_analysis::ProgramContext::new(w.build());
         let pilot = Strategy::ControlFlow.selector(4).select(&ctx);
-        let trace = TraceGenerator::new(&pilot.program, 1).generate(20_000);
         let mut log = EventLog::new();
         Simulator::new(SimConfig::four_pu(), &pilot.program, &pilot.partition)
-            .run_with_sink(&trace, &mut log);
+            .run_streamed(1, 20_000, &mut log);
         let model = cost_model_from_pilot(&pilot, &log);
         // A 20k-instruction li run always squashes somewhere.
         assert!(!model.is_empty(), "pilot attribution produced an empty model");

@@ -15,7 +15,6 @@ use ms_sim::{
     EventLog, SimConfig, SimEvent, SimStats, Simulator, SquashCause, TRACE_SCHEMA_VERSION,
 };
 use ms_tasksel::{Selection, TaskId, TaskPartition};
-use ms_trace::TraceGenerator;
 
 use crate::json::JsonObj;
 
@@ -46,10 +45,12 @@ pub fn trace_selection(
     trace_insts: usize,
     seed: u64,
 ) -> TraceArtifacts {
-    let trace = TraceGenerator::new(&sel.program, seed).generate(trace_insts);
     let mut log = EventLog::new();
-    let stats =
-        Simulator::new(config, &sel.program, &sel.partition).run_with_sink(&trace, &mut log);
+    let stats = Simulator::new(config, &sel.program, &sel.partition).run_streamed(
+        seed,
+        trace_insts,
+        &mut log,
+    );
     let label = boundary_labeler(&sel.program, &sel.partition);
     let tables = log.render(TOP_K, &label);
     let chrome = chrome_trace(&log, &label);
