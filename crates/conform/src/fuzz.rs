@@ -9,14 +9,24 @@
 //! reduction that still fails, until none does. Because every reduction
 //! builds a valid program by construction, the shrink loop never has to
 //! discard candidates for well-formedness.
+//!
+//! A case pays its fixed costs once ([`FuzzCase`]): it builds the
+//! seed's program and one analysis context, selects every policy from
+//! that context, and generates one trace, which every policy that does
+//! not transform the program shares. Only a failure's shrink loop
+//! builds candidate programs afresh.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use ms_analysis::ProgramContext;
 use ms_ir::gen::{GenParams, ProgSpec};
 use ms_ir::SplitMix64;
 use ms_sim::SimConfig;
-use ms_tasksel::{Strategy, TaskSelector};
+use ms_tasksel::{Selection, Strategy, TaskSelector};
+use ms_trace::{Trace, TraceGenerator};
 
-use crate::check_selection;
+use crate::{check_selection, check_trace};
 
 /// Decorrelates fuzz-program derivation from other uses of the seed.
 const FUZZ_SALT: u64 = 0x5eed_f0dd_5eed_f0dd;
@@ -41,7 +51,7 @@ impl Default for FuzzParams {
 }
 
 /// One conformance failure, shrunk to a minimal reproducer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzFailure {
     /// The failing seed.
     pub seed: u64,
@@ -65,21 +75,60 @@ pub fn strategies() -> [(&'static str, TaskSelector); 6] {
     Strategy::extended().map(|s| (s.label(), s.selector(4)))
 }
 
+/// One seed's fixed costs, paid once for all six policies: the seed's
+/// program, the analysis context every policy selects from, and the
+/// trace of that program.
+#[derive(Debug)]
+pub struct FuzzCase {
+    /// The seed's program, as the spec the shrinker reduces.
+    pub spec: ProgSpec,
+    /// The analysis context of `spec`'s program.
+    pub ctx: ProgramContext,
+    /// The trace of the context's program, shared by every policy that
+    /// does not transform it.
+    pub trace: Trace,
+    seed: u64,
+    insts: usize,
+}
+
+impl FuzzCase {
+    /// Derives the seed's program, builds its context and generates its
+    /// trace (`params.insts` instructions from `seed`).
+    pub fn new(seed: u64, params: &FuzzParams) -> Self {
+        let mut rng = SplitMix64::seed_from_u64(seed ^ FUZZ_SALT);
+        let gen = GenParams { max_blocks: params.max_blocks, ..GenParams::default() };
+        let spec = ProgSpec::random(&mut rng, &gen);
+        let ctx = ProgramContext::new(spec.build());
+        let trace = TraceGenerator::new(ctx.program(), seed).generate(params.insts);
+        FuzzCase { spec, ctx, trace, seed, insts: params.insts }
+    }
+
+    /// The trace to check `sel` on: the shared one when `sel`'s program
+    /// is the context's, else (`ts` transforms its program) a trace of
+    /// its own program from the same seed.
+    pub fn trace_for(&self, sel: &Selection) -> Cow<'_, Trace> {
+        if Arc::ptr_eq(&sel.program, self.ctx.program_arc()) {
+            Cow::Borrowed(&self.trace)
+        } else {
+            Cow::Owned(TraceGenerator::new(&sel.program, self.seed).generate(self.insts))
+        }
+    }
+}
+
 /// Runs one fuzz case: generates the seed's program, pushes it through
 /// every policy under the full conformance check, and shrinks any
 /// failure. Returns one [`FuzzFailure`] per failing policy (empty =
 /// the seed conforms).
 pub fn fuzz_seed(seed: u64, params: &FuzzParams) -> Vec<FuzzFailure> {
-    let mut rng = SplitMix64::seed_from_u64(seed ^ FUZZ_SALT);
-    let gen = GenParams { max_blocks: params.max_blocks, ..GenParams::default() };
-    let spec = ProgSpec::random(&mut rng, &gen);
+    let case = FuzzCase::new(seed, params);
     let mut failures = Vec::new();
     for (label, selector) in strategies() {
-        let errors = check_spec(&spec, &selector, params, seed);
-        if errors.is_empty() {
+        let sel = selector.select(&case.ctx);
+        let trace = case.trace_for(&sel);
+        if check_trace(&sel.program, &sel.partition, &trace, machine(params)).errors.is_empty() {
             continue;
         }
-        let min = shrink(&spec, &selector, params, seed);
+        let min = shrink(&case.spec, &selector, params, seed);
         let min_errors = check_spec(&min, &selector, params, seed);
         failures.push(FuzzFailure {
             seed,
@@ -87,7 +136,7 @@ pub fn fuzz_seed(seed: u64, params: &FuzzParams) -> Vec<FuzzFailure> {
             errors: min_errors,
             repro: ms_ir::write_program(&min.build()),
             repro_blocks: min.num_blocks(),
-            original_blocks: spec.num_blocks(),
+            original_blocks: case.spec.num_blocks(),
         });
     }
     failures
@@ -118,11 +167,17 @@ fn check_spec(
     seed: u64,
 ) -> Vec<String> {
     let sel = selector.select(&ProgramContext::new(spec.build()));
-    let mut cfg = SimConfig::four_pu();
+    check_selection(&sel, machine(params), params.insts, seed).errors
+}
+
+/// The machine every fuzz check runs on.
+fn machine(params: &FuzzParams) -> SimConfig {
+    let cfg = SimConfig::four_pu();
     if params.inject {
-        cfg = cfg.with_injected_commit_undercount();
+        cfg.with_injected_commit_undercount()
+    } else {
+        cfg
     }
-    check_selection(&sel, cfg, params.insts, seed).errors
 }
 
 #[cfg(test)]

@@ -46,11 +46,11 @@ pub mod fuzz;
 mod reference;
 
 pub use diff::diff;
-pub use fuzz::{fuzz_seed, strategies, FuzzFailure, FuzzParams};
+pub use fuzz::{fuzz_seed, strategies, FuzzCase, FuzzFailure, FuzzParams};
 pub use reference::{reference, RefTask, Reference};
 
 use ms_ir::Program;
-use ms_sim::{EventLog, SimConfig, SimStats, Simulator};
+use ms_sim::{EventLog, ProgramImage, SimConfig, SimStats, Simulator};
 use ms_tasksel::{Selection, TaskPartition};
 use ms_trace::{Trace, TraceGenerator};
 
@@ -73,16 +73,19 @@ pub fn check_selection(sel: &Selection, cfg: SimConfig, insts: usize, seed: u64)
 
 /// Runs `trace` through the engine into an [`EventLog`], checks the log,
 /// then diffs the recorded outcome against the sequential reference
-/// model.
+/// model. The trace is split into tasks once: the decoded
+/// [`ProgramImage`] the engine runs hands its tasks to the reference
+/// walk.
 pub fn check_trace(
     program: &Program,
     partition: &TaskPartition,
     trace: &Trace,
     cfg: SimConfig,
 ) -> CheckRun {
-    let oracle = reference(program, partition, trace);
+    let image = ProgramImage::new(program, partition, trace);
+    let oracle = reference::walk(program, trace, image.tasks());
     let mut log = EventLog::new();
-    let stats = Simulator::new(cfg, program, partition).run_with_sink(trace, &mut log);
+    let stats = Simulator::new(cfg, program, partition).run_image(&image, &mut log);
     let mut errors = log.check(&stats);
     errors.extend(diff(&oracle, &log, &stats));
     CheckRun { stats, errors }

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 use ms_ir::{FxMap, Program};
 use ms_tasksel::TaskPartition;
-use ms_trace::{split_tasks, DynInstKind, Trace};
+use ms_trace::{split_tasks, DynInstKind, DynTask, Trace};
 
 /// What one dynamic task must commit, per the sequential semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +51,11 @@ pub struct Reference {
 
 /// Walks `trace` in program order under `partition`'s task boundaries.
 pub fn reference(program: &Program, partition: &TaskPartition, trace: &Trace) -> Reference {
-    let dyn_tasks = split_tasks(trace, program, partition);
+    walk(program, trace, &split_tasks(trace, program, partition))
+}
+
+/// [`reference`] over `trace`'s dynamic tasks, already split.
+pub(crate) fn walk(program: &Program, trace: &Trace, dyn_tasks: &[DynTask]) -> Reference {
     let mut tasks = Vec::with_capacity(dyn_tasks.len());
     let mut mem_conflicts = BTreeSet::new();
     // addr → (dynamic task, store pc) of the last store, in program order.

@@ -1,9 +1,14 @@
 //! The conformance suite proper: real workloads and randomly generated
 //! programs, every selection policy, full three-layer check.
 
+use std::ops::Range;
+
 use ms_analysis::ProgramContext;
-use ms_conform::{check_selection, fuzz_seed, strategies, FuzzParams};
+use ms_conform::{check_selection, fuzz_seed, strategies, FuzzCase, FuzzFailure, FuzzParams};
+use ms_ir::gen::ProgSpec;
 use ms_sim::SimConfig;
+use ms_tasksel::TaskSelector;
+use ms_trace::TraceGenerator;
 
 /// Workload sweep size: enough trace to exercise squash/replay paths,
 /// small enough to keep the tier-1 suite fast.
@@ -62,4 +67,89 @@ fn random_programs_conform_under_every_heuristic() {
         failures[0].strategy,
         failures[0].errors.first().map(String::as_str).unwrap_or("?")
     );
+}
+
+/// The conformance errors of `spec` under `selector`, checked from
+/// scratch: a fresh program, context and trace.
+fn fresh_check(
+    spec: &ProgSpec,
+    selector: &TaskSelector,
+    seed: u64,
+    params: &FuzzParams,
+) -> Vec<String> {
+    let sel = selector.select(&ProgramContext::new(spec.build()));
+    let mut cfg = SimConfig::four_pu();
+    if params.inject {
+        cfg = cfg.with_injected_commit_undercount();
+    }
+    check_selection(&sel, cfg, params.insts, seed).errors
+}
+
+/// [`fuzz_seed`] with nothing shared: every policy checks the seed's
+/// program from scratch, and a failure shrinks greedily (first failing
+/// reduction, until none fails).
+fn unshared_fuzz_seed(spec: &ProgSpec, seed: u64, params: &FuzzParams) -> Vec<FuzzFailure> {
+    let mut failures = Vec::new();
+    for (label, selector) in strategies() {
+        let check = |s: &ProgSpec| fresh_check(s, &selector, seed, params);
+        if check(spec).is_empty() {
+            continue;
+        }
+        let mut min = spec.clone();
+        while let Some(next) = min.reductions().into_iter().find(|c| !check(c).is_empty()) {
+            min = next;
+        }
+        failures.push(FuzzFailure {
+            seed,
+            strategy: label,
+            errors: check(&min),
+            repro: ms_ir::write_program(&min.build()),
+            repro_blocks: min.num_blocks(),
+            original_blocks: spec.num_blocks(),
+        });
+    }
+    failures
+}
+
+/// Checks `seeds` both ways: a fuzz case selects every policy from one
+/// context and shares one trace, and that must report exactly what
+/// checking each policy from scratch reports, failures (errors, repro,
+/// block counts) included.
+fn shared_fuzz_case_equals_fresh_per_policy_checks(params: FuzzParams, seeds: Range<u64>) {
+    for seed in seeds {
+        let case = FuzzCase::new(seed, &params);
+        for (label, selector) in strategies() {
+            let sel = selector.select(&case.ctx);
+            if label != "ts" {
+                let own = TraceGenerator::new(&sel.program, seed).generate(params.insts);
+                assert!(*case.trace_for(&sel) == own, "seed {seed} {label}: shared trace differs");
+            }
+        }
+        assert_eq!(
+            fuzz_seed(seed, &params),
+            unshared_fuzz_seed(&case.spec, seed, &params),
+            "seed {seed}, inject {}",
+            params.inject
+        );
+    }
+}
+
+#[test]
+fn shared_fuzz_case_conforms_like_fresh_checks() {
+    shared_fuzz_case_equals_fresh_per_policy_checks(FuzzParams::default(), 0..32);
+}
+
+/// The injected fault fails every policy of nearly every seed, and each
+/// failure shrinks twice here, so seeds 0..32 run as two tests (in
+/// parallel) at the smaller programs of `injected_bug.rs`.
+const INJECTED: FuzzParams = FuzzParams { max_blocks: 8, insts: 2_000, inject: true };
+
+#[test]
+fn shared_fuzz_case_fails_like_fresh_checks_seeds_0_to_16() {
+    shared_fuzz_case_equals_fresh_per_policy_checks(INJECTED, 0..16);
+}
+
+#[test]
+fn shared_fuzz_case_fails_like_fresh_checks_seeds_16_to_32() {
+    shared_fuzz_case_equals_fresh_per_policy_checks(INJECTED, 16..32);
 }

@@ -34,7 +34,7 @@ enum Ways {
 const SPARSE_WAYS_THRESHOLD: u64 = 8192;
 
 /// A set-associative LRU cache (tags only).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Cache {
     ways: Ways,
     assoc: usize,
@@ -49,34 +49,50 @@ pub(crate) struct Cache {
     misses: u64,
 }
 
+impl Default for Ways {
+    fn default() -> Self {
+        Ways::Dense(Vec::new())
+    }
+}
+
 impl Cache {
-    /// Builds a cache from parameters.
+    #[cfg(test)]
+    pub(crate) fn new(p: CacheParams) -> Self {
+        let mut c = Cache::default();
+        c.reset(p);
+        c
+    }
+
+    /// Re-initialises the cache in place for `p` — every way empty, the
+    /// counters zero — reusing a dense cache's allocation. A sparse
+    /// cache starts with no sets (see [`Cache::free_touched_sets`]).
     ///
     /// # Panics
     ///
     /// Panics if the parameters are not powers of two or the cache has
     /// fewer than one set.
-    pub(crate) fn new(p: CacheParams) -> Self {
+    pub(crate) fn reset(&mut self, p: CacheParams) {
         assert!(p.line.is_power_of_two(), "line size must be a power of two");
         let num_lines = p.size / p.line;
         let num_sets = (num_lines / p.assoc as u64).max(1);
         assert!(num_sets.is_power_of_two(), "set count must be a power of two");
         let num_ways = num_sets * u64::from(p.assoc);
-        Cache {
-            ways: if num_ways > SPARSE_WAYS_THRESHOLD {
-                Ways::Sparse { index: FxMap::default(), pool: Vec::new() }
-            } else {
-                Ways::Dense(vec![(0, 0); num_ways as usize])
-            },
-            assoc: p.assoc as usize,
-            line_shift: p.line.trailing_zeros(),
-            set_mask: num_sets - 1,
-            tag_shift: num_sets.trailing_zeros(),
-            hit_latency: p.hit_latency,
-            stamp: 0,
-            hits: 0,
-            misses: 0,
+        if num_ways > SPARSE_WAYS_THRESHOLD {
+            self.ways = Ways::Sparse { index: FxMap::default(), pool: Vec::new() };
+        } else if let Ways::Dense(v) = &mut self.ways {
+            v.clear();
+            v.resize(num_ways as usize, (0, 0));
+        } else {
+            self.ways = Ways::Dense(vec![(0, 0); num_ways as usize]);
         }
+        self.assoc = p.assoc as usize;
+        self.line_shift = p.line.trailing_zeros();
+        self.set_mask = num_sets - 1;
+        self.tag_shift = num_sets.trailing_zeros();
+        self.hit_latency = p.hit_latency;
+        self.stamp = 0;
+        self.hits = 0;
+        self.misses = 0;
     }
 
     /// Accesses `addr`; returns `true` on hit and fills the line on miss.
@@ -124,10 +140,19 @@ impl Cache {
     pub(crate) fn counters(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+
+    /// Frees the ways of a cache whose sets are allocated as they are
+    /// touched: their number follows the trace's footprint, not the
+    /// machine. The next [`Cache::reset`] starts them afresh.
+    pub(crate) fn free_touched_sets(&mut self) {
+        if matches!(self.ways, Ways::Sparse { .. }) {
+            self.ways = Ways::default();
+        }
+    }
 }
 
 /// The L1 → L2 → memory hierarchy for one access stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Hierarchy {
     l1: Cache,
     l2: Cache,
@@ -135,10 +160,20 @@ pub(crate) struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Builds a hierarchy (the L2 is private to this stream in the
-    /// model; the engine instantiates one hierarchy per stream kind).
+    #[cfg(test)]
     pub(crate) fn new(l1: CacheParams, l2: CacheParams, mem_latency: u32) -> Self {
-        Hierarchy { l1: Cache::new(l1), l2: Cache::new(l2), mem_latency }
+        let mut h = Hierarchy::default();
+        h.reset(l1, l2, mem_latency);
+        h
+    }
+
+    /// Re-initialises both levels in place ([`Cache::reset`]). The L2 is
+    /// private to this stream in the model; the engine keeps one
+    /// hierarchy per stream kind.
+    pub(crate) fn reset(&mut self, l1: CacheParams, l2: CacheParams, mem_latency: u32) {
+        self.l1.reset(l1);
+        self.l2.reset(l2);
+        self.mem_latency = mem_latency;
     }
 
     /// Total access latency for `addr`.
@@ -156,6 +191,12 @@ impl Hierarchy {
     /// (L1 hits, L1 misses) counters.
     pub(crate) fn l1_counters(&self) -> (u64, u64) {
         self.l1.counters()
+    }
+
+    /// [`Cache::free_touched_sets`] on both levels.
+    pub(crate) fn free_touched_sets(&mut self) {
+        self.l1.free_touched_sets();
+        self.l2.free_touched_sets();
     }
 }
 

@@ -46,6 +46,7 @@
 //! and [`Simulator::run_streamed`] the streamed one.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 
 use ms_analysis::Liveness;
 use ms_ir::{BlockRef, FxMap, Program, NUM_REGS};
@@ -291,6 +292,13 @@ impl<'a> ProgramImage<'a> {
         }
     }
 
+    /// The dynamic tasks that end in this chunk: for a whole-trace image
+    /// ([`ProgramImage::new`]), every task of the trace, as
+    /// [`split_tasks`] splits it.
+    pub fn tasks(&self) -> &[DynTask] {
+        &self.tasks
+    }
+
     /// Whether this is the last chunk of its run: an engine stepped over
     /// it has seen every task and can be finished.
     pub fn is_last(&self) -> bool {
@@ -530,7 +538,7 @@ impl Attempt {
 /// Per-PU mutable state, cache-line aligned so neighbouring PUs never
 /// share a line.
 #[repr(align(64))]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PuState {
     gshare: Gshare,
     /// Last-target indirect jump predictor (internal switches).
@@ -555,8 +563,21 @@ struct PuState {
     free: u64,
 }
 
-/// Reusable buffers for [`Engine::exec_task`], allocated once per engine
-/// so the per-instruction hot loop performs no heap allocation.
+impl PuState {
+    /// Back to an idle PU at cycle 0, keeping every allocation.
+    fn reset(&mut self) {
+        self.gshare.reset(GSHARE_HISTORY_BITS, GSHARE_TABLE_BITS);
+        self.indirect.clear();
+        self.ring_slots.clear();
+        self.ring_slots.reserve(RING_WINDOW_RESERVE);
+        self.ring_base = 0;
+        self.free = 0;
+    }
+}
+
+/// Reusable buffers for [`Engine::exec_task`], kept from attempt to
+/// attempt and engine to engine ([`Machine`]) so the per-instruction hot
+/// loop performs no heap allocation.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Completion of the task's last write per dense register; only
@@ -582,13 +603,14 @@ struct Scratch {
     outs: Vec<(usize, u64)>,
 }
 
-/// One machine configuration's simulation in progress, from
-/// [`Simulator::start`]: [`Engine::step`] it over a run's chunks in
-/// order, then [`Engine::finish`] it. Its state is sized by the machine,
-/// not the trace: register and store records carry their producer's
-/// retire cycle, so no per-task column outlives its chunk.
-pub struct Engine<'e> {
-    sim: &'e Simulator<'e>,
+/// An engine's machine-sized state: about 0.5 MiB of predictor tables
+/// and cache ways at four PUs, plus the ring-slot windows, scratch
+/// buffers and maps. [`Machine::reset`] re-initialises it in place for
+/// a configuration, so an engine can take over the state of the last
+/// one its thread finished ([`SPARE`]) instead of allocating and
+/// filling the tables again — the fixed cost that dominates short runs.
+#[derive(Debug, Default)]
+struct Machine {
     icache: Hierarchy,
     dcache: Hierarchy,
     /// Sequencer-side task descriptor cache (paper §4.2).
@@ -599,13 +621,62 @@ pub struct Engine<'e> {
     last_store: FxMap<u64, StoreSrc>,
     /// LRU list of synchronised load PCs.
     sync_table: Vec<u64>,
+    scratch: Scratch,
+}
+
+impl Machine {
+    /// The state of a machine configured by `cfg` before its first
+    /// task, keeping every allocation that fits it. Nothing a run reads
+    /// survives from the previous one; only capacity does.
+    fn reset(&mut self, cfg: &SimConfig) {
+        self.icache.reset(cfg.l1(), L2, MEM_LATENCY);
+        self.dcache.reset(cfg.l1(), L2, MEM_LATENCY);
+        self.task_cache.reset(TASK_CACHE);
+        self.task_pred.reset(TASK_PRED_HISTORY_BITS, TASK_PRED_TABLE_BITS);
+        self.pus.resize_with(cfg.num_pus, PuState::default);
+        self.pus.iter_mut().for_each(PuState::reset);
+        self.reg_src.clear();
+        self.reg_src.resize(NUM_REGS, None);
+        self.last_store.clear();
+        self.sync_table.clear();
+        self.sync_table.reserve(cfg.sync_table_entries as usize);
+        // The rest of the scratch is cleared per attempt or per use.
+        self.scratch.local_reg.resize(NUM_REGS, 0);
+    }
+
+    /// Frees what grew with the run's trace rather than the machine —
+    /// the L2's touched sets and the store map — so a spare holds
+    /// about the tables alone while its thread does other work.
+    fn free_trace_sized(&mut self) {
+        self.icache.free_touched_sets();
+        self.dcache.free_touched_sets();
+        self.last_store = FxMap::default();
+    }
+}
+
+thread_local! {
+    /// The machine state of the engine this thread finished or dropped
+    /// last, for the next engine it builds. One per thread at most, so
+    /// what a thread retains is one engine's worth.
+    static SPARE: Cell<Option<Machine>> = const { Cell::new(None) };
+}
+
+/// One machine configuration's simulation in progress, from
+/// [`Simulator::start`]: [`Engine::step`] it over a run's chunks in
+/// order, then [`Engine::finish`] it. Its state is sized by the machine,
+/// not the trace: register and store records carry their producer's
+/// retire cycle, so no per-task column outlives its chunk. That state is
+/// reused: a new engine resets the state its thread's last engine left
+/// behind instead of allocating its own.
+pub struct Engine<'e> {
+    sim: &'e Simulator<'e>,
+    machine: Machine,
     /// Retire cycle of the last task stepped (the retire token's
     /// position; 0 before the first).
     last_retire: u64,
     /// Run-wide number of the next task to step.
     next_task: usize,
     reg_forwards: u64,
-    scratch: Scratch,
     // ---- run state, carried task to task by `step` ----
     stats: SimStats,
     prev_dispatch: u64,
@@ -617,31 +688,28 @@ pub struct Engine<'e> {
     residency: u64,
 }
 
+impl Drop for Engine<'_> {
+    /// Hands the machine state to the next engine built on this thread.
+    fn drop(&mut self) {
+        let mut machine = std::mem::take(&mut self.machine);
+        machine.free_trace_sized();
+        // During thread teardown the slot may be gone; the state is
+        // then simply freed.
+        let _ = SPARE.try_with(|spare| spare.set(Some(machine)));
+    }
+}
+
 impl<'e> Engine<'e> {
     fn new(sim: &'e Simulator<'e>) -> Self {
         let cfg = &sim.config;
+        let mut machine = SPARE.with(Cell::take).unwrap_or_default();
+        machine.reset(cfg);
         Engine {
             sim,
-            icache: Hierarchy::new(cfg.l1(), L2, MEM_LATENCY),
-            dcache: Hierarchy::new(cfg.l1(), L2, MEM_LATENCY),
-            task_cache: Cache::new(TASK_CACHE),
-            task_pred: TaskPredictor::new(TASK_PRED_HISTORY_BITS, TASK_PRED_TABLE_BITS),
-            pus: (0..cfg.num_pus)
-                .map(|_| PuState {
-                    gshare: Gshare::new(GSHARE_HISTORY_BITS, GSHARE_TABLE_BITS),
-                    indirect: FxMap::default(),
-                    ring_slots: Vec::with_capacity(RING_WINDOW_RESERVE),
-                    ring_base: 0,
-                    free: 0,
-                })
-                .collect(),
-            reg_src: vec![None; NUM_REGS],
-            last_store: FxMap::default(),
-            sync_table: Vec::with_capacity(cfg.sync_table_entries as usize),
+            machine,
             last_retire: 0,
             next_task: 0,
             reg_forwards: 0,
-            scratch: Scratch { local_reg: vec![0; NUM_REGS], ..Scratch::default() },
             stats: SimStats { num_pus: cfg.num_pus, ..SimStats::default() },
             prev_dispatch: 0,
             prev_resolve: 0,
@@ -686,7 +754,7 @@ impl<'e> Engine<'e> {
         self.next_task += 1;
         let p = self.sim.config.num_pus;
         let pu = k % p;
-        let natural = self.pus[pu].free.max(self.prev_dispatch + 1);
+        let natural = self.machine.pus[pu].free.max(self.prev_dispatch + 1);
         let mut dispatch = natural;
         if self.prev_mispredicted {
             // The task speculatively occupying this PU was on the
@@ -713,7 +781,7 @@ impl<'e> Engine<'e> {
         // The sequencer reads the task descriptor; a task cache
         // miss delays dispatch by an L2 access.
         let entry_pc = img.task_entry_pc[i];
-        let desc_miss = !self.task_cache.access(entry_pc);
+        let desc_miss = !self.machine.task_cache.access(entry_pc);
         if desc_miss {
             dispatch += L2.hit_latency as u64;
         }
@@ -736,9 +804,9 @@ impl<'e> Engine<'e> {
             attempts += 1;
             let force_sync = attempts > MAX_ATTEMPTS;
             self.exec_task(img, k, dt, dispatch, pu, head_free, force_sync, sink.enabled());
-            match self.scratch.attempt.violation {
+            match self.machine.scratch.attempt.violation {
                 Some(v) if !force_sync => {
-                    let insts = self.scratch.attempt.insts;
+                    let insts = self.machine.scratch.attempt.insts;
                     self.stats.violations += 1;
                     self.stats.squashed_insts += insts;
                     let restart = v.cycle + SQUASH_RESTART as u64;
@@ -777,7 +845,7 @@ impl<'e> Engine<'e> {
                 _ => break,
             }
         }
-        let mut attempt = std::mem::take(&mut self.scratch.attempt);
+        let mut attempt = std::mem::take(&mut self.machine.scratch.attempt);
         if self.sim.config.inject_commit_undercount && k % 3 == 2 {
             // Test-only fault (see `SimConfig::inject_commit_undercount`):
             // a self-consistent miscount — commit event and counters
@@ -798,8 +866,8 @@ impl<'e> Engine<'e> {
             // and this task's final dispatch are not residency —
             // dispatch gaps and squashed-attempt occupancy both land
             // here, mirroring `pu_idle_cycles`.
-            if dispatch > self.pus[pu].free {
-                sink.event(&SimEvent::PuIdle { pu, from: self.pus[pu].free, to: dispatch });
+            if dispatch > self.machine.pus[pu].free {
+                sink.event(&SimEvent::PuIdle { pu, from: self.machine.pus[pu].free, to: dispatch });
             }
             for &(producer, reg, cycles) in &attempt.fwd_stalls {
                 sink.event(&SimEvent::FwdStall { task: k, producer, reg, cycles });
@@ -823,7 +891,7 @@ impl<'e> Engine<'e> {
             });
         }
         self.last_retire = retire;
-        self.pus[pu].free = retire;
+        self.machine.pus[pu].free = retire;
 
         // Commit architectural effects: register forwards (ring send
         // scheduling, filtered by dead register analysis) and the
@@ -834,7 +902,7 @@ impl<'e> Engine<'e> {
             if filter { attempt.write_mask & img.task_live_mask[i] } else { attempt.write_mask };
         self.commit_regs(k, pu, dispatch, retire, &attempt, mask, sink);
         for &(addr, complete, pc) in &attempt.stores {
-            self.last_store.insert(addr, StoreSrc { task: k, complete, pc, retire });
+            self.machine.last_store.insert(addr, StoreSrc { task: k, complete, pc, retire });
         }
 
         // Inter-task prediction for this task's exit (consulted when
@@ -843,9 +911,13 @@ impl<'e> Engine<'e> {
         let (actual_idx, n_targets) = img.task_pred_arm[i];
         if n_targets != 0 {
             let correct = if actual_idx != u32::MAX {
-                self.task_pred.predict_and_update(entry_pc, actual_idx as usize, n_targets as usize)
+                self.machine.task_pred.predict_and_update(
+                    entry_pc,
+                    actual_idx as usize,
+                    n_targets as usize,
+                )
             } else {
-                self.task_pred.predict_and_update(entry_pc, 0, n_targets as usize);
+                self.machine.task_pred.predict_and_update(entry_pc, 0, n_targets as usize);
                 false
             };
             self.stats.task_preds += 1;
@@ -872,10 +944,11 @@ impl<'e> Engine<'e> {
         self.residency += retire - dispatch;
         account(&self.sim.config, &mut self.stats.breakdown, &attempt, dispatch, imbalance);
         // Return the attempt's buffers for the next task.
-        self.scratch.attempt = attempt;
+        self.machine.scratch.attempt = attempt;
     }
 
-    /// Final accounting after the run's last chunk stepped.
+    /// Final accounting after the run's last chunk stepped. The
+    /// machine state passes to the next engine built on this thread.
     pub fn finish<S: TraceSink>(mut self, sink: &mut S) -> SimStats {
         let p = self.sim.config.num_pus;
         self.stats.num_dyn_tasks = self.next_task;
@@ -883,7 +956,7 @@ impl<'e> Engine<'e> {
         if sink.enabled() {
             // Drain: PUs whose last task retired before the run ended
             // (and PUs that never ran a task) idle to the final cycle.
-            for (pu, state) in self.pus.iter().enumerate() {
+            for (pu, state) in self.machine.pus.iter().enumerate() {
                 if state.free < self.stats.total_cycles {
                     sink.event(&SimEvent::PuIdle {
                         pu,
@@ -896,8 +969,8 @@ impl<'e> Engine<'e> {
         self.stats.pu_idle_cycles =
             (self.stats.total_cycles * p as u64).saturating_sub(self.residency);
         self.stats.reg_forwards = self.reg_forwards;
-        self.stats.l1d = self.dcache.l1_counters();
-        self.stats.l1i = self.icache.l1_counters();
+        self.stats.l1d = self.machine.dcache.l1_counters();
+        self.stats.l1i = self.machine.icache.l1_counters();
         self.stats.window_span_measured = if self.stats.total_cycles == 0 {
             0.0
         } else {
@@ -905,7 +978,7 @@ impl<'e> Engine<'e> {
         };
         ms_prof::counter_add("sim.cycles", self.stats.total_cycles);
         ms_prof::counter_add("sim.dyn_tasks", self.stats.num_dyn_tasks as u64);
-        self.stats
+        std::mem::take(&mut self.stats)
     }
 
     fn sync_insert(&mut self, pc: u64) {
@@ -914,12 +987,12 @@ impl<'e> Engine<'e> {
             // load keeps misspeculating, bounded only by MAX_ATTEMPTS.
             return;
         }
-        if let Some(pos) = self.sync_table.iter().position(|&x| x == pc) {
-            self.sync_table.remove(pos);
-        } else if self.sync_table.len() >= self.sim.config.sync_table_entries as usize {
-            self.sync_table.remove(0);
+        if let Some(pos) = self.machine.sync_table.iter().position(|&x| x == pc) {
+            self.machine.sync_table.remove(pos);
+        } else if self.machine.sync_table.len() >= self.sim.config.sync_table_entries as usize {
+            self.machine.sync_table.remove(0);
         }
-        self.sync_table.push(pc);
+        self.machine.sync_table.push(pc);
     }
 
     /// Schedules the task's register forwards onto the ring (bandwidth
@@ -941,13 +1014,13 @@ impl<'e> Engine<'e> {
         mask: u64,
         sink: &mut S,
     ) {
-        let mut outs = std::mem::take(&mut self.scratch.outs);
+        let mut outs = std::mem::take(&mut self.machine.scratch.outs);
         outs.clear();
         outs.extend(a.reg_writes.iter().copied().filter(|&(r, _)| mask >> r & 1 != 0));
         self.reg_forwards += outs.len() as u64;
         outs.sort_by_key(|&(r, c)| (c, r));
         let bw = self.sim.config.ring_bandwidth.max(1).min(u32::from(u16::MAX)) as u16;
-        let PuState { ring_slots: slots, ring_base, .. } = &mut self.pus[pu];
+        let PuState { ring_slots: slots, ring_base, .. } = &mut self.machine.pus[pu];
         // Slide the window to this dispatch; the slots behind it are
         // unreachable (see `PuState::ring_slots`).
         debug_assert!(dispatch >= *ring_base, "PU {pu} dispatched task {k} before its window");
@@ -974,13 +1047,13 @@ impl<'e> Engine<'e> {
             if sink.enabled() {
                 sink.event(&SimEvent::FwdSend { task: k, pu, reg: r, ready, sent: cycle });
             }
-            self.reg_src[r] = Some(RegSrc { task: k, send: cycle, retire });
+            self.machine.reg_src[r] = Some(RegSrc { task: k, send: cycle, retire });
         }
-        self.scratch.outs = outs;
+        self.machine.scratch.outs = outs;
     }
 
     /// Executes one attempt of task `k` starting at `dispatch`, into
-    /// `self.scratch.attempt`. `collect` enables per-arc stall
+    /// `self.machine.scratch.attempt`. `collect` enables per-arc stall
     /// attribution (trace sink active).
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn exec_task(
@@ -996,8 +1069,8 @@ impl<'e> Engine<'e> {
     ) {
         // Disjoint field borrows: the loop below holds the scratch
         // buffers mutably while driving the caches and predictors.
-        let Engine { sim, icache, dcache, pus, reg_src, last_store, sync_table, scratch, .. } =
-            self;
+        let Engine { sim, machine, .. } = self;
+        let Machine { icache, dcache, pus, reg_src, last_store, sync_table, scratch, .. } = machine;
         let cfg = &sim.config;
         let t = &img.table;
         let trace = &*img.trace;
@@ -1022,7 +1095,7 @@ impl<'e> Engine<'e> {
         let window = &mut scratch.window;
         window.clear();
         let mut last_issue = 0u64;
-        // Cache line sizes are asserted powers of two (`Cache::new`), so
+        // Cache line sizes are asserted powers of two (`Cache::reset`), so
         // line mapping is a shift — not a 64-bit divide per instruction.
         let l1_shift = L1_LINE.trailing_zeros();
         let mem_lines = &mut scratch.mem_lines;

@@ -24,7 +24,7 @@ impl Counter2 {
 /// Gshare direction predictor: global history XOR branch PC indexing a
 /// table of 2-bit counters. Used for intra-task conditional branches
 /// (paper: 16-bit history, 64K entries).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Gshare {
     table: Vec<Counter2>,
     history: u64,
@@ -33,20 +33,28 @@ pub(crate) struct Gshare {
 }
 
 impl Gshare {
-    /// Creates a predictor with `history_bits` of global history and a
-    /// `2^table_bits`-entry counter table.
+    #[cfg(test)]
+    pub(crate) fn new(history_bits: u32, table_bits: u32) -> Self {
+        let mut g = Gshare::default();
+        g.reset(history_bits, table_bits);
+        g
+    }
+
+    /// Re-initialises the predictor in place with `history_bits` of
+    /// global history and a `2^table_bits`-entry counter table (every
+    /// counter weakly not-taken, empty history), reusing the table's
+    /// allocation.
     ///
     /// # Panics
     ///
     /// Panics if `table_bits` is 0 or greater than 28.
-    pub(crate) fn new(history_bits: u32, table_bits: u32) -> Self {
+    pub(crate) fn reset(&mut self, history_bits: u32, table_bits: u32) {
         assert!(table_bits > 0 && table_bits <= 28, "unreasonable gshare table size");
-        Gshare {
-            table: vec![Counter2::new(); 1 << table_bits],
-            history: 0,
-            history_mask: (1u64 << history_bits.min(63)) - 1,
-            index_mask: (1u64 << table_bits) - 1,
-        }
+        self.table.clear();
+        self.table.resize(1 << table_bits, Counter2::new());
+        self.history = 0;
+        self.history_mask = (1u64 << history_bits.min(63)) - 1;
+        self.index_mask = (1u64 << table_bits) - 1;
     }
 
     fn index(&self, pc: u64) -> usize {
@@ -77,7 +85,7 @@ struct TaskEntry {
 /// entry-PC path indexes a table of (confidence, target-number) pairs.
 /// The target number selects among a task's ≤ N static successor
 /// targets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TaskPredictor {
     table: Vec<TaskEntry>,
     /// Folded path history of task entry PCs.
@@ -87,20 +95,28 @@ pub(crate) struct TaskPredictor {
 }
 
 impl TaskPredictor {
-    /// Creates a predictor with `history_bits` of folded path history and
-    /// a `2^table_bits`-entry table.
+    #[cfg(test)]
+    pub(crate) fn new(history_bits: u32, table_bits: u32) -> Self {
+        let mut t = TaskPredictor::default();
+        t.reset(history_bits, table_bits);
+        t
+    }
+
+    /// Re-initialises the predictor in place with `history_bits` of
+    /// folded path history and a `2^table_bits`-entry table (every entry
+    /// target 0, weakly not confident, empty path), reusing the table's
+    /// allocation.
     ///
     /// # Panics
     ///
     /// Panics if `table_bits` is 0 or greater than 28.
-    pub(crate) fn new(history_bits: u32, table_bits: u32) -> Self {
+    pub(crate) fn reset(&mut self, history_bits: u32, table_bits: u32) {
         assert!(table_bits > 0 && table_bits <= 28, "unreasonable task predictor size");
-        TaskPredictor {
-            table: vec![TaskEntry { target: 0, conf: Counter2::new() }; 1 << table_bits],
-            path: 0,
-            history_mask: (1u64 << history_bits.min(63)) - 1,
-            index_mask: (1u64 << table_bits) - 1,
-        }
+        self.table.clear();
+        self.table.resize(1 << table_bits, TaskEntry { target: 0, conf: Counter2::new() });
+        self.path = 0;
+        self.history_mask = (1u64 << history_bits.min(63)) - 1;
+        self.index_mask = (1u64 << table_bits) - 1;
     }
 
     fn index(&self, task_pc: u64) -> usize {

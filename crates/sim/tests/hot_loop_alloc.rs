@@ -27,16 +27,23 @@ use ms_trace::TraceGenerator;
 /// calls and bytes.
 struct Counting;
 
+/// Requests of at least this many bytes count as large.
+const LARGE: usize = 4096;
+
 thread_local! {
     // `const` initialisers with no destructor: touching them never
     // allocates, so the allocator may use them.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    if bytes >= LARGE {
+        let _ = LARGE_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
 }
 
 // SAFETY: pure pass-through to `System`; the counters have no effect
@@ -170,4 +177,27 @@ fn run_allocations_are_deterministic() {
     let (a1, b1, _) = run_allocs(&sel, 20_000, 3);
     let (a2, b2, _) = run_allocs(&sel, 20_000, 3);
     assert_eq!((a1, b1), (a2, b2), "allocation profile is run-to-run stable");
+}
+
+#[test]
+fn a_further_run_reuses_the_engine_state() {
+    // An engine takes over the predictor tables, cache ways, ring-slot
+    // windows and scratch the last engine on its thread left behind, so
+    // once one run has warmed this thread up, a short run makes no large
+    // allocation: a fresh engine's are 4 x 64 KiB of gshare tables,
+    // 128 KiB of task predictor, 2 x 32 KiB of L1 ways and 16 KiB of
+    // task cache.
+    let sel = selection();
+    let trace = TraceGenerator::new(&sel.program, 7).generate(1);
+    let image = ProgramImage::new(&sel.program, &sel.partition, &trace);
+    let sim = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition);
+    let _ = sim.run_image(&image, &mut NullSink);
+    let large0 = LARGE_ALLOCS.get();
+    let stats = sim.run_image(&image, &mut NullSink);
+    let large = LARGE_ALLOCS.get() - large0;
+    assert!(stats.total_insts > 0, "simulation actually ran");
+    assert_eq!(
+        large, 0,
+        "a warmed-up 1-instruction run made {large} allocation(s) of >= {LARGE} bytes"
+    );
 }

@@ -4,7 +4,7 @@ use ms_analysis::ProgramContext;
 use ms_ir::{
     AddrSpec, BranchBehavior, FunctionBuilder, Opcode, Program, ProgramBuilder, Reg, Terminator,
 };
-use ms_sim::{SimConfig, SimStats, Simulator};
+use ms_sim::{EventLog, SimConfig, SimStats, Simulator};
 use ms_tasksel::{SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
 
@@ -315,4 +315,32 @@ fn basic_block_tasks_underperform_control_flow_tasks() {
     );
     // And their tasks are bigger.
     assert!(s_cf.avg_task_size() > s_bb.avg_task_size());
+}
+
+/// One logged 20,000-instruction run of `name` under `cf` tasks.
+fn logged_run(name: &str, config: SimConfig) -> (SimStats, String) {
+    let program = ms_workloads::by_name(name).unwrap().build();
+    let sel = Strategy::ControlFlow.selector(4).select(&ProgramContext::new(program));
+    let trace = TraceGenerator::new(&sel.program, 5).generate(20_000);
+    let mut log = EventLog::new();
+    let stats =
+        Simulator::new(config, &sel.program, &sel.partition).run_with_sink(&trace, &mut log);
+    (stats, log.to_jsonl())
+}
+
+#[test]
+fn reused_engine_state_is_invisible() {
+    // An engine resets the machine state the last engine on its thread
+    // left behind. Run cell A (4 PUs), then cell B (8 PUs, a larger L1,
+    // another program), then A again: both A runs must equal a run on a
+    // thread that never built an engine, statistics and events alike.
+    let fresh = std::thread::spawn(|| logged_run("compress", SimConfig::four_pu())).join().unwrap();
+    let a = logged_run("compress", SimConfig::four_pu());
+    let b = logged_run("li", SimConfig::eight_pu());
+    let again = logged_run("compress", SimConfig::four_pu());
+    assert_eq!(b.0.num_pus, 8);
+    for (label, run) in [("first A", &a), ("A after B", &again)] {
+        assert_eq!(run.0, fresh.0, "{label}: statistics differ from a fresh engine's");
+        assert!(run.1 == fresh.1, "{label}: events differ from a fresh engine's");
+    }
 }

@@ -28,8 +28,9 @@
 #    (crates/bench/tests/golden/compress-cf-4pu-trace.*), tying the CLI
 #    path to the pinned artifacts (docs/TRACING.md),
 # 10. conformance fuzz smoke: 25 random programs x every selection
-#    strategy must match the sequential reference model
-#    (docs/CONFORMANCE.md),
+#    strategy must match the sequential reference model, and an 8-seed
+#    `--inject` sweep must exit 1 with `FAIL seed` lines, so the CLI's
+#    fuzz path is shown to catch a real engine fault (docs/CONFORMANCE.md),
 # 11. run-ledger smoke: a small sweep must leave a run record that
 #    passes `run -- runs-validate` and shows up in `run -- runs`;
 #    target/experiments/runs/ is pruned to the newest 50 records
@@ -139,6 +140,14 @@ echo "==> conformance fuzz smoke (run -- fuzz --seeds 25)"
 # random programs under every selection policy; failures shrink to
 # .msir repros.
 cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 25 --out target/fuzz-smoke
+# The same loop with the engine's test-only fault switched on must fail.
+inject_status=0
+inject_out=$(cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 8 --inject \
+    --quiet --out target/fuzz-inject-smoke) || inject_status=$?
+[ "$inject_status" -eq 1 ] \
+    || { echo "fuzz --inject exited $inject_status, expected 1"; exit 1; }
+echo "$inject_out" | grep -q "^FAIL seed" \
+    || { echo "fuzz --inject printed no FAIL seed line"; exit 1; }
 
 echo "==> run-ledger smoke (run -- runs, docs/OBSERVABILITY.md)"
 # The perf/trace/fuzz steps above each left a run record; add the
