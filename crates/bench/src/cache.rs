@@ -22,9 +22,10 @@
 //! which `tests/context_equivalence.rs` pins.
 //!
 //! Lookups count into per-cache atomics ([`CellCache::hits`] /
-//! [`CellCache::misses`]), the scheduler's `ProgressSink` (run ledger +
-//! progress line) and the `ms-prof` counters `sweep.cache.hit` /
-//! `sweep.cache.miss` (visible under `run -- perf`). A corrupt,
+//! [`CellCache::misses`]; a sweep run with `--cache-dir` prints them as
+//! its `[cell cache   -> H hits, M misses]` line) and, when a profiler
+//! is enabled, the `ms-prof` counters `sweep.cache.hit` /
+//! `sweep.cache.miss`. A corrupt,
 //! truncated or schema-incompatible entry is treated as a miss and
 //! recomputed, never trusted.
 

@@ -32,7 +32,8 @@ pub struct Flags {
     /// `--insts N`; `None` lets each subcommand pick its default
     /// (100 000 for single runs and traces, the sweep budget for perf).
     pub insts: Option<usize>,
-    /// `--seed N` (default [`crate::DEFAULT_SEED`]).
+    /// `--seed N`, decimal or `0x`-prefixed hex (default
+    /// [`crate::DEFAULT_SEED`]).
     pub seed: u64,
     /// `--targets N` (default 4).
     pub targets: usize,
@@ -63,13 +64,6 @@ pub struct Flags {
     /// `oracle` policy and `gap` subcommand partition exactly (default
     /// [`ms_tasksel::DEFAULT_ORACLE_MAX_BLOCKS`]).
     pub oracle_max_blocks: usize,
-    /// `--quiet`: suppress the live stderr progress line (equivalent to
-    /// setting `MS_NO_PROGRESS`; artifacts are identical either way).
-    pub quiet: bool,
-    /// `--last N`: how many records `runs` lists (default 20).
-    pub last: usize,
-    /// `--cmd NAME`: filter `runs` to one subcommand's records.
-    pub cmd_filter: Option<String>,
     /// `--cache-dir DIR`: the content-addressed cell cache; sweeps run
     /// uncached unless this is given.
     pub cache_dir: Option<PathBuf>,
@@ -98,9 +92,6 @@ impl Default for Flags {
             max_blocks: ms_conform::FuzzParams::default().max_blocks,
             inject: false,
             oracle_max_blocks: ms_tasksel::DEFAULT_ORACLE_MAX_BLOCKS,
-            quiet: false,
-            last: 20,
-            cmd_filter: None,
             cache_dir: None,
         }
     }
@@ -121,8 +112,6 @@ pub enum FlagGroup {
     Fuzz,
     /// The heuristic-vs-oracle gap table.
     Gap,
-    /// The run-ledger queries.
-    Runs,
 }
 
 impl FlagGroup {
@@ -133,18 +122,11 @@ impl FlagGroup {
             FlagGroup::Perf => "perf flags",
             FlagGroup::Fuzz => "fuzz flags",
             FlagGroup::Gap => "gap flags",
-            FlagGroup::Runs => "runs flags",
         }
     }
 
-    const ORDER: [FlagGroup; 6] = [
-        FlagGroup::Shared,
-        FlagGroup::SingleRun,
-        FlagGroup::Perf,
-        FlagGroup::Fuzz,
-        FlagGroup::Gap,
-        FlagGroup::Runs,
-    ];
+    const ORDER: [FlagGroup; 5] =
+        [FlagGroup::Shared, FlagGroup::SingleRun, FlagGroup::Perf, FlagGroup::Fuzz, FlagGroup::Gap];
 }
 
 /// How a flag consumes arguments and lands in [`Flags`].
@@ -182,6 +164,16 @@ where
     v.parse().map_err(|e| BenchError::Usage(format!("{name}: {e}")))
 }
 
+/// Parses a seed: decimal, or hex with a `0x` prefix (the form `run --
+/// help` and the fuzz loop's `FAIL seed` lines print).
+fn parse_seed(v: &str) -> Result<u64, BenchError> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16)
+            .map_err(|e| BenchError::Usage(format!("--seed: `{v}`: {e}"))),
+        None => p("--seed", v),
+    }
+}
+
 fn at_least_one(name: &str, v: u64) -> Result<(), BenchError> {
     if v == 0 {
         return Err(BenchError::Usage(format!("{name} must be at least 1")));
@@ -212,14 +204,6 @@ pub static FLAGS: &[FlagSpec] = &[
             f.jobs = p("--jobs", &v)?;
             Ok(())
         }),
-    },
-    FlagSpec {
-        name: "--quiet",
-        metavar: None,
-        group: FlagGroup::Shared,
-        help: "no live progress line (MS_NO_PROGRESS=1 equivalent)",
-        default: None,
-        apply: Apply::Switch(|f| f.quiet = true),
     },
     FlagSpec {
         name: "--cache-dir",
@@ -288,7 +272,7 @@ pub static FLAGS: &[FlagSpec] = &[
         help: "trace seed (fuzz: base seed)",
         default: Some(|| format!("{:#x}", crate::DEFAULT_SEED)),
         apply: Apply::Value(|f, v| {
-            f.seed = p("--seed", &v)?;
+            f.seed = parse_seed(&v)?;
             Ok(())
         }),
     },
@@ -390,28 +374,6 @@ pub static FLAGS: &[FlagSpec] = &[
             at_least_one("--oracle-max-blocks", f.oracle_max_blocks as u64)
         }),
     },
-    FlagSpec {
-        name: "--last",
-        metavar: Some("N"),
-        group: FlagGroup::Runs,
-        help: "how many records to list",
-        default: Some(|| "20".to_string()),
-        apply: Apply::Value(|f, v| {
-            f.last = p("--last", &v)?;
-            at_least_one("--last", f.last as u64)
-        }),
-    },
-    FlagSpec {
-        name: "--cmd",
-        metavar: Some("NAME"),
-        group: FlagGroup::Runs,
-        help: "filter to one subcommand's records",
-        default: None,
-        apply: Apply::Value(|f, v| {
-            f.cmd_filter = Some(v);
-            Ok(())
-        }),
-    },
 ];
 
 // ----------------------------------------------------- subcommand table
@@ -423,8 +385,6 @@ pub enum SchemaRef {
     Metrics,
     /// Event traces (`ms_sim::TRACE_SCHEMA_VERSION`).
     Trace,
-    /// Run-ledger records (`ms_prof::ledger::LEDGER_SCHEMA_VERSION`).
-    Ledger,
 }
 
 impl SchemaRef {
@@ -432,9 +392,6 @@ impl SchemaRef {
         match self {
             SchemaRef::Metrics => format!("metrics schema v{}", crate::sweeps::SCHEMA_VERSION),
             SchemaRef::Trace => format!("trace schema v{}", ms_sim::TRACE_SCHEMA_VERSION),
-            SchemaRef::Ledger => {
-                format!("ledger schema v{}", ms_prof::ledger::LEDGER_SCHEMA_VERSION)
-            }
         }
     }
 }
@@ -516,25 +473,6 @@ pub static SUBCOMMANDS: &[SubcommandSpec] = &[
         name: "policies",
         operands: "",
         about: &["the selection strategies, one line per policy"],
-        schema: None,
-    },
-    SubcommandSpec {
-        name: "runs",
-        operands: "[show <id>]",
-        about: &[
-            "list recorded runs, newest first (sweep/perf/",
-            "trace/fuzz/gap invocations leave JSONL records under",
-            "target/experiments/runs/); `show` replays one record",
-        ],
-        schema: Some(SchemaRef::Ledger),
-    },
-    SubcommandSpec {
-        name: "runs-validate",
-        operands: "[FILE]",
-        about: &[
-            "check run records against the ledger schema, exit non-zero",
-            "on any invalid record (docs/OBSERVABILITY.md)",
-        ],
         schema: None,
     },
     SubcommandSpec {
@@ -761,9 +699,6 @@ mod tests {
         }
         assert!(text.contains(&format!("metrics schema v{}", crate::sweeps::SCHEMA_VERSION)));
         assert!(text.contains(&format!("trace schema v{}", ms_sim::TRACE_SCHEMA_VERSION)));
-        assert!(
-            text.contains(&format!("ledger schema v{}", ms_prof::ledger::LEDGER_SCHEMA_VERSION))
-        );
     }
 
     #[test]
@@ -780,21 +715,24 @@ mod tests {
     #[test]
     fn subcommand_names_cover_the_dispatcher() {
         let names = subcommand_names();
-        for cmd in ["sweeps", "runs", "all", "help"] {
+        for cmd in ["sweeps", "fuzz", "all", "help"] {
             assert!(names.contains(&cmd), "`{cmd}` missing from subcommand_names()");
         }
         assert!(!names.iter().any(|n| n.starts_with('<')), "placeholders are filtered");
     }
 
     #[test]
-    fn runs_flags_parse() {
-        let (pos, flags) = parse_ok(&["runs", "--last", "5", "--cmd", "perf", "--quiet"]);
-        assert_eq!(pos, ["runs"]);
-        assert_eq!(flags.last, 5);
-        assert_eq!(flags.cmd_filter.as_deref(), Some("perf"));
-        assert!(flags.quiet);
-        assert!(
-            parse(["runs".to_string(), "--last".to_string(), "0".to_string()].into_iter()).is_err()
-        );
+    fn seed_parses_decimal_and_hex() {
+        assert_eq!(parse_ok(&["fuzz", "--seed", "0x2a"]).1.seed, 42);
+        assert_eq!(parse_ok(&["fuzz", "--seed", "42"]).1.seed, 42);
+    }
+
+    #[test]
+    fn malformed_hex_seeds_are_usage_errors() {
+        for bad in ["0x", "0xzz"] {
+            let err = parse(["fuzz", "--seed", bad].into_iter().map(String::from)).unwrap_err();
+            assert!(matches!(err, BenchError::Usage(_)), "{bad}: {err:?}");
+            assert!(err.to_string().contains("--seed"), "{bad}: {err}");
+        }
     }
 }

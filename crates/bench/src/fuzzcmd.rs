@@ -18,8 +18,6 @@ use crate::harness::run_parallel;
 /// The outcome of one fuzz sweep.
 #[derive(Debug)]
 pub struct FuzzReport {
-    /// Seeds checked.
-    pub seeds: u64,
     /// Every failure found, with its minimal reproducer.
     pub failures: Vec<FuzzFailure>,
     /// Human-readable summary (one line per failure plus a verdict).
@@ -76,7 +74,7 @@ pub fn run_fuzz(
             s.len()
         }));
     }
-    FuzzReport { seeds, failures, text, artifacts }
+    FuzzReport { failures, text, artifacts }
 }
 
 #[cfg(test)]

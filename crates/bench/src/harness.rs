@@ -12,14 +12,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::time::Instant;
-
-use ms_prof::ledger::ProgressSink;
-
-/// The disabled sink plain [`run_parallel`] callers share: `const`
-/// constructed, so it costs nothing at startup and every method is a
-/// single not-enabled branch.
-static SILENT_SINK: ProgressSink = ProgressSink::disabled();
 
 /// Runs `f` over every item, `jobs` cells at a time, and returns the
 /// results in item order.
@@ -36,58 +28,15 @@ where
     R: Send,
     F: Fn(&T, usize) -> R + Sync,
 {
-    run_parallel_observed(jobs, items, f, &SILENT_SINK, &|| {})
-}
-
-/// [`run_parallel`] with run-ledger observability: per-worker busy
-/// tallies flow into `sink`, and `tick` runs on the **caller's** thread
-/// each time a result lands (the live progress line's heartbeat).
-///
-/// Worker busy time covers every work item the closure runs — for the
-/// suite scheduler that includes context warm-up items, so
-/// the tallies measure worker *occupancy*, not just cell simulation.
-/// With `sink` disabled this is exactly [`run_parallel`]: no clock
-/// reads, no atomics beyond the scheduler's own.
-///
-/// # Panics
-///
-/// Panics if a worker panics (the panic is propagated).
-pub fn run_parallel_observed<T, R, F>(
-    jobs: usize,
-    items: Vec<T>,
-    f: F,
-    sink: &ProgressSink,
-    tick: &dyn Fn(),
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, usize) -> R + Sync,
-{
     if jobs <= 1 || items.len() <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let r = if sink.is_enabled() {
-                    let t0 = Instant::now();
-                    let r = f(item, i);
-                    sink.worker_busy(0, t0.elapsed().as_nanos() as u64, 1);
-                    r
-                } else {
-                    f(item, i)
-                };
-                tick();
-                r
-            })
-            .collect();
+        return items.iter().enumerate().map(|(i, item)| f(item, i)).collect();
     }
     let next = AtomicUsize::new(0);
     let workers = jobs.min(items.len());
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
     std::thread::scope(|scope| {
-        for w in 0..workers {
+        for _ in 0..workers {
             let tx = tx.clone();
             let next = &next;
             let items = &items;
@@ -97,23 +46,14 @@ where
                 if i >= items.len() {
                     break;
                 }
-                let r = if sink.is_enabled() {
-                    let t0 = Instant::now();
-                    let r = f(&items[i], i);
-                    sink.worker_busy(w, t0.elapsed().as_nanos() as u64, 1);
-                    r
-                } else {
-                    f(&items[i], i)
-                };
                 // A send can only fail if the receiver was dropped,
                 // which cannot happen while this scope is alive.
-                let _ = tx.send((i, r));
+                let _ = tx.send((i, f(&items[i], i)));
             });
         }
         drop(tx);
         for (i, r) in rx {
             slots[i] = Some(r);
-            tick();
         }
     });
     slots.into_iter().map(|r| r.expect("every cell index was claimed exactly once")).collect()
@@ -155,31 +95,5 @@ mod tests {
     fn more_jobs_than_items_is_fine() {
         let out = run_parallel(64, vec![1u32, 2, 3], |&x, _| x * 2);
         assert_eq!(out, vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn observed_run_ticks_once_per_item_and_tallies_workers() {
-        use std::cell::Cell;
-
-        let sink = ProgressSink::new(4);
-        let ticks = Cell::new(0u32);
-        let items: Vec<u64> = (0..23).collect();
-        let out =
-            run_parallel_observed(4, items, |&x, _| x + 1, &sink, &|| ticks.set(ticks.get() + 1));
-        assert_eq!(out.len(), 23);
-        assert_eq!(ticks.get(), 23, "tick fires on the caller thread once per result");
-        let snap = sink.snapshot();
-        let items_done: u64 = snap.workers.iter().map(|&(_, n)| n).sum();
-        assert_eq!(items_done, 23, "every item is charged to exactly one worker");
-
-        // Serial path charges worker 0 and still ticks.
-        let sink = ProgressSink::new(1);
-        let ticks = Cell::new(0u32);
-        let out = run_parallel_observed(1, vec![1u64, 2, 3], |&x, _| x, &sink, &|| {
-            ticks.set(ticks.get() + 1)
-        });
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(ticks.get(), 3);
-        assert_eq!(sink.snapshot().workers[0].1, 3);
     }
 }

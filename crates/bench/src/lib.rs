@@ -48,8 +48,6 @@ pub mod gapcmd;
 pub mod harness;
 pub mod json;
 pub mod perfcmd;
-pub mod progress;
-pub mod runscmd;
 pub mod sweeps;
 pub mod tracecmd;
 

@@ -21,7 +21,6 @@ use ms_prof::{Report, SpanStat};
 use ms_tasksel::Strategy;
 
 use crate::json::escape;
-use crate::runscmd::fmt_ns;
 use crate::sweeps::{CellJob, SWEEP_TRACE_INSTS};
 
 /// Default timed repetitions (`--reps`); one extra untimed warm-up
@@ -259,9 +258,32 @@ fn fmt_rate(per_s: f64) -> String {
     }
 }
 
+/// Formats a nanosecond count in the largest unit that keeps it at or
+/// above one (`ns`, `us`, `ms`, `s`).
+fn fmt_ns(ns: u64) -> String {
+    let ns = ns as f64;
+    if ns >= 1e9 {
+        format!("{:.2} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.2} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.2} us", ns / 1e3)
+    } else {
+        format!("{ns:.0} ns")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fmt_ns_picks_units() {
+        assert_eq!(fmt_ns(500), "500 ns");
+        assert_eq!(fmt_ns(2_500), "2.50 us");
+        assert_eq!(fmt_ns(2_500_000), "2.50 ms");
+        assert_eq!(fmt_ns(2_500_000_000), "2.50 s");
+    }
 
     #[test]
     fn grid_ids_are_unique_and_cover_every_heuristic() {

@@ -6,7 +6,7 @@
 //! tables the former dedicated binaries printed. The single `run` driver
 //! binary hands one or more sweeps to [`run_suite`], which plans them
 //! as one suite, fans the distinct cells out with
-//! [`crate::harness::run_parallel_observed`], and writes one
+//! [`crate::harness::run_parallel`], and writes one
 //! schema-versioned JSON metrics artifact per grid cell to
 //! `target/experiments/<sweep>/<cell>.json` (schema documented in
 //! `EXPERIMENTS.md`).
@@ -35,10 +35,10 @@ use ms_sim::{ChunkStream, Engine, NullSink, SimConfig, SimStats, Simulator};
 use ms_tasksel::{if_convert, PartitionStats, SelectorBuilder, Strategy, TaskSizeParams};
 use ms_workloads::{by_name, fp_suite, integer_suite};
 
+use crate::cache::CellCache;
 use crate::error::{closest, BenchError};
-use crate::harness::run_parallel_observed;
+use crate::harness::run_parallel;
 use crate::json::JsonObj;
-use crate::progress::SweepObserver;
 use crate::{pct_change, DEFAULT_SEED, DEFAULT_TRACE_INSTS};
 
 /// Version of the per-cell metrics JSON schema (bump on any field
@@ -384,9 +384,6 @@ pub struct SweepReport {
     pub text: String,
     /// Number of cells in the sweep's grid.
     pub cells: usize,
-    /// Cell ids in grid order — what the run ledger records one `cell`
-    /// event (and one artifact path) per.
-    pub cell_ids: Vec<String>,
 }
 
 /// One sweep's cells in grid order: each cell's id and job.
@@ -432,8 +429,6 @@ impl SweepSpec {
 struct Plan<'g> {
     /// Each distinct cell's job: its first occurrence in the suite.
     cells: Vec<&'g CellJob>,
-    /// How many grid cells each distinct cell serves (itself included).
-    served: Vec<usize>,
     /// Distinct cells per image key, in first-appearance order.
     images: Vec<Vec<usize>>,
     /// For each grid, for each of its cells, the distinct cell it is.
@@ -442,8 +437,7 @@ struct Plan<'g> {
 
 impl<'g> Plan<'g> {
     fn new(grids: &'g [Grid]) -> Plan<'g> {
-        let mut plan =
-            Plan { cells: Vec::new(), served: Vec::new(), images: Vec::new(), slots: Vec::new() };
+        let mut plan = Plan { cells: Vec::new(), images: Vec::new(), slots: Vec::new() };
         for grid in grids {
             let mut slots = Vec::with_capacity(grid.len());
             for (_, job) in grid {
@@ -463,11 +457,9 @@ impl<'g> Plan<'g> {
                     .find(|&d| plan.cells[d].sim_config() == config);
                 let d = twin.unwrap_or_else(|| {
                     plan.cells.push(job);
-                    plan.served.push(0);
                     plan.images[img].push(plan.cells.len() - 1);
                     plan.cells.len() - 1
                 });
-                plan.served[d] += 1;
                 slots.push(d);
             }
             plan.slots.push(slots);
@@ -484,20 +476,15 @@ impl<'g> Plan<'g> {
 /// and each distinct cell simulates once however many grids name it
 /// (every Table 1 cell is also a Figure 5 cell). A cell is identified
 /// by what it computes: its image key and its [`CellJob::sim_config`],
-/// the equivalence [`crate::cache::cell_key`] hashes. `obs` receives
-/// live scheduler telemetry (cells queued / started / finished, context
-/// warm hits, per-worker busy tallies) and the per-result heartbeat;
-/// pass [`SweepObserver::silent`] when telemetry is not wanted. Artifacts and reports are byte-identical either way,
-/// and for any `jobs`.
+/// the equivalence [`crate::cache::cell_key`] hashes. Artifacts and
+/// reports are byte-identical for any `jobs`.
 ///
-/// When the observer carries a [`crate::cache::CellCache`], each
-/// distinct cell is first probed by content key on the coordinating
-/// thread: hits skip simulation entirely, and only the misses are
-/// scheduled — then stored back once each, so an identical resubmission
-/// runs zero cells. Cached and computed outputs are field-identical, so
-/// artifacts stay byte-identical either way (pinned by
-/// `tests/context_equivalence.rs`). A grid cell served by a cache hit or
-/// by its twin counts as started and finished when that output is ready.
+/// With a `cache`, each distinct cell is first probed by content key on
+/// the coordinating thread: hits skip simulation entirely, and only the
+/// misses are scheduled — then stored back once each, so an identical
+/// resubmission runs zero cells. Cached and computed outputs are
+/// field-identical, so artifacts stay byte-identical either way (pinned
+/// by `tests/context_equivalence.rs`).
 ///
 /// Misses sharing an image key form one group: one selection, trace and
 /// decoded image, simulated one machine configuration after another.
@@ -513,39 +500,21 @@ pub fn run_suite(
     specs: &[SweepSpec],
     jobs: usize,
     out_root: &Path,
-    obs: &SweepObserver,
+    cache: Option<&CellCache>,
 ) -> Result<Vec<SweepReport>, BenchError> {
     let grids: Vec<Grid> = specs.iter().map(|s| s.grid()).collect();
     let plan = Plan::new(&grids);
-    obs.sink.add_queued(plan.served.iter().sum::<usize>() as u64);
-    // A twin is served when the cell it stands for is.
-    let serve_twins = |d: usize| {
-        for _ in 1..plan.served[d] {
-            obs.sink.cell_started();
-            obs.sink.cell_finished();
-        }
-    };
     // Probe the content-addressed cache once per distinct cell
     // (coordinator only; keying builds each distinct program once,
     // memoized in the cache).
     let mut outputs: Vec<Option<CellOutput>> = vec![None; plan.cells.len()];
     let mut cell_keys: Vec<Option<String>> = vec![None; plan.cells.len()];
-    if let Some(cache) = obs.cache {
+    if let Some(cache) = cache {
         for (d, job) in plan.cells.iter().enumerate() {
             let key = cache.key_for(job);
             match cache.lookup(&key) {
-                Some(out) => {
-                    obs.sink.cache_hit();
-                    obs.sink.cell_started();
-                    obs.sink.cell_finished();
-                    serve_twins(d);
-                    (obs.on_tick)();
-                    outputs[d] = Some(out);
-                }
-                None => {
-                    obs.sink.cache_miss();
-                    cell_keys[d] = Some(key);
-                }
+                Some(out) => outputs[d] = Some(out),
+                None => cell_keys[d] = Some(key),
             }
         }
     }
@@ -587,45 +556,25 @@ pub fn run_suite(
         .map(SweepWork::Warm)
         .chain(groups.iter().cloned().map(SweepWork::Group))
         .collect();
-    let computed = run_parallel_observed(
-        jobs,
-        work,
-        |w, _| match w {
-            SweepWork::Warm(p) => {
-                ctx_of(*p);
-                None
-            }
-            SweepWork::Group(cells) => {
-                let jobs: Vec<&CellJob> = cells.iter().map(|&d| plan.cells[d]).collect();
-                let key = (jobs[0].bench, jobs[0].if_convert_arms);
-                let p = programs.iter().position(|&k| k == key).expect("group program is pooled");
-                // The pipeline's payoff, counted: did a warm-up (or an
-                // earlier group) already warm this program's context?
-                let warmed = pool[p].get().is_some();
-                for _ in cells {
-                    obs.sink.cell_started();
-                    if warmed {
-                        obs.sink.warm_hit();
-                    }
-                }
-                let outs = CellJob::run_group(&jobs, ctx_of(p));
-                for &d in cells {
-                    obs.sink.cell_finished();
-                    serve_twins(d);
-                }
-                Some(outs)
-            }
-        },
-        obs.sink,
-        obs.on_tick,
-    );
+    let computed = run_parallel(jobs, work, |w, _| match w {
+        SweepWork::Warm(p) => {
+            ctx_of(*p);
+            None
+        }
+        SweepWork::Group(cells) => {
+            let jobs: Vec<&CellJob> = cells.iter().map(|&d| plan.cells[d]).collect();
+            let key = (jobs[0].bench, jobs[0].if_convert_arms);
+            let p = programs.iter().position(|&k| k == key).expect("group program is pooled");
+            Some(CellJob::run_group(&jobs, ctx_of(p)))
+        }
+    });
     // Work items after the warm-ups are the groups, in formation order:
     // zipping each group's cells against its outputs fills every slot.
     for (g, outs) in groups.iter().zip(computed.into_iter().skip(programs.len())) {
         let outs = outs.expect("group work items carry outputs");
         debug_assert_eq!(g.len(), outs.len());
         for (&d, out) in g.iter().zip(outs) {
-            if let (Some(cache), Some(key)) = (obs.cache, &cell_keys[d]) {
+            if let (Some(cache), Some(key)) = (cache, &cell_keys[d]) {
                 cache.store(key, &out)?;
             }
             outputs[d] = Some(out);
@@ -645,8 +594,7 @@ pub fn run_suite(
         }
         let text = spec.render(&results);
         fs::write(dir.join("report.md"), &text)?;
-        let cell_ids = grid.iter().map(|(id, _)| id.clone()).collect();
-        reports.push(SweepReport { name, text, cells: grid.len(), cell_ids });
+        reports.push(SweepReport { name, text, cells: grid.len() });
     }
     Ok(reports)
 }
@@ -1241,7 +1189,7 @@ mod tests {
     fn suite_plan_counts_each_distinct_cell_once() {
         let grids: Vec<Grid> = SweepSpec::ALL.iter().map(|s| s.grid()).collect();
         let plan = Plan::new(&grids);
-        assert_eq!(plan.served.iter().sum::<usize>(), 400, "grid cells");
+        assert_eq!(plan.slots.iter().map(Vec::len).sum::<usize>(), 400, "grid cells");
         assert_eq!(plan.cells.len(), 329, "distinct cells: simulations");
         assert_eq!(plan.images.len(), 108, "distinct images: select/trace/decode builds");
         let mut programs: Vec<_> =
@@ -1251,7 +1199,8 @@ mod tests {
         assert_eq!(programs.len(), 30, "distinct programs: context warm-ups");
         // Every Table 1 cell is served by its Figure 5 twin.
         let table1 = SweepSpec::ALL.iter().position(|&s| s == SweepSpec::Table1).unwrap();
-        assert!(plan.slots[table1].iter().all(|&d| plan.served[d] == 2));
+        let served = |d: usize| plan.slots.iter().flatten().filter(|&&s| s == d).count();
+        assert!(plan.slots[table1].iter().all(|&d| served(d) == 2));
         // A twin computes exactly what the cell it stands for computes.
         for (grid, slots) in grids.iter().zip(&plan.slots) {
             for ((id, job), &d) in grid.iter().zip(slots) {

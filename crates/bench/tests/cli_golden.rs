@@ -11,6 +11,7 @@
 //! and update the command tables in `EXPERIMENTS.md` to match.
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use ms_bench::cli;
 
@@ -58,4 +59,25 @@ fn list_text_names_every_benchmark_and_sweep() {
     for name in ms_bench::sweeps::SweepSpec::ALL.map(|s| s.name()) {
         assert!(text.contains(name), "list must mention sweep `{name}`");
     }
+}
+
+/// `--seed` takes the hex form `run -- help` shows and a `FAIL seed`
+/// line prints, so a failure re-runs as printed.
+#[test]
+fn fuzz_accepts_the_hex_seed_it_prints() {
+    let dir = std::env::temp_dir().join(format!("ms-hex-seed-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_run"))
+        .args(["fuzz", "--seeds", "1", "--seed", "0x2a", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("spawn run binary");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "exit {:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("base seed 0x2a"), "{stdout}");
 }

@@ -8,9 +8,7 @@
 use std::path::{Path, PathBuf};
 
 use ms_bench::cache::CellCache;
-use ms_bench::progress::SweepObserver;
 use ms_bench::sweeps::{cell_json, run_suite, CellJob, SweepSpec};
-use ms_prof::ledger::ProgressSink;
 use ms_tasksel::Strategy;
 
 /// Every (benchmark, heuristic, threshold) shape the grids use, run both
@@ -67,24 +65,22 @@ fn if_converted_cells_use_their_own_context() {
 fn sweep_artifacts_are_bit_identical_across_jobs() {
     let root1 = tempdir("ctx-equiv-j1");
     let root4 = tempdir("ctx-equiv-j4");
-    run_suite(&[SweepSpec::Forwarding], 1, &root1, &SweepObserver::silent())
-        .expect("serial sweep runs");
-    run_suite(&[SweepSpec::Forwarding], 4, &root4, &SweepObserver::silent())
-        .expect("parallel sweep runs");
+    run_suite(&[SweepSpec::Forwarding], 1, &root1, None).expect("serial sweep runs");
+    run_suite(&[SweepSpec::Forwarding], 4, &root4, None).expect("parallel sweep runs");
     assert_trees_identical(&root1, &root4, "--jobs 4");
 
     let cache_dir = tempdir("ctx-equiv-cache");
     let cold = tempdir("ctx-equiv-cold");
     let warm = tempdir("ctx-equiv-warm");
     let cache = CellCache::at(&cache_dir).expect("cache dir opens");
-    let obs = SweepObserver { cache: Some(&cache), ..SweepObserver::silent() };
-    let reports = run_suite(&[SweepSpec::Forwarding], 4, &cold, &obs).expect("cold cached sweep");
+    let reports =
+        run_suite(&[SweepSpec::Forwarding], 4, &cold, Some(&cache)).expect("cold cached sweep");
     assert_eq!((cache.hits(), cache.misses()), (0, reports[0].cells as u64), "cold cache misses");
     assert_trees_identical(&root1, &cold, "cold cache");
 
     let cache = CellCache::at(&cache_dir).expect("cache dir reopens");
-    let obs = SweepObserver { cache: Some(&cache), ..SweepObserver::silent() };
-    let reports = run_suite(&[SweepSpec::Forwarding], 4, &warm, &obs).expect("warm cached sweep");
+    let reports =
+        run_suite(&[SweepSpec::Forwarding], 4, &warm, Some(&cache)).expect("warm cached sweep");
     assert_eq!(cache.hits(), reports[0].cells as u64, "warm run serves every cell");
     assert_eq!(cache.misses(), 0, "warm run simulates nothing");
     assert_trees_identical(&root1, &warm, "warm cache");
@@ -108,11 +104,11 @@ fn suite_simulates_each_distinct_cell_once() {
     // collects.
     ms_prof::enable();
     for spec in specs {
-        run_suite(&[spec], 1, &alone, &SweepObserver::silent()).expect("sweep runs alone");
+        run_suite(&[spec], 1, &alone, None).expect("sweep runs alone");
     }
     let alone_spans = ms_prof::disable().expect("profiler was enabled");
     ms_prof::enable();
-    let reports = run_suite(&specs, 1, &suite, &SweepObserver::silent()).expect("suite runs");
+    let reports = run_suite(&specs, 1, &suite, None).expect("suite runs");
     let suite_spans = ms_prof::disable().expect("profiler was enabled");
 
     let count = |r: &ms_prof::Report, leaf: &str| -> u64 {
@@ -135,8 +131,7 @@ fn suite_simulates_each_distinct_cell_once() {
 
 /// Through one cell cache, the overlapping suite probes and stores each
 /// distinct cell once: a cold pass misses 32 times, a warm pass hits 32
-/// times and misses none. Every one of the 37 grid cells still counts
-/// as queued, started and finished, and the trees match.
+/// times and misses none, and the trees match.
 #[test]
 fn suite_probes_and_stores_each_distinct_cell_once() {
     let specs = [SweepSpec::Forwarding, SweepSpec::Pus];
@@ -145,25 +140,13 @@ fn suite_probes_and_stores_each_distinct_cell_once() {
     let warm = tempdir("suite-warm");
     let cache = CellCache::at(&cache_dir).expect("cache dir opens");
 
-    let sink = ProgressSink::new(2);
-    let obs = SweepObserver { sink: &sink, on_tick: &|| {}, cache: Some(&cache) };
-    run_suite(&specs, 2, &cold, &obs).expect("cold suite");
+    run_suite(&specs, 2, &cold, Some(&cache)).expect("cold suite");
     assert_eq!((cache.hits(), cache.misses()), (0, 32), "cold pass");
-    let snap = sink.snapshot();
-    assert_eq!((snap.queued, snap.started, snap.finished), (37, 37, 37));
-    assert_eq!((snap.cache_hits, snap.cache_misses), (0, 32));
-    let items: u64 = snap.workers.iter().map(|&(_, n)| n).sum();
-    assert_eq!(items, 12, "6 context warm-ups + 6 shared-image groups");
     let entries = std::fs::read_dir(&cache_dir).unwrap().count();
     assert_eq!(entries, 32, "each distinct cell is stored once, no temp files left");
 
-    let sink = ProgressSink::new(2);
-    let obs = SweepObserver { sink: &sink, on_tick: &|| {}, cache: Some(&cache) };
-    run_suite(&specs, 2, &warm, &obs).expect("warm suite");
+    run_suite(&specs, 2, &warm, Some(&cache)).expect("warm suite");
     assert_eq!((cache.hits(), cache.misses()), (32, 32), "warm pass: 32 hits, 0 misses");
-    let snap = sink.snapshot();
-    assert_eq!((snap.queued, snap.started, snap.finished), (37, 37, 37));
-    assert_eq!((snap.cache_hits, snap.cache_misses), (32, 0));
     assert_trees_identical(&cold, &warm, "warm vs. cold suite");
 
     for dir in [cache_dir, cold, warm] {

@@ -1,11 +1,10 @@
 //! End-to-end tests for `run -- perf`: the measurement reconciles with
-//! wall time and names every instrumented phase, and the subcommand
-//! writes only the Chrome view under `--out` plus its run record.
+//! wall time and names every instrumented phase. Every artifact
+//! subcommand, perf included, writes under `--out` and nowhere else.
 
 use std::process::Command;
 
 use ms_bench::perfcmd::{self, PerfOptions};
-use ms_bench::runscmd;
 
 const SMOKE: PerfOptions = PerfOptions { reps: 2, insts: 2_000 };
 
@@ -33,34 +32,40 @@ fn perf_doc_reconciles_and_validates() {
     assert!(doc.chrome.contains("\"name\":\"cell:compress-cf\""));
 }
 
+/// Each artifact subcommand runs in an empty working directory with
+/// `--out` pointing elsewhere; the working directory must stay empty.
 #[test]
-fn perf_writes_the_chrome_view_and_one_cell_event_per_cell() {
-    let root = std::env::temp_dir().join(format!("ms-perf-cli-{}", std::process::id()));
+fn artifact_subcommands_write_nothing_outside_out() {
+    let root = std::env::temp_dir().join(format!("ms-out-only-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let cwd = root.join("cwd");
-    let runs = root.join("runs");
+    let exp = root.join("exp");
     std::fs::create_dir_all(&cwd).unwrap();
 
-    let out = Command::new(env!("CARGO_BIN_EXE_run"))
-        .current_dir(&cwd)
-        .env("MS_RUNS_DIR", &runs)
-        .args(["perf", "--reps", "1", "--insts", "2000", "--out", "exp"])
-        .output()
-        .expect("spawn run binary");
-    assert!(out.status.success(), "perf failed: {}", String::from_utf8_lossy(&out.stderr));
-
-    // Nothing lands in the working directory besides `--out`.
-    let entries: Vec<String> = std::fs::read_dir(&cwd)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    assert_eq!(entries, ["exp"]);
-    assert!(cwd.join("exp/perf/pipeline.chrome.json").exists(), "missing Chrome view");
-
-    let record = runscmd::record_files(&runs).pop().expect("one run record");
-    let rec = ms_prof::ledger::validate_record(&std::fs::read_to_string(record).unwrap())
-        .expect("the perf record validates");
-    assert_eq!(rec.cells, perfcmd::perf_grid(2_000).len());
+    for args in [
+        &["forwarding", "--jobs", "2"][..],
+        &["perf", "--reps", "1", "--insts", "2000"],
+        &["trace", "compress", "--insts", "2000"],
+        &["fuzz", "--seeds", "2"],
+        &["gap", "li", "--insts", "2000"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_run"))
+            .current_dir(&cwd)
+            .args(args)
+            .arg("--out")
+            .arg(&exp)
+            .output()
+            .expect("spawn run binary");
+        assert!(out.status.success(), "{args:?} failed: {}", String::from_utf8_lossy(&out.stderr));
+        let entries: Vec<String> = std::fs::read_dir(&cwd)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(entries.is_empty(), "{args:?} wrote {entries:?} into the working directory");
+    }
+    assert!(exp.join("forwarding/report.md").exists(), "missing sweep report");
+    assert!(exp.join("perf/pipeline.chrome.json").exists(), "missing Chrome view");
+    assert!(exp.join("trace/compress-cf.jsonl").exists(), "missing event trace");
 
     let _ = std::fs::remove_dir_all(&root);
 }

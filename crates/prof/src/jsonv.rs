@@ -2,9 +2,9 @@
 //!
 //! The repository writes all artifacts with hand-rolled JSON; this is
 //! a small recursive-descent parser for the full JSON value grammar,
-//! for the consumers that read one back: the run ledger
-//! ([`crate::ledger`]), the sweep driver's content-addressed cell cache,
-//! and the standalone repository benchmark. Numbers parse as `f64`
+//! for the consumers that read one back: the sweep driver's
+//! content-addressed cell cache and the standalone repository
+//! benchmark. Numbers parse as `f64`
 //! (every number those artifacts carry is exactly representable or
 //! only compared approximately).
 

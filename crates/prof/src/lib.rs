@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod jsonv;
-pub mod ledger;
 mod profiler;
 mod report;
 

@@ -97,31 +97,6 @@ fn disabled_profiling_allocates_nothing() {
 }
 
 #[test]
-fn disabled_progress_sink_allocates_nothing() {
-    // The run-ledger ProgressSink mirrors the NullProfiler contract:
-    // the disabled sink (what plain `run_parallel` callers get) must
-    // cost one branch per call — no atomics touched, no allocation.
-    let sink = ms_prof::ledger::ProgressSink::disabled();
-    assert!(!sink.is_enabled());
-    sink.add_queued(1); // touch once before measuring
-
-    let _gate = gate();
-    let counted = min_allocs_over_windows(|| {
-        for i in 0..10_000u64 {
-            sink.add_queued(1);
-            sink.cell_started();
-            sink.warm_hit();
-            sink.worker_busy(0, i, 1);
-            sink.cell_finished();
-        }
-    });
-    assert_eq!(
-        counted, 0,
-        "disabled ProgressSink calls must not allocate (ledger zero-overhead guarantee)"
-    );
-}
-
-#[test]
 fn enabled_profiling_does_allocate_so_the_counter_works() {
     // Sanity-check the measurement itself: the enabled path must be
     // visible to the counting allocator, otherwise the test above

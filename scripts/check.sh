@@ -17,9 +17,9 @@
 # 6. public-API snapshot: every `pub` declaration must match
 #    tests/api_snapshot.txt (MS_BLESS=1 to re-bless deliberately),
 # 7. docs gate: the metric tables in EXPERIMENTS.md / docs/METRICS.md /
-#    docs/PROFILING.md / docs/OBSERVABILITY.md must only name fields
-#    that still exist in the source; every relative markdown link must
-#    resolve; every docs/*.md must be routed from docs/INDEX.md,
+#    docs/PROFILING.md must only name fields that still exist in the
+#    source; every relative markdown link must resolve; every docs/*.md
+#    must be routed from docs/INDEX.md,
 # 8. profiler smoke: one small `run -- perf` must exit 0 and write its
 #    Chrome pipeline view (docs/PROFILING.md; comparing timings is the
 #    repository benchmark's job, see BENCHMARK.json),
@@ -31,20 +31,17 @@
 #    strategy must match the sequential reference model, and an 8-seed
 #    `--inject` sweep must exit 1 with `FAIL seed` lines, so the CLI's
 #    fuzz path is shown to catch a real engine fault (docs/CONFORMANCE.md),
-# 11. run-ledger smoke: a small sweep must leave a run record that
-#    passes `run -- runs-validate` and shows up in `run -- runs`;
-#    target/experiments/runs/ is pruned to the newest 50 records
-#    (docs/OBSERVABILITY.md),
-# 12. cached-rerun smoke: the same sweep run twice with one `--cache-dir`
-#    must write artifacts byte-identical to step 11's uncached run, and
-#    the second run must serve every cell from the content-addressed
-#    cell cache (zero cells simulated, per its run record's footer),
-# 13. grid digests: the repository benchmark's smoke run must write all
+# 11. cached-rerun smoke: a small sweep run twice with one `--cache-dir`
+#    must write artifacts byte-identical to the same sweep run uncached,
+#    and the second run must serve every cell from the content-addressed
+#    cell cache (zero cells simulated: its `[cell cache ...]` line
+#    reports 0 misses),
+# 12. grid digests: the repository benchmark's smoke run must write all
 #    408 grid files byte-identical to benchmark/expected/grids.txt (and
 #    replay every workload with no differing output), so a timing-model
 #    change that moves a single cycle fails here, not only in the
 #    benchmark harness,
-# 14. long-trace digests: the 18 one-million-instruction `dd` runs on
+# 13. long-trace digests: the 18 one-million-instruction `dd` runs on
 #    8 PUs (the benchmark's `long_trace` workload, run once) must print
 #    stats lines identical to benchmark/expected/long_trace.txt, so the
 #    engine is pinned on a large working set too, not only on the
@@ -77,11 +74,10 @@ echo "==> docs gate (metric tables vs. source)"
 # metric docs must appear somewhere in the crates' source: a renamed or
 # removed counter/field must take its documentation row with it.
 docs_fail=0
-for doc in EXPERIMENTS.md docs/METRICS.md docs/TRACING.md docs/PROFILING.md \
-           docs/OBSERVABILITY.md; do
+for doc in EXPERIMENTS.md docs/METRICS.md docs/TRACING.md docs/PROFILING.md; do
     [ -f "$doc" ] || { echo "missing $doc"; docs_fail=1; continue; }
 done
-for doc in EXPERIMENTS.md docs/METRICS.md docs/PROFILING.md docs/OBSERVABILITY.md; do
+for doc in EXPERIMENTS.md docs/METRICS.md docs/PROFILING.md; do
     fields=$(grep -o '^| `[a-z][a-z0-9_]*`' "$doc" | sed 's/^| `//; s/`$//' | sort -u)
     for f in $fields; do
         if ! grep -rq "$f" crates/*/src; then
@@ -129,7 +125,7 @@ cargo run -p ms-bench --release --bin run -q -- perf --reps 1 --insts 2000 --out
 echo "==> trace smoke (run -- trace vs crates/bench/tests/golden, docs/TRACING.md)"
 trace_dir=target/trace-smoke
 rm -rf "$trace_dir"
-cargo run -p ms-bench --release --bin run -q -- trace compress --insts 2000 --out "$trace_dir" --quiet
+cargo run -p ms-bench --release --bin run -q -- trace compress --insts 2000 --out "$trace_dir"
 for ext in jsonl chrome.json; do
     cmp "$trace_dir/trace/compress-cf.$ext" "crates/bench/tests/golden/compress-cf-4pu-trace.$ext" \
         || { echo "run -- trace wrote a $ext differing from the golden file"; exit 1; }
@@ -143,55 +139,31 @@ cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 25 --out target/fuz
 # The same loop with the engine's test-only fault switched on must fail.
 inject_status=0
 inject_out=$(cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 8 --inject \
-    --quiet --out target/fuzz-inject-smoke) || inject_status=$?
+    --out target/fuzz-inject-smoke) || inject_status=$?
 [ "$inject_status" -eq 1 ] \
     || { echo "fuzz --inject exited $inject_status, expected 1"; exit 1; }
 echo "$inject_out" | grep -q "^FAIL seed" \
     || { echo "fuzz --inject printed no FAIL seed line"; exit 1; }
 
-echo "==> run-ledger smoke (run -- runs, docs/OBSERVABILITY.md)"
-# The perf/trace/fuzz steps above each left a run record; add the
-# cheapest sweep so the sweep scheduler's telemetry path is exercised
-# too, then assert the ledger round-trips: every record validates and
-# the listing surfaces the sweep we just ran.
-cargo run -p ms-bench --release --bin run -q -- forwarding --jobs 2 --out target/ledger-smoke
-cargo run -p ms-bench --release --bin run -q -- runs-validate
-# Filter by command: record ids have one-second resolution, and several
-# smoke steps can finish inside the same second.
-runs_listing=$(cargo run -p ms-bench --release --bin run -q -- runs --cmd forwarding --last 1)
-echo "$runs_listing" | grep -q "forwarding" \
-    || { echo "runs --cmd forwarding does not show the sweep just run"; exit 1; }
-cargo run -p ms-bench --release --bin run -q -- runs --cmd perf --last 3
-# Keep the ledger bounded: newest 50 records, oldest pruned (the
-# UTC-stamp filename prefix makes lexicographic order chronological).
-runs_dir=target/experiments/runs
-if [ -d "$runs_dir" ]; then
-    total=$(ls "$runs_dir"/*.jsonl 2>/dev/null | wc -l)
-    if [ "$total" -gt 50 ]; then
-        ls "$runs_dir"/*.jsonl | sort | head -n "$((total - 50))" | while IFS= read -r old; do
-            rm -f "$old"
-        done
-        echo "    (pruned $((total - 50)) old run record(s), keeping the newest 50)"
-    fi
-fi
-
 echo "==> cached-rerun smoke (run -- forwarding --cache-dir, EXPERIMENTS.md)"
-# The same grid twice through one cell cache: a cold pass that fills
-# it, then a warm pass that must simulate nothing. Both trees must be
-# byte-identical to step 11's uncached forwarding tree. The warm run's
-# own record (the path it prints) must say "cache_misses":0.
+# The same grid three times: uncached for the reference tree, then
+# twice through one cell cache, a cold pass that fills it and a warm
+# pass that must simulate nothing. Both cached trees must be
+# byte-identical to the uncached one, and the warm pass must print
+# "0 misses" on its `[cell cache ...]` line.
 cache_smoke=target/cache-smoke
 rm -rf "$cache_smoke"
+cargo run -p ms-bench --release --bin run -q -- forwarding --jobs 2 --out "$cache_smoke/uncached"
 for pass in cold warm; do
-    printed=$(cargo run -p ms-bench --release --bin run -q -- forwarding --jobs 2 --quiet \
+    printed=$(cargo run -p ms-bench --release --bin run -q -- forwarding --jobs 2 \
         --cache-dir "$cache_smoke/cellcache" --out "$cache_smoke/$pass")
-    diff -r target/ledger-smoke/forwarding "$cache_smoke/$pass/forwarding" \
+    diff -r "$cache_smoke/uncached/forwarding" "$cache_smoke/$pass/forwarding" \
         || { echo "$pass cached run's artifacts differ from the uncached run"; exit 1; }
 done
-record=$(echo "$printed" | sed -n 's/^\[run record *-> \(.*\)\]$/\1/p')
-[ -n "$record" ] || { echo "warm cached run printed no run record"; exit 1; }
-tail -n 1 "$record" | grep -q '"cache_misses":0' \
-    || { echo "warm cached run simulated cells ($record):"; tail -n 1 "$record"; exit 1; }
+counts=$(echo "$printed" | sed -n 's/^\[cell cache *-> \(.*\)\]$/\1/p')
+[ -n "$counts" ] || { echo "warm cached run printed no [cell cache ...] line"; exit 1; }
+echo "$counts" | grep -q ', 0 misses$' \
+    || { echo "warm cached run simulated cells: $counts"; exit 1; }
 
 echo "==> grid digests (benchmark run --smoke vs benchmark/expected/grids.txt)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke

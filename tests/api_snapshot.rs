@@ -164,7 +164,7 @@ fn snapshot_covers_the_new_surface() {
         "pub enum BenchError",
         "pub enum IrError",
         "pub struct CellCache",
-        "pub struct SweepObserver",
+        "pub fn run_suite(",
     ] {
         assert!(s.contains(needle), "snapshot is missing `{needle}`");
     }
