@@ -209,8 +209,8 @@ impl ProgramContext {
     /// strategy consumes (profile plus per-function dominators, loops
     /// and DFS order), and with `deps` also the dependence analyses
     /// (def-use chains and reachability) the data-dependence heuristic
-    /// needs. The pipelined sweep scheduler calls this in its warm-up
-    /// stage so cells find every slot hot.
+    /// needs. A caller that times selection apart from analysis calls
+    /// this first, so selection finds every slot hot.
     pub fn warm(&self, deps: bool) {
         self.profile();
         for fid in self.program().func_ids() {

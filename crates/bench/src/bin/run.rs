@@ -63,7 +63,6 @@ use std::path::Path;
 use ms_analysis::ProgramContext;
 use ms_bench::cache::CellCache;
 use ms_bench::cli::{self, Flags};
-use ms_bench::error::closest;
 use ms_bench::fuzzcmd;
 use ms_bench::gapcmd::{self, GapOptions};
 use ms_bench::perfcmd::{self, PerfOptions};
@@ -73,6 +72,7 @@ use ms_bench::{run_selection, BenchError, DEFAULT_TRACE_INSTS};
 use ms_conform::FuzzParams;
 use ms_ir::Program;
 use ms_sim::SimConfig;
+use ms_tasksel::closest;
 use ms_workloads::{by_name, suite};
 
 fn sim_config(flags: &Flags) -> SimConfig {

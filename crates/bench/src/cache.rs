@@ -23,9 +23,7 @@
 //!
 //! Lookups count into per-cache atomics ([`CellCache::hits`] /
 //! [`CellCache::misses`]; a sweep run with `--cache-dir` prints them as
-//! its `[cell cache   -> H hits, M misses]` line) and, when a profiler
-//! is enabled, the `ms-prof` counters `sweep.cache.hit` /
-//! `sweep.cache.miss`. A corrupt,
+//! its `[cell cache   -> H hits, M misses]` line). A corrupt,
 //! truncated or schema-incompatible entry is treated as a miss and
 //! recomputed, never trusted.
 
@@ -141,11 +139,9 @@ impl CellCache {
         match &out {
             Some(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                ms_prof::counter_add("sweep.cache.hit", 1);
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                ms_prof::counter_add("sweep.cache.miss", 1);
             }
         }
         out

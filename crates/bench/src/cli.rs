@@ -13,10 +13,10 @@
 
 use std::path::PathBuf;
 
-use crate::error::{closest, BenchError};
+use crate::error::BenchError;
 use crate::perfcmd::DEFAULT_PERF_REPS;
 use crate::sweeps::SweepSpec;
-use ms_tasksel::{SelectError, Strategy};
+use ms_tasksel::{closest, SelectError, Strategy};
 
 /// Every flag any `run` subcommand accepts, with its default. Flags
 /// meaningless to a given subcommand are accepted and ignored (so

@@ -4,7 +4,7 @@
 //! with, as one enum implementing [`std::error::Error`] with `From`
 //! conversions — replacing the previous mix of `io::Result` misuse and
 //! ad-hoc `String` errors. Unknown-name variants carry a
-//! nearest-match suggestion computed by [`closest`].
+//! nearest-match suggestion computed by [`ms_tasksel::closest`].
 
 use std::error::Error;
 use std::fmt;
@@ -73,51 +73,9 @@ impl From<io::Error> for BenchError {
     }
 }
 
-/// The candidate closest to `name` by edit distance, if within a
-/// suggestion-worthy bound (≤ 3 edits, and fewer than the name's own
-/// length — so wild guesses don't produce absurd suggestions).
-pub fn closest(name: &str, candidates: &[&'static str]) -> Option<&'static str> {
-    let best = candidates.iter().map(|c| (edit_distance(name, c), *c)).min()?;
-    (best.0 <= 3 && best.0 < name.len().max(1)).then_some(best.1)
-}
-
-/// Levenshtein distance, small-string implementation (both operands are
-/// short command-line words).
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn edit_distance_basics() {
-        assert_eq!(edit_distance("", "abc"), 3);
-        assert_eq!(edit_distance("figure5", "figure5"), 0);
-        assert_eq!(edit_distance("figure4", "figure5"), 1);
-        assert_eq!(edit_distance("tresholds", "thresholds"), 1);
-    }
-
-    #[test]
-    fn closest_suggests_near_names_only() {
-        let names = &["figure5", "table1", "thresholds"];
-        assert_eq!(closest("tresholds", names), Some("thresholds"));
-        assert_eq!(closest("figure", names), Some("figure5"));
-        assert_eq!(closest("zzzzzzzzzzzz", names), None);
-    }
 
     #[test]
     fn display_includes_suggestions() {

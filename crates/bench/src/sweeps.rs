@@ -32,11 +32,11 @@ use std::sync::OnceLock;
 use ms_analysis::ProgramContext;
 use ms_ir::Program;
 use ms_sim::{ChunkStream, Engine, NullSink, SimConfig, SimStats, Simulator};
-use ms_tasksel::{if_convert, PartitionStats, SelectorBuilder, Strategy, TaskSizeParams};
+use ms_tasksel::{closest, if_convert, PartitionStats, SelectorBuilder, Strategy, TaskSizeParams};
 use ms_workloads::{by_name, fp_suite, integer_suite};
 
 use crate::cache::CellCache;
-use crate::error::{closest, BenchError};
+use crate::error::BenchError;
 use crate::harness::run_parallel;
 use crate::json::JsonObj;
 use crate::{pct_change, DEFAULT_SEED, DEFAULT_TRACE_INSTS};
@@ -488,13 +488,10 @@ impl<'g> Plan<'g> {
 ///
 /// Misses sharing an image key form one group: one selection, trace and
 /// decoded image, simulated one machine configuration after another.
-/// Cells with equal `(bench, if_convert_arms)` share one lazily-warmed
-/// [`ProgramContext`], so each program's CFG analyses are computed once
-/// per suite. Warm-ups and groups run in one pass over one work list:
-/// the warm-up items (only for programs with at least one miss) go
-/// first, then the groups, and workers drain the list in order. A group
-/// never waits on a warm-up: if its context has not been warmed yet it
-/// computes the analyses itself through the same once-only slots.
+/// The groups are the only parallel work items. Cells with equal
+/// `(bench, if_convert_arms)` share one [`ProgramContext`], built by the
+/// first group that needs it; each CFG analysis fills its once-only slot
+/// on first use, so it is computed once per program per suite.
 /// Artifacts are written serially afterwards, in spec and grid order.
 pub fn run_suite(
     specs: &[SweepSpec],
@@ -527,51 +524,22 @@ pub fn run_suite(
         .filter(|g| !g.is_empty())
         .collect();
     let mut programs: Vec<(&'static str, Option<usize>)> = Vec::new();
-    // Dependence analyses are only consulted by untransformed dd/ts
-    // cells; warming them for cf/bb-only programs would be wasted work
-    // (ts cells re-derive a transformed program, so they are excluded).
-    let mut deep: Vec<bool> = Vec::new();
-    for &d in groups.iter().flatten() {
-        let job = plan.cells[d];
-        let key = (job.bench, job.if_convert_arms);
-        let p = programs.iter().position(|&k| k == key).unwrap_or_else(|| {
+    for g in &groups {
+        let key = (plan.cells[g[0]].bench, plan.cells[g[0]].if_convert_arms);
+        if !programs.contains(&key) {
             programs.push(key);
-            deep.push(false);
-            programs.len() - 1
-        });
-        deep[p] |= job.ts_thresh.is_none() && matches!(job.heuristic, Strategy::DataDependence);
+        }
     }
     let pool: Vec<OnceLock<ProgramContext>> = programs.iter().map(|_| OnceLock::new()).collect();
-    let ctx_of = |p: usize| {
-        pool[p].get_or_init(|| {
-            let (bench, arms) = programs[p];
-            let probe =
-                CellJob { if_convert_arms: arms, ..CellJob::new(bench, Strategy::BasicBlock) };
-            let ctx = probe.context();
-            ctx.warm(deep[p]);
-            ctx
-        })
-    };
-    let work: Vec<SweepWork> = (0..programs.len())
-        .map(SweepWork::Warm)
-        .chain(groups.iter().cloned().map(SweepWork::Group))
-        .collect();
-    let computed = run_parallel(jobs, work, |w, _| match w {
-        SweepWork::Warm(p) => {
-            ctx_of(*p);
-            None
-        }
-        SweepWork::Group(cells) => {
-            let jobs: Vec<&CellJob> = cells.iter().map(|&d| plan.cells[d]).collect();
-            let key = (jobs[0].bench, jobs[0].if_convert_arms);
-            let p = programs.iter().position(|&k| k == key).expect("group program is pooled");
-            Some(CellJob::run_group(&jobs, ctx_of(p)))
-        }
+    let computed = run_parallel(jobs, groups.iter().collect(), |cells: &&Vec<usize>, _| {
+        let jobs: Vec<&CellJob> = cells.iter().map(|&d| plan.cells[d]).collect();
+        let key = (jobs[0].bench, jobs[0].if_convert_arms);
+        let p = programs.iter().position(|&k| k == key).expect("group program is pooled");
+        CellJob::run_group(&jobs, pool[p].get_or_init(|| jobs[0].context()))
     });
-    // Work items after the warm-ups are the groups, in formation order:
-    // zipping each group's cells against its outputs fills every slot.
-    for (g, outs) in groups.iter().zip(computed.into_iter().skip(programs.len())) {
-        let outs = outs.expect("group work items carry outputs");
+    // Results come back in group order: zipping each group's cells
+    // against its outputs fills every slot.
+    for (g, outs) in groups.iter().zip(computed) {
         debug_assert_eq!(g.len(), outs.len());
         for (&d, out) in g.iter().zip(outs) {
             if let (Some(cache), Some(key)) = (cache, &cell_keys[d]) {
@@ -597,16 +565,6 @@ pub fn run_suite(
         reports.push(SweepReport { name, text, cells: grid.len() });
     }
     Ok(reports)
-}
-
-/// One unit of suite work: warming a shared analysis context, or
-/// running a group of distinct cells against it.
-enum SweepWork {
-    /// Build + analyse one distinct pre-selection program.
-    Warm(usize),
-    /// Simulate a group of distinct cells (indices into [`Plan::cells`])
-    /// sharing one [`CellJob::image_key`] over one decoded image.
-    Group(Vec<usize>),
 }
 
 /// Looks a cell's output up by id (grid construction and rendering use
@@ -1196,7 +1154,7 @@ mod tests {
             plan.cells.iter().map(|j| (j.bench, j.if_convert_arms)).collect();
         programs.sort_unstable();
         programs.dedup();
-        assert_eq!(programs.len(), 30, "distinct programs: context warm-ups");
+        assert_eq!(programs.len(), 30, "distinct programs: shared contexts");
         // Every Table 1 cell is served by its Figure 5 twin.
         let table1 = SweepSpec::ALL.iter().position(|&s| s == SweepSpec::Table1).unwrap();
         let served = |d: usize| plan.slots.iter().flatten().filter(|&&s| s == d).count();

@@ -1,6 +1,6 @@
 //! The crate's error types: partition invariant violations and the
-//! crate-level [`SelectError`] that wraps every failure task selection
-//! can report.
+//! [`SelectError`] policy lookup reports, plus the nearest-name helper
+//! behind every "did you mean" suggestion in the workspace.
 
 use std::error::Error;
 use std::fmt;
@@ -81,14 +81,10 @@ impl fmt::Display for PartitionError {
 
 impl Error for PartitionError {}
 
-/// The crate-level error: any failure this crate's selection and
-/// partitioning APIs can report, with `From` conversions from the
-/// specific kinds so callers can use `?` uniformly.
+/// A failure resolving a selection policy by name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SelectError {
-    /// A task partition violated a Multiscalar invariant.
-    Partition(PartitionError),
     /// A policy name is not a [`crate::Strategy`] label; carries the
     /// nearest label when one is plausibly close.
     UnknownPolicy {
@@ -102,7 +98,6 @@ pub enum SelectError {
 impl fmt::Display for SelectError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SelectError::Partition(e) => write!(f, "invalid task partition: {e}"),
             SelectError::UnknownPolicy { name, suggestion } => {
                 write!(f, "unknown selection policy `{name}`")?;
                 if let Some(s) = suggestion {
@@ -114,48 +109,33 @@ impl fmt::Display for SelectError {
     }
 }
 
-impl Error for SelectError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            SelectError::Partition(e) => Some(e),
-            SelectError::UnknownPolicy { .. } => None,
-        }
-    }
+impl Error for SelectError {}
+
+/// The candidate closest to `name` by edit distance, if within a
+/// suggestion-worthy bound (≤ 3 edits, and fewer than the name's own
+/// length — so wild guesses don't produce absurd suggestions). Every
+/// "did you mean" suggestion in the workspace comes from here.
+pub fn closest(name: &str, candidates: &[&'static str]) -> Option<&'static str> {
+    let best = candidates.iter().map(|c| (edit_distance(name, c), *c)).min()?;
+    (best.0 <= 3 && best.0 < name.len().max(1)).then_some(best.1)
 }
 
-/// The nearest candidate within a conservative edit distance (at most 3
-/// edits and fewer edits than the name is long), for "did you mean"
-/// suggestions. Mirrors the bench crate's sweep/benchmark suggestions.
-pub(crate) fn closest(name: &str, candidates: &[&'static str]) -> Option<&'static str> {
-    candidates
-        .iter()
-        .map(|c| (edit_distance(name, c), *c))
-        .min()
-        .filter(|&(d, _)| d <= 3 && d < name.len())
-        .map(|(_, c)| c)
-}
-
-/// Levenshtein distance over bytes (names are ASCII).
+/// Levenshtein distance, small-string implementation (both operands are
+/// short command-line words).
 fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
-    let mut row: Vec<usize> = (0..=b.len()).collect();
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    let mut cur = vec![0usize; b.len() + 1];
     for (i, &ca) in a.iter().enumerate() {
-        let mut prev = row[0];
-        row[0] = i + 1;
+        cur[0] = i + 1;
         for (j, &cb) in b.iter().enumerate() {
-            let cost = if ca == cb { 0 } else { 1 };
-            let next = (prev + cost).min(row[j] + 1).min(row[j + 1] + 1);
-            prev = row[j + 1];
-            row[j + 1] = next;
+            let sub = prev[j] + usize::from(ca != cb);
+            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
         }
+        std::mem::swap(&mut prev, &mut cur);
     }
-    row[b.len()]
-}
-
-impl From<PartitionError> for SelectError {
-    fn from(e: PartitionError) -> Self {
-        SelectError::Partition(e)
-    }
+    prev[b.len()]
 }
 
 #[cfg(test)]
@@ -183,5 +163,21 @@ mod tests {
         for c in cases {
             assert!(!c.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn edit_distance_basics() {
+        assert_eq!(edit_distance("", "abc"), 3);
+        assert_eq!(edit_distance("figure5", "figure5"), 0);
+        assert_eq!(edit_distance("figure4", "figure5"), 1);
+        assert_eq!(edit_distance("tresholds", "thresholds"), 1);
+    }
+
+    #[test]
+    fn closest_suggests_near_names_only() {
+        let names = &["figure5", "table1", "thresholds"];
+        assert_eq!(closest("tresholds", names), Some("thresholds"));
+        assert_eq!(closest("figure", names), Some("figure5"));
+        assert_eq!(closest("zzzzzzzzzzzz", names), None);
     }
 }

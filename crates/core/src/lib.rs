@@ -89,7 +89,7 @@ mod transform;
 
 pub use cost::CostModel;
 pub use dot::to_dot;
-pub use error::{PartitionError, SelectError};
+pub use error::{closest, PartitionError, SelectError};
 pub use grow::GrowCtx;
 pub use oracle::DEFAULT_ORACLE_MAX_BLOCKS;
 pub use policy::Strategy;

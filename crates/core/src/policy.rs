@@ -326,8 +326,6 @@ fn expand_dependences(
     let func = view.func();
     let reach = view.ctx.reach(view.fid);
     for &(producer, consumer) in arcs {
-        #[cfg(feature = "selector-debug")]
-        eprintln!("dep {producer} -> {consumer} owner={:?}", state.owner(producer));
         // The function entry must stay a task entry: dependences
         // whose codependent set would swallow it are grown from it
         // during cover instead.
@@ -343,8 +341,6 @@ fn expand_dependences(
                 let steer =
                     |b: BlockId| reach.is_codependent(b, producer, consumer) && b != func.entry();
                 let grown = view.grow.grow(entry, &initial, &taken, Some(&steer));
-                #[cfg(feature = "selector-debug")]
-                eprintln!("  expanded task {ti} to {:?}", grown.blocks());
                 state.replace(ti, grown);
             }
             None => {
@@ -355,8 +351,6 @@ fn expand_dependences(
                 let steer =
                     |b: BlockId| reach.is_codependent(b, producer, consumer) && b != func.entry();
                 let grown = view.grow.grow(producer, &BTreeSet::new(), &taken, Some(&steer));
-                #[cfg(feature = "selector-debug")]
-                eprintln!("  new task at {producer}: {:?}", grown.blocks());
                 state.push(grown);
             }
         }

@@ -219,9 +219,7 @@ impl TaskSelector {
             for fp in partition.funcs() {
                 for task in fp.tasks() {
                     tasks += 1;
-                    let n = task.blocks().len() as u64;
-                    blocks += n;
-                    ms_prof::hist_record("select.task_blocks", n);
+                    blocks += task.blocks().len() as u64;
                 }
             }
             prof.add_items(blocks);

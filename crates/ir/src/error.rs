@@ -1,12 +1,10 @@
-//! Construction and validation errors, plus the crate-level [`IrError`]
-//! that wraps every failure this crate can report.
+//! Construction and validation errors.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::mem::AddrGenId;
 use crate::program::{BlockId, FuncId};
-use crate::text::ParseError;
 
 /// Error produced while building or validating IR.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,48 +98,6 @@ impl fmt::Display for BuildError {
 
 impl Error for BuildError {}
 
-/// The crate-level error: any failure constructing, validating or
-/// parsing IR, with `From` conversions from the specific kinds so
-/// callers can use `?` uniformly across build and parse paths.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum IrError {
-    /// Building or validating a program failed.
-    Build(BuildError),
-    /// Parsing textual IR failed.
-    Parse(ParseError),
-}
-
-impl fmt::Display for IrError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IrError::Build(e) => write!(f, "ir build error: {e}"),
-            IrError::Parse(e) => write!(f, "ir parse error: {e}"),
-        }
-    }
-}
-
-impl Error for IrError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            IrError::Build(e) => Some(e),
-            IrError::Parse(e) => Some(e),
-        }
-    }
-}
-
-impl From<BuildError> for IrError {
-    fn from(e: BuildError) -> Self {
-        IrError::Build(e)
-    }
-}
-
-impl From<ParseError> for IrError {
-    fn from(e: ParseError) -> Self {
-        IrError::Parse(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,15 +121,5 @@ mod tests {
         for c in cases {
             assert!(!c.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn ir_error_wraps_and_chains_both_kinds() {
-        let b: IrError = BuildError::BadFuncId { func: FuncId::new(2) }.into();
-        assert!(b.to_string().contains("nonexistent function"));
-        assert!(b.source().is_some());
-        let p: IrError = crate::parse_program("func broken").unwrap_err().into();
-        assert!(p.to_string().starts_with("ir parse error:"));
-        assert!(p.source().is_some());
     }
 }

@@ -57,7 +57,7 @@ pub mod text;
 
 pub use block::{BasicBlock, BranchBehavior, Terminator};
 pub use builder::{FunctionBuilder, ProgramBuilder};
-pub use error::{BuildError, IrError};
+pub use error::BuildError;
 pub use fxhash::{FxHasher, FxMap};
 pub use inst::{FuClass, Inst, Opcode};
 pub use mem::{AddrGenId, AddrSpec};

@@ -67,54 +67,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Serialises the value back to compact JSON (object field order
-    /// preserved). Round-trips everything this module can parse;
-    /// non-finite numbers (unreachable from [`parse`]) become `null`.
-    pub fn to_json(&self) -> String {
-        match self {
-            Value::Null => "null".to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Num(n) if n.is_finite() => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    format!("{}", *n as i64)
-                } else {
-                    format!("{n}")
-                }
-            }
-            Value::Num(_) => "null".to_string(),
-            Value::Str(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-                out
-            }
-            Value::Arr(items) => {
-                let parts: Vec<String> = items.iter().map(Value::to_json).collect();
-                format!("[{}]", parts.join(","))
-            }
-            Value::Obj(fields) => {
-                let parts: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", Value::Str(k.clone()).to_json(), v.to_json()))
-                    .collect();
-                format!("{{{}}}", parts.join(","))
-            }
-        }
-    }
 }
 
 /// Deepest array/object nesting [`parse`] accepts. Every document the
@@ -355,10 +307,19 @@ mod tests {
     #[test]
     fn round_trips_own_output() {
         let text = "{\"a\":[1,2.5,{\"b\":\"x\\\"y\"}],\"n\":null,\"t\":true}";
-        let v = parse(text).unwrap();
-        let again = parse(&v.to_json()).unwrap();
-        assert_eq!(v, again);
-        assert_eq!(v.to_json(), text);
+        let expect = Value::Obj(vec![
+            (
+                "a".to_string(),
+                Value::Arr(vec![
+                    Value::Num(1.0),
+                    Value::Num(2.5),
+                    Value::Obj(vec![("b".to_string(), Value::Str("x\"y".to_string()))]),
+                ]),
+            ),
+            ("n".to_string(), Value::Null),
+            ("t".to_string(), Value::Bool(true)),
+        ]);
+        assert_eq!(parse(text).unwrap(), expect);
     }
 
     #[test]
@@ -368,6 +329,19 @@ mod tests {
         let v = parse(text).unwrap();
         let phases = v.get("phases").unwrap().as_arr().unwrap();
         assert_eq!(phases[0].get("median_ns").unwrap().as_u64(), Some(123456));
-        assert_eq!(parse(&v.to_json()).unwrap(), v);
+        let num = |n: f64| Value::Num(n);
+        let expect = Value::Obj(vec![
+            ("schema_version".to_string(), num(1.0)),
+            (
+                "phases".to_string(),
+                Value::Arr(vec![Value::Obj(vec![
+                    ("phase".to_string(), Value::Str("sim.run".to_string())),
+                    ("median_ns".to_string(), num(123456.0)),
+                    ("count".to_string(), num(6.0)),
+                    ("items".to_string(), num(12000.0)),
+                ])]),
+            ),
+        ]);
+        assert_eq!(v, expect);
     }
 }

@@ -16,8 +16,7 @@
 //! Profiling state is **thread-local** and off by default. [`span`]
 //! consults the thread's collector slot; with no collector installed it
 //! returns the null span — no clock read, no allocation, no branch
-//! beyond the thread-local check. That disabled path is the
-//! [`NullProfiler`], mirroring `ms_sim::NullSink`: the
+//! beyond the thread-local check, mirroring `ms_sim::NullSink`: the
 //! `tests/no_alloc.rs` integration test pins the no-allocation
 //! guarantee with a counting global allocator, and `ms-sim` pins it on
 //! the hot simulation loop.
@@ -25,8 +24,7 @@
 //! With a collector [`enable`]d, spans nest: each guard pushes its name
 //! on a stack, and on drop charges its wall time to the `/`-joined
 //! path (`select/analysis.defuse`). The registry half records named
-//! [counters](counter_add) and monotonic [histograms](hist_record)
-//! with fixed log2 buckets. [`disable`]
+//! monotonic [counters](counter_add). [`disable`]
 //! returns everything as a [`Report`] — aggregated span stats, raw span
 //! instances (for the Chrome `trace_event` view), and the registry.
 //!
@@ -39,7 +37,6 @@
 //!     outer.add_items(128); // e.g. blocks partitioned -> blocks/s
 //!     let _inner = ms_prof::span("analysis.dom");
 //!     ms_prof::counter_add("select.tasks", 3);
-//!     ms_prof::hist_record("select.task_blocks", 5);
 //! }
 //! let report = ms_prof::disable().unwrap();
 //! let paths: Vec<&str> = report.spans.iter().map(|s| s.path.as_str()).collect();
@@ -54,7 +51,5 @@ pub mod jsonv;
 mod profiler;
 mod report;
 
-pub use profiler::{
-    counter_add, disable, enable, hist_record, is_enabled, span, span_owned, NullProfiler, Span,
-};
-pub use report::{hist_bucket, HistStat, Report, SpanInstance, SpanStat};
+pub use profiler::{counter_add, disable, enable, is_enabled, span, span_owned, Span};
+pub use report::{Report, SpanInstance, SpanStat};

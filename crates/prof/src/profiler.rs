@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use crate::report::{hist_bucket, HistStat, Report, SpanInstance, SpanStat};
+use crate::report::{Report, SpanInstance, SpanStat};
 
 thread_local! {
     static COLLECTOR: RefCell<Option<Collector>> = RefCell::new(None);
@@ -30,7 +30,6 @@ struct Collector {
     /// Every closed span occurrence, in closing order.
     instances: Vec<SpanInstance>,
     counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, HistStat>,
 }
 
 impl Collector {
@@ -41,7 +40,6 @@ impl Collector {
             aggs: BTreeMap::new(),
             instances: Vec::new(),
             counters: BTreeMap::new(),
-            hists: BTreeMap::new(),
         }
     }
 
@@ -79,7 +77,6 @@ impl Collector {
                 .collect(),
             instances: self.instances,
             counters: self.counters.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            hists: self.hists.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         }
     }
 }
@@ -100,7 +97,7 @@ pub fn disable() -> Option<Report> {
 
 /// Whether a collector is installed on the current thread. Callers with
 /// non-trivial *preparation* cost for registry values (e.g. walking a
-/// partition to histogram task sizes) should gate on this; plain
+/// partition to count tasks and blocks) should gate on this; plain
 /// [`span`]/[`counter_add`] calls need no guard.
 pub fn is_enabled() -> bool {
     COLLECTOR.with(|c| c.borrow().is_some())
@@ -146,7 +143,7 @@ impl Drop for Span {
 }
 
 /// Opens a span named `name` on the current thread. With profiling off
-/// this is the [`NullProfiler`] path: no clock read, no allocation.
+/// this is the null span: no clock read, no allocation.
 pub fn span(name: &'static str) -> Span {
     span_impl(|| name.to_string())
 }
@@ -180,37 +177,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
             *col.counters.entry(name).or_insert(0) += delta;
         }
     });
-}
-
-/// Records `v` into the named histogram's log2 bucket (see
-/// [`hist_bucket`]). No-op while profiling is off.
-pub fn hist_record(name: &'static str, v: u64) {
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            let h = col.hists.entry(name).or_default();
-            h.count += 1;
-            h.sum += v;
-            h.buckets[hist_bucket(v)] += 1;
-        }
-    });
-}
-
-/// The disabled profiler: what [`span`] and the registry calls behave
-/// as while no collector is [`enable`]d on the thread. Every operation
-/// is a no-op — no clock reads, no allocations — so instrumented
-/// library code compiles to its pre-instrumentation path plus one
-/// thread-local check per phase. Mirrors `ms_sim::NullSink`; the
-/// guarantee is pinned by `tests/no_alloc.rs` here and by the sim
-/// crate's `prof_null` test on the hot simulation loop.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullProfiler;
-
-impl NullProfiler {
-    /// Returns the null span unconditionally, regardless of the
-    /// thread's collector state.
-    pub fn span(&self, _name: &'static str) -> Span {
-        Span::null()
-    }
 }
 
 #[cfg(test)]
@@ -250,15 +216,8 @@ mod tests {
         enable();
         counter_add("c", 2);
         counter_add("c", 3);
-        hist_record("h", 0);
-        hist_record("h", 5);
         let r = disable().unwrap();
         assert_eq!(r.counters, [("c".to_string(), 5)]);
-        let (name, h) = &r.hists[0];
-        assert_eq!(name, "h");
-        assert_eq!((h.count, h.sum), (2, 5));
-        assert_eq!(h.buckets[hist_bucket(0)], 1);
-        assert_eq!(h.buckets[hist_bucket(5)], 1);
     }
 
     #[test]
@@ -271,15 +230,5 @@ mod tests {
         }
         let r = disable().unwrap();
         assert_eq!(r.spans[0].items, 12);
-    }
-
-    #[test]
-    fn null_profiler_hands_out_null_spans_even_when_enabled() {
-        enable();
-        {
-            let _s = NullProfiler.span("ignored");
-        }
-        let r = disable().unwrap();
-        assert!(r.spans.is_empty());
     }
 }

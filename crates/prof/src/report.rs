@@ -1,15 +1,5 @@
 //! The data a profiling session hands back.
 
-/// Number of log2 histogram buckets: bucket `i` holds values whose
-/// `hist_bucket` is `i`, i.e. `0`, then `[2^(i-1), 2^i)`.
-pub const HIST_BUCKETS: usize = 65;
-
-/// The log2 bucket index for `v`: `0` for `v == 0`, otherwise
-/// `64 - v.leading_zeros()` (so 1 → 1, 2..=3 → 2, 4..=7 → 3, …).
-pub fn hist_bucket(v: u64) -> usize {
-    (64 - v.leading_zeros()) as usize
-}
-
 /// Aggregated wall time for one span path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanStat {
@@ -43,23 +33,6 @@ pub struct SpanInstance {
     pub dur_ns: u64,
 }
 
-/// A monotonic log2-bucketed histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistStat {
-    /// Values recorded.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Fixed log2 buckets (see [`hist_bucket`]).
-    pub buckets: [u64; HIST_BUCKETS],
-}
-
-impl Default for HistStat {
-    fn default() -> Self {
-        HistStat { count: 0, sum: 0, buckets: [0; HIST_BUCKETS] }
-    }
-}
-
 /// Everything one profiling session collected.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
@@ -69,8 +42,6 @@ pub struct Report {
     pub instances: Vec<SpanInstance>,
     /// Counters, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Histograms, sorted by name.
-    pub hists: Vec<(String, HistStat)>,
 }
 
 impl Report {
@@ -85,16 +56,6 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_edges() {
-        assert_eq!(hist_bucket(0), 0);
-        assert_eq!(hist_bucket(1), 1);
-        assert_eq!(hist_bucket(2), 2);
-        assert_eq!(hist_bucket(3), 2);
-        assert_eq!(hist_bucket(4), 3);
-        assert_eq!(hist_bucket(u64::MAX), 64);
-    }
 
     #[test]
     fn per_s_requires_items_and_time() {

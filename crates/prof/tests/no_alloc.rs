@@ -1,4 +1,4 @@
-//! Pins the NullProfiler guarantee: with no collector enabled, the
+//! Pins the disabled-profiler guarantee: with no collector enabled, the
 //! span and registry entry points perform **zero heap allocations** —
 //! instrumented library hot paths (the simulation loop included) pay
 //! only a thread-local check. Mirrors the `NullSink` guarantee from the
@@ -77,7 +77,6 @@ fn disabled_profiling_allocates_nothing() {
     assert!(!ms_prof::is_enabled());
     drop(ms_prof::span("warmup"));
     ms_prof::counter_add("warmup", 1);
-    ms_prof::hist_record("warmup", 1);
 
     let _gate = gate();
     let counted = min_allocs_over_windows(|| {
@@ -85,15 +84,10 @@ fn disabled_profiling_allocates_nothing() {
             let s = ms_prof::span("hot");
             s.add_items(i);
             ms_prof::counter_add("hot.counter", i);
-            ms_prof::hist_record("hot.hist", i);
             drop(s);
-            drop(ms_prof::NullProfiler.span("hot"));
         }
     });
-    assert_eq!(
-        counted, 0,
-        "disabled span/registry calls must not allocate (NullProfiler guarantee)"
-    );
+    assert_eq!(counted, 0, "disabled span/registry calls must not allocate");
 }
 
 #[test]

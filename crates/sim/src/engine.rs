@@ -1248,21 +1248,21 @@ impl<'e> Engine<'e> {
                     // only when someone waits; handled via
                     // operand waits of consumers.
                 } else if flags & F_CT == 0 {
-                    if flags & F_LOAD != 0 {
-                        let addr = mem_addrs[mem_col[i] as usize];
-                        // ARB capacity.
-                        let line = addr >> l1_shift;
-                        mem_lines.insert(line);
-                        if mem_lines.len() > cfg.arb_entries_per_pu as usize && c < head_free {
-                            let stall = head_free - c;
-                            w_mem_acc += stall;
-                            if !arb_overflow {
-                                a.arb_cycle = c;
-                            }
-                            a.arb_stall += stall;
-                            c = head_free;
-                            arb_overflow = true;
+                    let addr = mem_addrs[mem_col[i] as usize];
+                    // ARB capacity.
+                    let line = addr >> l1_shift;
+                    mem_lines.insert(line);
+                    if mem_lines.len() > cfg.arb_entries_per_pu as usize && c < head_free {
+                        let stall = head_free - c;
+                        w_mem_acc += stall;
+                        if !arb_overflow {
+                            a.arb_cycle = c;
                         }
+                        a.arb_stall += stall;
+                        c = head_free;
+                        arb_overflow = true;
+                    }
+                    if flags & F_LOAD != 0 {
                         let mut lat;
                         if let Some(&sc) = local_store.get(&addr) {
                             // Intra-task store → load forward.
@@ -1302,19 +1302,6 @@ impl<'e> Engine<'e> {
                         w_mem_acc += lat - 1;
                         complete = c + lat;
                     } else {
-                        let addr = mem_addrs[mem_col[i] as usize];
-                        let line = addr >> l1_shift;
-                        mem_lines.insert(line);
-                        if mem_lines.len() > cfg.arb_entries_per_pu as usize && c < head_free {
-                            let stall = head_free - c;
-                            w_mem_acc += stall;
-                            if !arb_overflow {
-                                a.arb_cycle = c;
-                            }
-                            a.arb_stall += stall;
-                            c = head_free;
-                            arb_overflow = true;
-                        }
                         complete = c + base_lat;
                         local_store.insert(addr, complete);
                         a.stores.push((addr, complete, pc));

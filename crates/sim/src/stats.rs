@@ -56,21 +56,6 @@ impl CycleBreakdown {
             + self.ctrl_misspec
             + self.mem_misspec
     }
-
-    /// Adds another breakdown element-wise.
-    pub fn accumulate(&mut self, other: &CycleBreakdown) {
-        self.start_overhead += other.start_overhead;
-        self.useful += other.useful;
-        self.intra_dep += other.intra_dep;
-        self.inter_comm += other.inter_comm;
-        self.memory += other.memory;
-        self.frontend += other.frontend;
-        self.resource += other.resource;
-        self.load_imbalance += other.load_imbalance;
-        self.end_overhead += other.end_overhead;
-        self.ctrl_misspec += other.ctrl_misspec;
-        self.mem_misspec += other.mem_misspec;
-    }
 }
 
 impl fmt::Display for CycleBreakdown {
@@ -450,10 +435,10 @@ mod tests {
 
     #[test]
     fn breakdown_totals_and_accumulates() {
-        let mut a = CycleBreakdown { useful: 10, memory: 5, ..Default::default() };
+        let a = CycleBreakdown { useful: 10, memory: 5, ..Default::default() };
         let b = CycleBreakdown { useful: 1, ctrl_misspec: 2, ..Default::default() };
-        a.accumulate(&b);
-        assert_eq!(a.total(), 18);
+        assert_eq!(a.total(), 15);
+        assert_eq!(b.total(), 3);
     }
 
     #[test]

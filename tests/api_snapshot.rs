@@ -162,7 +162,7 @@ fn snapshot_covers_the_new_surface() {
         "pub fn summary(&self) -> &'static str",
         "pub enum SweepSpec",
         "pub enum BenchError",
-        "pub enum IrError",
+        "pub enum BuildError",
         "pub struct CellCache",
         "pub fn run_suite(",
     ] {
