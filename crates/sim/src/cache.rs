@@ -9,28 +9,34 @@ use ms_ir::FxMap;
 
 use crate::config::CacheParams;
 
-/// Way storage: `(tag, last-use stamp)` pairs, `assoc` per set. Stamp 0
-/// marks an empty way (the stamp counter starts at 1), and empty ways
-/// fill first because 0 is always the LRU minimum.
+/// Way storage: `assoc` tags per set, most recently used first.
+/// [`EMPTY`] marks a way that was never filled; empty ways sit behind
+/// every filled one, so a miss that shifts the set towards its LRU end
+/// drops an empty way before it evicts a line. LRU's hit/miss sequence
+/// does not depend on which physical way holds a line, so keeping the
+/// set in use order replaces a per-way last-use stamp: 8 bytes a way.
 ///
 /// Small caches use one dense flat allocation (set `s` owns
 /// `ways[s * assoc .. (s + 1) * assoc]`; an access touches exactly one
 /// cache line of model state). Large caches — a multi-megabyte L2 is
-/// ~1 MB of way state — allocate per-set lazily: a short simulation
-/// touches a few thousand L2 sets out of tens of thousands, and engines
-/// are rebuilt per cell, so zero-filling the dense array dominated
-/// construction cost.
+/// half a megabyte of way state — allocate per-set lazily: a short
+/// simulation touches a few thousand L2 sets out of tens of thousands,
+/// and zero-filling the dense array dominated an engine's set-up.
 #[derive(Debug, Clone)]
 enum Ways {
-    Dense(Vec<(u64, u64)>),
+    Dense(Vec<u64>),
     Sparse {
         /// set → first-way offset into `pool`.
         index: FxMap<u64, u32>,
-        pool: Vec<(u64, u64)>,
+        pool: Vec<u64>,
     },
 }
 
-/// Dense/sparse crossover, in ways (128 KB of dense state at 16 B/way).
+/// The tag of an empty way. No line has it: tags are addresses shifted
+/// right by at least the line offset.
+const EMPTY: u64 = u64::MAX;
+
+/// Dense/sparse crossover, in ways (64 KB of dense state at 8 B/way).
 const SPARSE_WAYS_THRESHOLD: u64 = 8192;
 
 /// A set-associative LRU cache (tags only).
@@ -44,7 +50,6 @@ pub(crate) struct Cache {
     /// computed once: the build targets no `popcnt` instruction).
     tag_shift: u32,
     hit_latency: u32,
-    stamp: u64,
     hits: u64,
     misses: u64,
 }
@@ -81,16 +86,15 @@ impl Cache {
             self.ways = Ways::Sparse { index: FxMap::default(), pool: Vec::new() };
         } else if let Ways::Dense(v) = &mut self.ways {
             v.clear();
-            v.resize(num_ways as usize, (0, 0));
+            v.resize(num_ways as usize, EMPTY);
         } else {
-            self.ways = Ways::Dense(vec![(0, 0); num_ways as usize]);
+            self.ways = Ways::Dense(vec![EMPTY; num_ways as usize]);
         }
         self.assoc = p.assoc as usize;
         self.line_shift = p.line.trailing_zeros();
         self.set_mask = num_sets - 1;
         self.tag_shift = num_sets.trailing_zeros();
         self.hit_latency = p.hit_latency;
-        self.stamp = 0;
         self.hits = 0;
         self.misses = 0;
     }
@@ -98,37 +102,39 @@ impl Cache {
     /// Accesses `addr`; returns `true` on hit and fills the line on miss.
     #[inline]
     pub(crate) fn access(&mut self, addr: u64) -> bool {
-        self.stamp += 1;
         let line = addr >> self.line_shift;
         let set = line & self.set_mask;
         let tag = line >> self.tag_shift;
         let assoc = self.assoc;
-        let ways: &mut [(u64, u64)] = match &mut self.ways {
+        let ways: &mut [u64] = match &mut self.ways {
             Ways::Dense(v) => &mut v[set as usize * assoc..][..assoc],
             Ways::Sparse { index, pool } => {
                 let off = *index.entry(set).or_insert_with(|| {
                     let off = pool.len() as u32;
-                    pool.resize(pool.len() + assoc, (0, 0));
+                    pool.resize(pool.len() + assoc, EMPTY);
                     off
                 });
                 &mut pool[off as usize..][..assoc]
             }
         };
-        if let Some(w) = ways.iter_mut().find(|&&mut (t, s)| s != 0 && t == tag) {
-            w.1 = self.stamp;
+        if ways[0] == tag {
             self.hits += 1;
             return true;
         }
-        self.misses += 1;
-        // Replace the LRU way; empty ways (stamp 0) fill first.
-        let lru = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &(_, s))| s)
-            .map(|(i, _)| i)
-            .expect("assoc >= 1");
-        ways[lru] = (tag, self.stamp);
-        false
+        // Move the hit way, or on a miss the LRU (or an empty) way, to
+        // the front, shifting the more recent ones back by one.
+        let hit = ways[1..].iter().position(|&t| t == tag);
+        let last = hit.map_or(assoc - 1, |w| w + 1);
+        for w in (1..=last).rev() {
+            ways[w] = ways[w - 1];
+        }
+        ways[0] = tag;
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit.is_some()
     }
 
     /// The hit latency in cycles.
@@ -227,6 +233,75 @@ mod tests {
         assert!(!c.access(0x100)); // evicts 0x000
         assert!(c.access(0x080), "recently used stays");
         assert!(!c.access(0x000), "evicted line misses again");
+    }
+
+    /// The stamp-LRU layout the tag-only ways replaced: `(tag, last-use
+    /// stamp)` per way, stamp 0 for an empty way, the least recent
+    /// stamp evicted first.
+    struct StampLru {
+        sets: FxMap<u64, Vec<(u64, u64)>>,
+        p: CacheParams,
+        num_sets: u64,
+        stamp: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl StampLru {
+        fn new(p: CacheParams) -> Self {
+            let num_sets = (p.size / p.line / u64::from(p.assoc)).max(1);
+            StampLru { sets: FxMap::default(), p, num_sets, stamp: 0, hits: 0, misses: 0 }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.stamp += 1;
+            let line = addr / self.p.line;
+            let (set, tag) = (line % self.num_sets, line / self.num_sets);
+            let ways = self.sets.entry(set).or_insert_with(|| vec![(0, 0); self.p.assoc as usize]);
+            if let Some(w) = ways.iter_mut().find(|w| w.1 != 0 && w.0 == tag) {
+                w.1 = self.stamp;
+                self.hits += 1;
+                return true;
+            }
+            self.misses += 1;
+            let lru = (0..ways.len()).min_by_key(|&w| ways[w].1).unwrap();
+            ways[lru] = (tag, self.stamp);
+            false
+        }
+    }
+
+    #[test]
+    fn mru_ordered_ways_match_stamp_lru() {
+        let mut rng = ms_ir::rng::SplitMix64::seed_from_u64(7);
+        for assoc in [1, 2, 4] {
+            let dense = CacheParams { size: 4096, assoc, line: 32, hit_latency: 1 };
+            let sparse = CacheParams { size: 4 * 1024 * 1024, assoc, line: 64, hit_latency: 12 };
+            for (p, is_sparse) in [(dense, false), (sparse, true)] {
+                let mut c = Cache::new(p);
+                assert_eq!(matches!(c.ways, Ways::Sparse { .. }), is_sparse, "{p:?}");
+                let mut r = StampLru::new(p);
+                // A few hot sets, each hit by up to three times as many
+                // lines as it has ways, plus the odd address anywhere.
+                for n in 0..20_000 {
+                    let addr = if rng.gen_bool(0.05) {
+                        rng.next_u64() >> 8
+                    } else {
+                        let set = rng.gen_range(0..8u64);
+                        let tag = rng.gen_range(0..3 * u64::from(assoc));
+                        (tag * r.num_sets + set) * p.line + rng.gen_range(0..p.line)
+                    };
+                    let want = r.access(addr);
+                    assert_eq!(c.access(addr), want, "{p:?}: access {n} to {addr:#x}");
+                    assert_eq!(c.counters(), (r.hits, r.misses), "{p:?}: access {n}");
+                }
+                assert!(
+                    r.hits > 1000 && r.misses > 1000,
+                    "{p:?}: {} hits, {} misses",
+                    r.hits,
+                    r.misses
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   address squashes the loading task (and, implicitly, its successors,
 //!   which have not been dispatched past it yet), re-executing it after
 //!   the store; the synchronisation table then serialises later instances
-//!   of that load,
+//!   of that load. The ARB holds only the stores of tasks in flight: each
+//!   PU keeps the stores of the task it last committed, and a table of
+//!   store counts by address hash lets most loads skip the lists,
 //! * per-PU pipelines: fetch through a shared L1I, 2-wide issue (in-order
 //!   or out-of-order within an issue list), ROB occupancy, per-class
 //!   functional units, gshare prediction of intra-task branches, and
@@ -29,10 +31,13 @@
 //! lane-packed byte-tag probe, and per-PU mutable state is cache-line
 //! aligned. Run state is sized by the machine, not the trace: each PU's
 //! ring-port slot table is a window of cycles anchored at the dispatch
-//! of the task it last committed (`PuState::ring_slots`), register and
-//! store records carry their producer's retire cycle instead of a
-//! per-task retire column, and memory addresses are read as one slice
-//! per step from the trace's flat address column.
+//! of the task it last committed (`PuState::ring_slots`), register
+//! records carry their producer's retire cycle instead of a per-task
+//! retire column, the ARB's stores are the per-PU lists of the tasks in
+//! flight ([`inflight_store`]), the ROB and issue-list window is a ring
+//! of [`ROB_SIZE`] entries, cache ways hold tags alone, and memory
+//! addresses are read as one slice per step from the trace's flat
+//! address column. Only the L2's touched sets grow with the trace.
 //!
 //! The trace itself is streamed: a [`ChunkStream`] generates, splits and
 //! decodes about [`TRACE_CHUNK_INSTS`] instructions at a time into one
@@ -457,14 +462,98 @@ struct RegSrc {
     retire: u64,
 }
 
-/// The most recent store to an address.
-#[derive(Debug, Clone, Copy)]
+/// The most recent store to an address by a task still in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StoreSrc {
     task: usize,
     complete: u64,
     pc: u64,
     /// Cycle the storing task retired.
     retire: u64,
+}
+
+/// A task's stores in program order: `(addr, complete, pc)`.
+type Stores = Vec<(u64, u64, u64)>;
+
+/// Slots of the [`StoreFilter`].
+const STORE_FILTER_SLOTS: usize = 4096;
+
+/// How many stores of the tasks in flight hash to each slot: the ARB's
+/// address filter. While task `k` runs on PU `k % P`, the other PUs'
+/// store lists (`PuState::stores`) hold the stores of tasks
+/// `k − P + 1 .. k − 1`, and the filter counts exactly those. A load
+/// whose slot is zero therefore has no in-flight store to forward from
+/// and goes straight to the D-cache, without scanning the lists.
+#[derive(Debug, Default)]
+struct StoreFilter {
+    slots: Vec<u32>,
+}
+
+impl StoreFilter {
+    #[inline]
+    fn slot(addr: u64) -> usize {
+        const SHIFT: u32 = 64 - STORE_FILTER_SLOTS.trailing_zeros();
+        (addr.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> SHIFT) as usize
+    }
+
+    fn add(&mut self, stores: &[(u64, u64, u64)]) {
+        for &(addr, ..) in stores {
+            self.slots[Self::slot(addr)] += 1;
+        }
+    }
+
+    fn remove(&mut self, stores: &[(u64, u64, u64)]) {
+        for &(addr, ..) in stores {
+            self.slots[Self::slot(addr)] -= 1;
+        }
+    }
+
+    /// Whether an in-flight store may be to `addr`.
+    #[inline]
+    fn may_hold(&self, addr: u64) -> bool {
+        self.slots[Self::slot(addr)] != 0
+    }
+
+    fn is_clear(&self) -> bool {
+        self.slots.iter().all(|&n| n == 0)
+    }
+}
+
+/// The latest store to `addr` by tasks `k − P + 1 .. k − 1`, the tasks
+/// in flight while task `k` runs, searched from `k − 1` back. Each is
+/// the last task committed on its PU, so its stores are that PU's list
+/// and its retire cycle the PU's `free`. Every older store belongs to a
+/// task that retired at or before task `k − P`, which ran on `k`'s own
+/// PU and so retired before `k` was dispatched: a load reads it from
+/// the D-cache, as if no store were in flight.
+fn inflight_store(pus: &[PuState], k: usize, addr: u64) -> Option<StoreSrc> {
+    let p = pus.len();
+    (1..p.min(k + 1)).find_map(|m| {
+        let pu = &pus[(k - m) % p];
+        let &(_, complete, pc) = pu.stores.iter().rev().find(|s| s.0 == addr)?;
+        Some(StoreSrc { task: k - m, complete, pc, retire: pu.free })
+    })
+}
+
+/// Memory-path work counters, summed over every attempt.
+#[derive(Debug, Default, Clone, Copy)]
+struct MemCounts {
+    loads: u64,
+    stores: u64,
+    /// Loads that missed their own task's stores and found their
+    /// store-filter slot non-zero.
+    arb_probes: u64,
+    /// Probes that found an in-flight store.
+    arb_hits: u64,
+}
+
+impl MemCounts {
+    fn add(&mut self, o: &MemCounts) {
+        self.loads += o.loads;
+        self.stores += o.stores;
+        self.arb_probes += o.arb_probes;
+        self.arb_hits += o.arb_hits;
+    }
 }
 
 /// A detected memory dependence violation, with attribution.
@@ -498,13 +587,12 @@ struct Attempt {
     arb_stall: u64,
     /// Earliest violation.
     violation: Option<Violation>,
-    /// SWAR mask of dense registers the attempt wrote.
+    /// SWAR mask of dense registers the attempt wrote; the completion
+    /// of each one's last write is in `Scratch::local_reg`.
     write_mask: u64,
-    /// Completion of the dynamically-last write per written register,
-    /// in dense register order.
-    reg_writes: Vec<(usize, u64)>,
-    /// (addr, complete, pc) per store, program order.
-    stores: Vec<(u64, u64, u64)>,
+    /// The attempt's stores; at commit they become its PU's store list.
+    stores: Stores,
+    mem: MemCounts,
     /// Per-arc ring-wait attribution `(producer task, reg, cycles)`,
     /// collected only when a trace sink is enabled (stays unallocated
     /// otherwise).
@@ -520,16 +608,14 @@ struct Attempt {
 impl Attempt {
     /// Resets for a new attempt, keeping buffer capacity.
     fn reset(&mut self, fetch_base: u64) {
-        let Attempt { reg_writes, stores, fwd_stalls, .. } = std::mem::take(self);
+        let Attempt { stores, fwd_stalls, .. } = std::mem::take(self);
         *self = Attempt {
             complete: fetch_base,
             resolve: fetch_base,
-            reg_writes,
             stores,
             fwd_stalls,
             ..Attempt::default()
         };
-        self.reg_writes.clear();
         self.stores.clear();
         self.fwd_stalls.clear();
     }
@@ -561,6 +647,10 @@ struct PuState {
     ring_base: u64,
     /// Cycle the PU's current occupant retires.
     free: u64,
+    /// The stores of the task last committed on this PU, while that
+    /// task is in flight for the task running ([`inflight_store`]);
+    /// emptied when the PU's next task starts.
+    stores: Stores,
 }
 
 impl PuState {
@@ -587,28 +677,33 @@ struct Scratch {
     local_store: FxMap<u64, u64>,
     /// Issue-slot usage, indexed by cycle − fetch base.
     issue_slots: Vec<u32>,
-    /// Per instruction in program order: (issue cycle, running maximum
-    /// of completion cycles). One vector, one capacity check per
-    /// instruction; the ROB and issue-list window constraints read the
-    /// two halves at different lags.
-    window: Vec<(u64, u64)>,
+    /// (issue cycle, running maximum of completion cycles) of the last
+    /// [`ROB_SIZE`] instructions, instruction `i` at `i % ROB_SIZE`. The
+    /// ROB and issue-list window constraints read the two halves at
+    /// different lags, both within the ring.
+    window: [(u64, u64); ROB_SIZE as usize],
     /// Distinct cache lines the attempt's memory accesses touched (ARB
     /// capacity tracking; SWAR byte-tag membership).
     mem_lines: TagSet,
-    /// Per-class functional unit free cycles, reset per attempt.
-    fu_free: [Vec<u64>; 4],
     /// The attempt result buffers, reused across attempts and tasks.
     attempt: Attempt,
     /// Ring-forward staging buffer for `commit_regs`.
     outs: Vec<(usize, u64)>,
 }
 
-/// An engine's machine-sized state: about 0.5 MiB of predictor tables
-/// and cache ways at four PUs, plus the ring-slot windows, scratch
-/// buffers and maps. [`Machine::reset`] re-initialises it in place for
-/// a configuration, so an engine can take over the state of the last
-/// one its thread finished ([`SPARE`]) instead of allocating and
-/// filling the tables again — the fixed cost that dominates short runs.
+// The issue list is a window inside the ROB ring, and a class has one or
+// two functional units (`exec_task`'s `fu_free`).
+const _: () = assert!(ISSUE_LIST <= ROB_SIZE);
+const _: () = assert!(matches!(FU_COUNTS, [1..=2, 1..=2, 1..=2, 1..=2]));
+
+/// An engine's machine-sized state: about 0.43 MiB of predictor tables,
+/// cache ways and store filter at four PUs, plus the ring-slot windows,
+/// per-PU store lists, scratch buffers and maps. Only the L2's touched
+/// sets grow with the trace. [`Machine::reset`] re-initialises it in
+/// place for a configuration, so an engine can take over the state of
+/// the last one its thread finished ([`SPARE`]) instead of allocating
+/// and filling the tables again — the fixed cost that dominates short
+/// runs.
 #[derive(Debug, Default)]
 struct Machine {
     icache: Hierarchy,
@@ -618,7 +713,8 @@ struct Machine {
     task_pred: TaskPredictor,
     pus: Vec<PuState>,
     reg_src: Vec<Option<RegSrc>>,
-    last_store: FxMap<u64, StoreSrc>,
+    /// Counts the stores in the PU lists (`PuState::stores`).
+    store_filter: StoreFilter,
     /// LRU list of synchronised load PCs.
     sync_table: Vec<u64>,
     scratch: Scratch,
@@ -633,11 +729,18 @@ impl Machine {
         self.dcache.reset(cfg.l1(), L2, MEM_LATENCY);
         self.task_cache.reset(TASK_CACHE);
         self.task_pred.reset(TASK_PRED_HISTORY_BITS, TASK_PRED_TABLE_BITS);
+        // Drain every PU's store list, the last run's PU count of them,
+        // out of the filter: that leaves it clear without a sweep.
+        self.store_filter.slots.resize(STORE_FILTER_SLOTS, 0);
+        for pu in &mut self.pus {
+            self.store_filter.remove(&pu.stores);
+            pu.stores.clear();
+        }
+        debug_assert!(self.store_filter.is_clear(), "store filter counts a drained store");
         self.pus.resize_with(cfg.num_pus, PuState::default);
         self.pus.iter_mut().for_each(PuState::reset);
         self.reg_src.clear();
         self.reg_src.resize(NUM_REGS, None);
-        self.last_store.clear();
         self.sync_table.clear();
         self.sync_table.reserve(cfg.sync_table_entries as usize);
         // The rest of the scratch is cleared per attempt or per use.
@@ -645,12 +748,28 @@ impl Machine {
     }
 
     /// Frees what grew with the run's trace rather than the machine —
-    /// the L2's touched sets and the store map — so a spare holds
-    /// about the tables alone while its thread does other work.
+    /// the L2's touched sets — so a spare holds about the tables alone
+    /// while its thread does other work.
     fn free_trace_sized(&mut self) {
         self.icache.free_touched_sets();
         self.dcache.free_touched_sets();
-        self.last_store = FxMap::default();
+    }
+
+    /// A task starts on PU `pu`: the stores of the PU's last task, `P`
+    /// tasks back, leave the filter. That task retired before this
+    /// one's dispatch.
+    fn start_stores(&mut self, pu: usize) {
+        let stores = &mut self.pus[pu].stores;
+        self.store_filter.remove(stores);
+        stores.clear();
+    }
+
+    /// The task on PU `pu` commits `stores`: they become the PU's list
+    /// (no copy; `stores` takes the emptied list back) and enter the
+    /// filter.
+    fn commit_stores(&mut self, pu: usize, stores: &mut Stores) {
+        std::mem::swap(&mut self.pus[pu].stores, stores);
+        self.store_filter.add(&self.pus[pu].stores);
     }
 }
 
@@ -664,10 +783,11 @@ thread_local! {
 /// One machine configuration's simulation in progress, from
 /// [`Simulator::start`]: [`Engine::step`] it over a run's chunks in
 /// order, then [`Engine::finish`] it. Its state is sized by the machine,
-/// not the trace: register and store records carry their producer's
-/// retire cycle, so no per-task column outlives its chunk. That state is
-/// reused: a new engine resets the state its thread's last engine left
-/// behind instead of allocating its own.
+/// not the trace: register records carry their producer's retire cycle
+/// and each PU keeps only its last task's stores, so no per-task column
+/// outlives its chunk. That state is reused: a new engine resets the
+/// state its thread's last engine left behind instead of allocating its
+/// own.
 pub struct Engine<'e> {
     sim: &'e Simulator<'e>,
     machine: Machine,
@@ -677,6 +797,7 @@ pub struct Engine<'e> {
     /// Run-wide number of the next task to step.
     next_task: usize,
     reg_forwards: u64,
+    mem: MemCounts,
     // ---- run state, carried task to task by `step` ----
     stats: SimStats,
     prev_dispatch: u64,
@@ -710,6 +831,7 @@ impl<'e> Engine<'e> {
             last_retire: 0,
             next_task: 0,
             reg_forwards: 0,
+            mem: MemCounts::default(),
             stats: SimStats { num_pus: cfg.num_pus, ..SimStats::default() },
             prev_dispatch: 0,
             prev_resolve: 0,
@@ -799,11 +921,13 @@ impl<'e> Engine<'e> {
 
         // Execute, re-executing on memory dependence violations.
         let head_free = if k == 0 { 0 } else { self.last_retire + 1 };
+        self.machine.start_stores(pu);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
             let force_sync = attempts > MAX_ATTEMPTS;
             self.exec_task(img, k, dt, dispatch, pu, head_free, force_sync, sink.enabled());
+            self.mem.add(&self.machine.scratch.attempt.mem);
             match self.machine.scratch.attempt.violation {
                 Some(v) if !force_sync => {
                     let insts = self.machine.scratch.attempt.insts;
@@ -895,15 +1019,13 @@ impl<'e> Engine<'e> {
 
         // Commit architectural effects: register forwards (ring send
         // scheduling, filtered by dead register analysis) and the
-        // store map. The liveness filter is one SWAR mask intersection
-        // against the attempt's write mask.
+        // PU's store list. The liveness filter is one SWAR mask
+        // intersection against the attempt's write mask.
         let filter = self.sim.config.dead_reg_analysis && img.task_live_filter[i];
         let mask =
             if filter { attempt.write_mask & img.task_live_mask[i] } else { attempt.write_mask };
-        self.commit_regs(k, pu, dispatch, retire, &attempt, mask, sink);
-        for &(addr, complete, pc) in &attempt.stores {
-            self.machine.last_store.insert(addr, StoreSrc { task: k, complete, pc, retire });
-        }
+        self.commit_regs(k, pu, dispatch, retire, mask, sink);
+        self.machine.commit_stores(pu, &mut attempt.stores);
 
         // Inter-task prediction for this task's exit (consulted when
         // the successor was speculatively dispatched).
@@ -978,6 +1100,10 @@ impl<'e> Engine<'e> {
         };
         ms_prof::counter_add("sim.cycles", self.stats.total_cycles);
         ms_prof::counter_add("sim.dyn_tasks", self.stats.num_dyn_tasks as u64);
+        ms_prof::counter_add("sim.loads", self.mem.loads);
+        ms_prof::counter_add("sim.stores", self.mem.stores);
+        ms_prof::counter_add("sim.arb.probes", self.mem.arb_probes);
+        ms_prof::counter_add("sim.arb.hits", self.mem.arb_hits);
         std::mem::take(&mut self.stats)
     }
 
@@ -1000,23 +1126,24 @@ impl<'e> Engine<'e> {
     /// (the compiler of \[3\]/\[18\]), only registers live out of the task's
     /// exit block travel; dead values stay put, saving ring bandwidth
     /// (`mask` is the attempt's write mask, already intersected with
-    /// the exit's live-out mask when the filter applies). `dispatch` is
-    /// the task's final dispatch cycle, where the PU's slot window is
-    /// re-anchored, and `retire` its retire cycle.
-    #[allow(clippy::too_many_arguments)]
+    /// the exit's live-out mask when the filter applies; the final
+    /// attempt left each written register's completion in
+    /// `Scratch::local_reg`). `dispatch` is the task's final dispatch
+    /// cycle, where the PU's slot window is re-anchored, and `retire`
+    /// its retire cycle.
     fn commit_regs<S: TraceSink>(
         &mut self,
         k: usize,
         pu: usize,
         dispatch: u64,
         retire: u64,
-        a: &Attempt,
         mask: u64,
         sink: &mut S,
     ) {
         let mut outs = std::mem::take(&mut self.machine.scratch.outs);
+        let local_reg = &self.machine.scratch.local_reg;
         outs.clear();
-        outs.extend(a.reg_writes.iter().copied().filter(|&(r, _)| mask >> r & 1 != 0));
+        outs.extend(swar::set_bits(mask).map(|r| (r, local_reg[r])));
         self.reg_forwards += outs.len() as u64;
         outs.sort_by_key(|&(r, c)| (c, r));
         let bw = self.sim.config.ring_bandwidth.max(1).min(u32::from(u16::MAX)) as u16;
@@ -1070,12 +1197,12 @@ impl<'e> Engine<'e> {
         // Disjoint field borrows: the loop below holds the scratch
         // buffers mutably while driving the caches and predictors.
         let Engine { sim, machine, .. } = self;
-        let Machine { icache, dcache, pus, reg_src, last_store, sync_table, scratch, .. } = machine;
+        let Machine { icache, dcache, pus, reg_src, store_filter, sync_table, scratch, .. } =
+            machine;
         let cfg = &sim.config;
         let t = &img.table;
         let trace = &*img.trace;
         let p = cfg.num_pus;
-        let pu_state = &mut pus[pu];
         let fetch_base = dispatch + cfg.task_start_overhead as u64;
         let mut fetch_cycle = fetch_base;
         let mut fetched = 0u32;
@@ -1087,13 +1214,10 @@ impl<'e> Engine<'e> {
         local_store.clear();
         let issue_slots = &mut scratch.issue_slots; // cycle − fetch_base → issued
         issue_slots.clear();
-        let fu_free = &mut scratch.fu_free;
-        for (units, &n) in fu_free.iter_mut().zip(&FU_COUNTS) {
-            units.clear();
-            units.resize(n as usize, 0);
-        }
+        // Per-class functional unit free cycles.
+        let mut fu_free = [[0u64; 2]; 4];
         let window = &mut scratch.window;
-        window.clear();
+        const ROB: usize = ROB_SIZE as usize;
         let mut last_issue = 0u64;
         // Cache line sizes are asserted powers of two (`Cache::reset`), so
         // line mapping is a shift — not a 64-bit divide per instruction.
@@ -1118,6 +1242,7 @@ impl<'e> Engine<'e> {
         let mut ct_insts_acc = 0u64;
         let mut br_preds_acc = 0u64;
         let mut br_hits_acc = 0u64;
+        let mut mem = MemCounts::default();
         let mut complete_max = fetch_base;
         let mut pmax_last = 0u64;
         let mut i_row = 0usize;
@@ -1197,24 +1322,20 @@ impl<'e> Engine<'e> {
                 }
 
                 // ---- Window constraints ----
-                if i_row >= ROB_SIZE as usize {
-                    ready = ready.max(window[i_row - ROB_SIZE as usize].1);
+                if i_row >= ROB {
+                    ready = ready.max(window[i_row % ROB].1);
                 }
                 if cfg.in_order {
                     ready = ready.max(last_issue);
                 } else if i_row >= ISSUE_LIST as usize {
-                    ready = ready.max(window[i_row - ISSUE_LIST as usize].0);
+                    ready = ready.max(window[(i_row - ISSUE_LIST as usize) % ROB].0);
                 }
 
                 // ---- Issue slot + FU ----
                 let class_idx = (flags & CLASS_MASK) as usize;
                 let units = &mut fu_free[class_idx];
-                // All classes but Int have one unit; avoid the scan.
-                let unit = if units.len() == 1 {
-                    0
-                } else {
-                    (0..units.len()).min_by_key(|&u| units[u]).expect("fu count >= 1")
-                };
+                // The first unit free soonest.
+                let unit = usize::from(FU_COUNTS[class_idx] == 2 && units[1] < units[0]);
                 let mut c = ready.max(units[unit]);
                 {
                     // Issue cycles never precede the fetch base, so the
@@ -1263,6 +1384,7 @@ impl<'e> Engine<'e> {
                         arb_overflow = true;
                     }
                     if flags & F_LOAD != 0 {
+                        mem.loads += 1;
                         let mut lat;
                         if let Some(&sc) = local_store.get(&addr) {
                             // Intra-task store → load forward.
@@ -1270,39 +1392,51 @@ impl<'e> Engine<'e> {
                             w_intra_acc += wait;
                             c += wait;
                             lat = 1;
-                        } else if let Some(ss) = last_store.get(&addr).copied() {
-                            if ss.retire <= c {
-                                lat = dcache.access(addr) as u64;
-                            } else if sync_table.contains(&pc) || force_sync {
-                                // Synchronised: wait for the store.
-                                let wait = (ss.complete + 1).saturating_sub(c);
-                                w_mem_acc += wait;
-                                c += wait;
-                                lat = ARB_HIT_LATENCY as u64;
-                            } else if ss.complete > c {
-                                // Premature load: violation when the
-                                // store completes.
-                                if violation.map(|v| ss.complete < v.cycle).unwrap_or(true) {
-                                    violation = Some(Violation {
-                                        cycle: ss.complete,
-                                        load_pc: pc,
-                                        store_task: ss.task,
-                                        store_pc: ss.pc,
-                                    });
-                                }
-                                lat = ARB_HIT_LATENCY as u64;
-                            } else {
-                                // ARB forwards the speculative value.
-                                lat = ARB_HIT_LATENCY as u64;
-                            }
                         } else {
-                            lat = dcache.access(addr) as u64;
+                            // A zero filter slot: no task in flight
+                            // stored to `addr`.
+                            let ss = if store_filter.may_hold(addr) {
+                                mem.arb_probes += 1;
+                                inflight_store(pus, k, addr)
+                            } else {
+                                None
+                            };
+                            mem.arb_hits += u64::from(ss.is_some());
+                            match ss {
+                                Some(ss) if ss.retire > c => {
+                                    lat = ARB_HIT_LATENCY as u64;
+                                    if sync_table.contains(&pc) || force_sync {
+                                        // Synchronised: wait for the store.
+                                        let wait = (ss.complete + 1).saturating_sub(c);
+                                        w_mem_acc += wait;
+                                        c += wait;
+                                    } else if ss.complete > c {
+                                        // Premature load: violation when
+                                        // the store completes.
+                                        if violation.map(|v| ss.complete < v.cycle).unwrap_or(true)
+                                        {
+                                            violation = Some(Violation {
+                                                cycle: ss.complete,
+                                                load_pc: pc,
+                                                store_task: ss.task,
+                                                store_pc: ss.pc,
+                                            });
+                                        }
+                                    }
+                                    // Otherwise the ARB forwards the
+                                    // speculative value.
+                                }
+                                // Retired (or never stored): memory
+                                // holds the value.
+                                _ => lat = dcache.access(addr) as u64,
+                            }
                         }
                         lat = lat.max(base_lat);
                         w_mem_acc += lat - 1;
                         complete = c + lat;
                     } else {
                         complete = c + base_lat;
+                        mem.stores += 1;
                         local_store.insert(addr, complete);
                         a.stores.push((addr, complete, pc));
                     }
@@ -1318,10 +1452,10 @@ impl<'e> Engine<'e> {
                     if !is_last_step {
                         let correct = match outcome {
                             CtOutcome::Branch(taken) => {
-                                pu_state.gshare.predict_and_update(pc, taken)
+                                pus[pu].gshare.predict_and_update(pc, taken)
                             }
                             CtOutcome::Switch(arm) => {
-                                let slot = pu_state.indirect.entry(pc).or_insert(arm);
+                                let slot = pus[pu].indirect.entry(pc).or_insert(arm);
                                 let ok = *slot == arm;
                                 *slot = arm;
                                 ok
@@ -1348,7 +1482,7 @@ impl<'e> Engine<'e> {
                     write_mask |= 1 << dst;
                 }
                 pmax_last = pmax_last.max(complete);
-                window.push((c, pmax_last));
+                window[i_row % ROB] = (c, pmax_last);
                 last_issue = c;
                 i_row += 1;
                 insts_acc += 1;
@@ -1373,7 +1507,7 @@ impl<'e> Engine<'e> {
         a.complete = complete_max;
         a.resolve = exit_ct_complete.unwrap_or(a.complete);
         a.write_mask = write_mask;
-        a.reg_writes.extend(swar::set_bits(write_mask).map(|r| (r, local_reg[r])));
+        a.mem = mem;
         a.arb_overflow = arb_overflow;
         a.violation = violation;
     }
@@ -1466,6 +1600,78 @@ mod tests {
     #[test]
     fn chunked_ts_runs_equal_whole_trace_runs() {
         chunked_runs_equal_whole_trace_runs(Strategy::TaskSize);
+    }
+
+    /// A machine of `p` PUs after tasks `0..stores.len()` committed in
+    /// order, task `k`'s `i`-th store going to `stores[k][i]` and
+    /// completing at `100 + 10 * k + i`, and task `k` retiring at
+    /// `10 * (k + 1)`; then the next task starts.
+    fn committed(p: usize, stores: &[&[u64]]) -> Machine {
+        let mut m = Machine::default();
+        m.reset(&SimConfig::with_pus(p));
+        for (k, addrs) in stores.iter().enumerate() {
+            m.start_stores(k % p);
+            let mut list: Stores = (0..addrs.len())
+                .map(|i| (addrs[i], (100 + 10 * k + i) as u64, 4 * addrs[i]))
+                .collect();
+            m.pus[k % p].free = 10 * (k as u64 + 1);
+            m.commit_stores(k % p, &mut list);
+        }
+        m.start_stores(stores.len() % p);
+        m
+    }
+
+    /// [`inflight_store`] for task `k` behind the filter, as a load
+    /// that missed its own task's stores looks it up.
+    fn lookup(m: &Machine, k: usize, addr: u64) -> Option<StoreSrc> {
+        m.store_filter.may_hold(addr).then(|| inflight_store(&m.pus, k, addr)).flatten()
+    }
+
+    #[test]
+    fn a_store_p_minus_1_tasks_back_is_in_flight() {
+        // Task 4 runs on 4 PUs: tasks 1..=3 are in flight.
+        let m = committed(4, &[&[0x80], &[0x40, 0x100], &[0x100, 0x200], &[0x200, 0x200]]);
+        let store = |task: usize, complete: u64, pc: u64| {
+            Some(StoreSrc { task, complete, pc, retire: 10 * (task as u64 + 1) })
+        };
+        assert_eq!(lookup(&m, 4, 0x40), store(1, 110, 0x100), "exactly P - 1 tasks back");
+        assert_eq!(lookup(&m, 4, 0x100), store(2, 120, 0x400), "the latest task's store wins");
+        assert_eq!(lookup(&m, 4, 0x200), store(3, 131, 0x800), "and its last store");
+        assert_eq!(lookup(&m, 4, 0x300), None, "never stored");
+    }
+
+    #[test]
+    fn a_store_p_tasks_back_reads_from_the_d_cache() {
+        // Task 0's store left the filter when task 4 started on its PU:
+        // the load does not even scan the lists.
+        let m = committed(4, &[&[0x80], &[0x40], &[0x40], &[0x40]]);
+        assert!(!m.store_filter.may_hold(0x80), "task 0's store is still counted");
+        assert_eq!(inflight_store(&m.pus, 4, 0x80), None);
+        // Early in the run fewer than P - 1 tasks precede the load.
+        let m = committed(8, &[&[0x80], &[0x40]]);
+        assert_eq!(lookup(&m, 2, 0x80).map(|s| s.task), Some(0));
+    }
+
+    #[test]
+    fn one_pu_never_scans() {
+        let stores: Vec<&[u64]> = vec![&[0x40, 0x80]; 5];
+        let m = committed(1, &stores);
+        assert!(m.store_filter.is_clear(), "a 1-PU task has no store in flight");
+        assert_eq!(inflight_store(&m.pus, 5, 0x40), None);
+    }
+
+    #[test]
+    fn draining_the_store_lists_clears_the_filter() {
+        let stores: Vec<Vec<u64>> =
+            (0..20).map(|k| (0..k % 5).map(|i| 8 * (k + i)).collect()).collect();
+        let stores: Vec<&[u64]> = stores.iter().map(Vec::as_slice).collect();
+        let mut m = committed(8, &stores);
+        assert!(!m.store_filter.is_clear());
+        // Eight PUs' lists drain into a four-PU machine.
+        m.reset(&SimConfig::four_pu());
+        assert!(m.store_filter.is_clear(), "a drained machine's filter counts a store");
+        assert_eq!(m.pus.len(), 4);
+        assert!(m.pus.iter().all(|pu| pu.stores.is_empty()));
     }
 
     #[test]

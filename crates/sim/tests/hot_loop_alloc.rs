@@ -181,12 +181,13 @@ fn run_allocations_are_deterministic() {
 
 #[test]
 fn a_further_run_reuses_the_engine_state() {
-    // An engine takes over the predictor tables, cache ways, ring-slot
-    // windows and scratch the last engine on its thread left behind, so
-    // once one run has warmed this thread up, a short run makes no large
-    // allocation: a fresh engine's are 4 x 64 KiB of gshare tables,
-    // 128 KiB of task predictor, 2 x 32 KiB of L1 ways and 16 KiB of
-    // task cache.
+    // An engine takes over the predictor tables, cache ways, store
+    // filter, ring-slot windows and scratch the last engine on its
+    // thread left behind, so once one run has warmed this thread up, a
+    // short run makes no large allocation: a fresh engine's are
+    // 4 x 64 KiB of gshare tables, 128 KiB of task predictor,
+    // 2 x 16 KiB of L1 ways, 16 KiB of store filter and 8 KiB of task
+    // cache.
     let sel = selection();
     let trace = TraceGenerator::new(&sel.program, 7).generate(1);
     let image = ProgramImage::new(&sel.program, &sel.partition, &trace);

@@ -332,14 +332,23 @@ fn logged_run(name: &str, config: SimConfig) -> (SimStats, String) {
 fn reused_engine_state_is_invisible() {
     // An engine resets the machine state the last engine on its thread
     // left behind. Run cell A (4 PUs), then cell B (8 PUs, a larger L1,
-    // another program), then A again: both A runs must equal a run on a
-    // thread that never built an engine, statistics and events alike.
-    let fresh = std::thread::spawn(|| logged_run("compress", SimConfig::four_pu())).join().unwrap();
+    // another program), then C (1 PU: the PU count shrinks, and eight
+    // PUs' store lists drain out of the store filter), then A again:
+    // the A and C runs must equal runs on a thread that never built an
+    // engine, statistics and events alike.
+    let fresh = |name: &'static str, config: fn() -> SimConfig| {
+        std::thread::spawn(move || logged_run(name, config())).join().unwrap()
+    };
+    let fresh_a = fresh("compress", SimConfig::four_pu);
+    let fresh_c = fresh("li", SimConfig::single_pu);
     let a = logged_run("compress", SimConfig::four_pu());
     let b = logged_run("li", SimConfig::eight_pu());
+    let c = logged_run("li", SimConfig::single_pu());
     let again = logged_run("compress", SimConfig::four_pu());
     assert_eq!(b.0.num_pus, 8);
-    for (label, run) in [("first A", &a), ("A after B", &again)] {
+    for (label, run, fresh) in
+        [("first A", &a, &fresh_a), ("C after B", &c, &fresh_c), ("A after C", &again, &fresh_a)]
+    {
         assert_eq!(run.0, fresh.0, "{label}: statistics differ from a fresh engine's");
         assert!(run.1 == fresh.1, "{label}: events differ from a fresh engine's");
     }
