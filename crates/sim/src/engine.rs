@@ -27,15 +27,19 @@
 //! The engine is data-oriented: instructions are decoded once per
 //! (program, trace) into a struct-of-arrays [`crate::table::DynInstTable`]
 //! held by a [`crate::ProgramImage`], register write sets travel as
-//! single-`u64` SWAR masks ([`crate::swar`]), ARB line membership is a
-//! lane-packed byte-tag probe, and per-PU mutable state is cache-line
-//! aligned. Run state is sized by the machine, not the trace: each PU's
-//! ring-port slot table is a window of cycles anchored at the dispatch
-//! of the task it last committed (`PuState::ring_slots`), register
-//! records carry their producer's retire cycle instead of a per-task
-//! retire column, the ARB's stores are the per-PU lists of the tasks in
-//! flight ([`inflight_store`]), the ROB and issue-list window is a ring
-//! of [`ROB_SIZE`] entries, cache ways hold tags alone, and memory
+//! single-`u64` SWAR masks ([`crate::swar`]), and per-PU mutable state
+//! is cache-line aligned. An attempt's memory state is two plain lists:
+//! its stores in program order, which its loads scan from the back
+//! ([`last_store`], the rule [`inflight_store`] applies to the other
+//! PUs' lists), and the distinct cache lines it touched, kept only up
+//! to one past the ARB's capacity ([`arb_touch`]). Run state is sized
+//! by the machine, not the trace: each PU's ring-port slot table is a
+//! window of cycles anchored at the dispatch of the task it last
+//! committed (`PuState::ring_slots`), register records carry their
+//! producer's retire cycle instead of a per-task retire column, the
+//! ARB's stores are the per-PU lists of the tasks in flight
+//! ([`inflight_store`]), the ROB and issue-list window is a ring of
+//! [`ROB_SIZE`] entries, cache ways hold tags alone, and memory
 //! addresses are read as one slice per step from the trace's flat
 //! address column. Only the L2's touched sets grow with the trace.
 //!
@@ -71,7 +75,7 @@ use crate::config::{
 use crate::event::{NullSink, SimEvent, SquashCause, TraceSink};
 use crate::predictor::{Gshare, TaskPredictor};
 use crate::stats::{CycleBreakdown, SimStats};
-use crate::swar::{self, TagSet};
+use crate::swar;
 use crate::table::{DynInstTable, CLASS_MASK, F_CT, F_LOAD, F_STORE, F_UNPIPELINED, NO_DST};
 
 /// Maximum squash-and-re-execute attempts per task before the engine
@@ -530,9 +534,30 @@ fn inflight_store(pus: &[PuState], k: usize, addr: u64) -> Option<StoreSrc> {
     let p = pus.len();
     (1..p.min(k + 1)).find_map(|m| {
         let pu = &pus[(k - m) % p];
-        let &(_, complete, pc) = pu.stores.iter().rev().find(|s| s.0 == addr)?;
+        let (complete, pc) = last_store(&pu.stores, addr)?;
         Some(StoreSrc { task: k - m, complete, pc, retire: pu.free })
     })
+}
+
+/// The `(complete, pc)` of the last store to `addr` in one task's
+/// program-ordered store list: the scan runs from the back, so a later
+/// store to the address hides an earlier one.
+#[inline]
+fn last_store(stores: &[(u64, u64, u64)], addr: u64) -> Option<(u64, u64)> {
+    stores.iter().rev().find(|s| s.0 == addr).map(|&(_, complete, pc)| (complete, pc))
+}
+
+/// Records a memory access to cache line `line` in `lines`, the
+/// distinct lines of one attempt, and returns whether the attempt now
+/// holds more than `entries` lines (ARB overflow). Only that answer is
+/// read, and once true it stays true, so the list stops growing at
+/// `entries + 1` lines.
+#[inline]
+fn arb_touch(lines: &mut Vec<u64>, line: u64, entries: usize) -> bool {
+    if lines.len() <= entries && !lines.contains(&line) {
+        lines.push(line);
+    }
+    lines.len() > entries
 }
 
 /// Memory-path work counters, summed over every attempt.
@@ -673,8 +698,6 @@ struct Scratch {
     /// Completion of the task's last write per dense register; only
     /// entries whose bit is set in the attempt's write mask are live.
     local_reg: Vec<u64>,
-    /// Store address → completion cycle within the current attempt.
-    local_store: FxMap<u64, u64>,
     /// Issue-slot usage, indexed by cycle − fetch base.
     issue_slots: Vec<u32>,
     /// (issue cycle, running maximum of completion cycles) of the last
@@ -682,9 +705,9 @@ struct Scratch {
     /// ROB and issue-list window constraints read the two halves at
     /// different lags, both within the ring.
     window: [(u64, u64); ROB_SIZE as usize],
-    /// Distinct cache lines the attempt's memory accesses touched (ARB
-    /// capacity tracking; SWAR byte-tag membership).
-    mem_lines: TagSet,
+    /// Distinct cache lines the attempt's memory accesses touched, up to
+    /// one past the ARB's capacity ([`arb_touch`]).
+    mem_lines: Vec<u64>,
     /// The attempt result buffers, reused across attempts and tasks.
     attempt: Attempt,
     /// Ring-forward staging buffer for `commit_regs`.
@@ -1210,8 +1233,6 @@ impl<'e> Engine<'e> {
 
         let local_reg = &mut scratch.local_reg; // dense reg → complete
         let mut write_mask = 0u64; // SWAR mask of written dense regs
-        let local_store = &mut scratch.local_store; // addr → complete
-        local_store.clear();
         let issue_slots = &mut scratch.issue_slots; // cycle − fetch_base → issued
         issue_slots.clear();
         // Per-class functional unit free cycles.
@@ -1224,6 +1245,7 @@ impl<'e> Engine<'e> {
         let l1_shift = L1_LINE.trailing_zeros();
         let mem_lines = &mut scratch.mem_lines;
         mem_lines.clear();
+        let arb_entries = cfg.arb_entries_per_pu as usize;
         let mut arb_overflow = false;
         let mut violation: Option<Violation> = None;
         let mut exit_ct_complete: Option<u64> = None;
@@ -1372,8 +1394,7 @@ impl<'e> Engine<'e> {
                     let addr = mem_addrs[mem_col[i] as usize];
                     // ARB capacity.
                     let line = addr >> l1_shift;
-                    mem_lines.insert(line);
-                    if mem_lines.len() > cfg.arb_entries_per_pu as usize && c < head_free {
+                    if arb_touch(mem_lines, line, arb_entries) && c < head_free {
                         let stall = head_free - c;
                         w_mem_acc += stall;
                         if !arb_overflow {
@@ -1386,7 +1407,7 @@ impl<'e> Engine<'e> {
                     if flags & F_LOAD != 0 {
                         mem.loads += 1;
                         let mut lat;
-                        if let Some(&sc) = local_store.get(&addr) {
+                        if let Some((sc, _)) = last_store(&a.stores, addr) {
                             // Intra-task store → load forward.
                             let wait = sc.saturating_sub(c);
                             w_intra_acc += wait;
@@ -1437,7 +1458,6 @@ impl<'e> Engine<'e> {
                     } else {
                         complete = c + base_lat;
                         mem.stores += 1;
-                        local_store.insert(addr, complete);
                         a.stores.push((addr, complete, pc));
                     }
                 } else {
@@ -1522,26 +1542,23 @@ fn account(cfg: &SimConfig, b: &mut CycleBreakdown, a: &Attempt, dispatch: u64, 
     let ideal = a.insts.div_ceil(ISSUE_WIDTH as u64).max(1);
     let stall = exec_span.saturating_sub(ideal);
     b.useful += exec_span.min(ideal);
-    let weights =
-        [a.w_intra, a.w_inter, a.w_mem, a.w_front, a.w_res, /* residual → useful */ 0];
+    if stall == 0 {
+        return;
+    }
+    let weights = [a.w_intra, a.w_inter, a.w_mem, a.w_front, a.w_res];
     let wsum: u64 = weights.iter().sum();
     if wsum == 0 {
         b.useful += stall;
-    } else {
-        let share = |w: u64| stall * w / wsum;
-        b.intra_dep += share(a.w_intra);
-        b.inter_comm += share(a.w_inter);
-        b.memory += share(a.w_mem);
-        b.frontend += share(a.w_front);
-        b.resource += share(a.w_res);
-        // Rounding residue → useful, keeping the per-task identity.
-        let assigned = share(a.w_intra)
-            + share(a.w_inter)
-            + share(a.w_mem)
-            + share(a.w_front)
-            + share(a.w_res);
-        b.useful += stall - assigned;
+        return;
     }
+    let [intra, inter, mem, front, res] = weights.map(|w| stall * w / wsum);
+    b.intra_dep += intra;
+    b.inter_comm += inter;
+    b.memory += mem;
+    b.frontend += front;
+    b.resource += res;
+    // Rounding residue → useful, keeping the per-task identity.
+    b.useful += stall - (intra + inter + mem + front + res);
 }
 
 #[cfg(test)]
@@ -1672,6 +1689,29 @@ mod tests {
         assert!(m.store_filter.is_clear(), "a drained machine's filter counts a store");
         assert_eq!(m.pus.len(), 4);
         assert!(m.pus.iter().all(|pu| pu.stores.is_empty()));
+    }
+
+    #[test]
+    fn the_capped_line_list_overflows_when_distinct_lines_pass_capacity() {
+        for seed in 0..64u64 {
+            let mut rng = ms_ir::SplitMix64::seed_from_u64(0xa4b_0000 ^ seed);
+            let entries = [0, 1, 2, 8, 32][seed as usize % 5];
+            // A pool of about twice the capacity, so streams both repeat
+            // lines and pass the capacity.
+            let pool = 2 * entries as u64 + 2;
+            let mut lines = Vec::new();
+            let mut distinct = std::collections::BTreeSet::new();
+            for access in 0..200 {
+                let line = rng.next_u64() % pool;
+                distinct.insert(line);
+                assert_eq!(
+                    arb_touch(&mut lines, line, entries),
+                    distinct.len() > entries,
+                    "seed {seed}, {entries} entries, access {access}: line {line}"
+                );
+                assert!(lines.len() <= entries + 1, "the list grew past its cap");
+            }
+        }
     }
 
     #[test]

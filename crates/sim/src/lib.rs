@@ -52,8 +52,8 @@
 //! The hot loop is data-oriented: instructions are decoded once per
 //! (program, trace chunk) into a struct-of-arrays table held by a
 //! [`ProgramImage`], register write sets travel as single-`u64` SWAR
-//! masks ([`swar`]), and ARB line membership is a lane-packed byte-tag
-//! probe. [`Simulator`] is the one driver: each `run*` call simulates
+//! masks, and an attempt's stores and ARB lines are plain lists.
+//! [`Simulator`] is the one driver: each `run*` call simulates
 //! one configuration through an [`Engine`] built by
 //! [`Simulator::start`]. [`Simulator::run_streamed`] streams the trace
 //! in chunks ([`ChunkStream`]), so memory does not grow with the
@@ -77,7 +77,7 @@ mod event;
 mod predictor;
 mod sink;
 mod stats;
-pub mod swar;
+mod swar;
 mod table;
 
 pub use config::SimConfig;

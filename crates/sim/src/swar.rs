@@ -1,73 +1,27 @@
-//! SWAR (SIMD-within-a-register) kernels for the engine's hot loop.
+//! SWAR (SIMD-within-a-register) register write sets for the engine's
+//! hot loop.
 //!
-//! Two data structures in the per-instruction loop are small sets that
-//! the engine queries constantly:
-//!
-//! * the task's **register write set** — at most [`NUM_REGS`] (= 64)
-//!   dense register indices, one bit each in a `u64` mask, iterated at
-//!   attempt end and intersected with the exit block's live-out mask
-//!   when dead register analysis filters ring forwards, and
-//! * the attempt's **ARB line set** — the distinct cache lines its
-//!   memory accesses touched, whose cardinality drives ARB overflow
-//!   stalls ([`TagSet`]).
-//!
-//! Everything here is plain `u64` lane arithmetic — std-only and
-//! portable, no platform SIMD — and every kernel has a scalar bit-loop
-//! twin in `crates/sim/tests/swar_props.rs` that property-checks it
-//! lane for lane on seeded random inputs.
+//! A task's **register write set** is at most [`NUM_REGS`] (= 64) dense
+//! register indices, one bit each in a `u64` mask. The engine ORs a bit
+//! in per write, intersects the mask with the exit block's live-out
+//! mask when dead register analysis filters ring forwards, and iterates
+//! the surviving bits at commit ([`set_bits`]).
 
 use ms_ir::NUM_REGS;
 
 // The write-set mask kernels pack one dense register per bit.
 const _: () = assert!(NUM_REGS <= 64, "register write-set masks are single u64s");
 
-/// Low bit of every byte lane.
-const LANES_LO: u64 = 0x0101_0101_0101_0101;
-/// High bit of every byte lane.
-const LANES_HI: u64 = 0x8080_8080_8080_8080;
-
-/// Broadcasts one byte into all eight lanes of a `u64`.
-#[inline]
-pub fn broadcast(b: u8) -> u64 {
-    u64::from(b) * LANES_LO
-}
-
-/// The high bit of every byte lane of `x` that is exactly zero —
-/// byte-exact (no cross-lane carries), unlike the classic
-/// `(x - LANES_LO) & !x & LANES_HI` *presence* test, which can flag a
-/// lane sitting above a genuine zero.
-#[inline]
-pub fn zero_byte_lanes(x: u64) -> u64 {
-    let nonzero = ((x & !LANES_HI) + !LANES_HI) | x;
-    !nonzero & LANES_HI
-}
-
-/// The high bit of every byte lane of `word` equal to `tag`.
-#[inline]
-pub fn eq_byte_lanes(word: u64, tag: u8) -> u64 {
-    zero_byte_lanes(word ^ broadcast(tag))
-}
-
-/// An 8-bit membership tag for a cache-line address. Never zero, so a
-/// zero lane in a [`TagSet`] word always means "empty slot".
-#[inline]
-pub fn line_tag(line: u64) -> u8 {
-    let mut h = line ^ (line >> 32);
-    h ^= h >> 16;
-    h ^= h >> 8;
-    (h as u8) | 1
-}
-
 /// Iterates the set bits of a register write-set mask in ascending
 /// dense-register order (the order the engine publishes forwards in).
 #[inline]
-pub fn set_bits(mask: u64) -> SetBits {
+pub(crate) fn set_bits(mask: u64) -> SetBits {
     SetBits { mask }
 }
 
 /// Iterator over the set bit positions of a `u64`, ascending.
 #[derive(Debug, Clone, Copy)]
-pub struct SetBits {
+pub(crate) struct SetBits {
     mask: u64,
 }
 
@@ -85,108 +39,40 @@ impl Iterator for SetBits {
     }
 }
 
-/// A small set of `u64` cache-line addresses with a lane-packed byte-tag
-/// index: eight 8-bit tags per `u64` word, probed with
-/// [`eq_byte_lanes`] so a membership miss usually costs one compare per
-/// eight entries and touches no line values at all. Tag hits are
-/// verified against the exact line, so membership semantics are
-/// identical to a linear scan of the lines.
-#[derive(Debug, Default)]
-pub struct TagSet {
-    /// Lane `i % 8` of word `i / 8` holds `line_tag(lines[i])`; empty
-    /// lanes are zero, which no real tag is.
-    tags: Vec<u64>,
-    lines: Vec<u64>,
-}
-
-impl TagSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        TagSet::default()
-    }
-
-    /// Removes every entry, keeping capacity.
-    pub fn clear(&mut self) {
-        self.tags.clear();
-        self.lines.clear();
-    }
-
-    /// Number of distinct lines inserted.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// Whether `line` is in the set.
-    pub fn contains(&self, line: u64) -> bool {
-        let tag = line_tag(line);
-        for (w, &word) in self.tags.iter().enumerate() {
-            let mut hits = eq_byte_lanes(word, tag);
-            while hits != 0 {
-                let lane = hits.trailing_zeros() as usize / 8;
-                if self.lines.get(w * 8 + lane) == Some(&line) {
-                    return true;
-                }
-                hits &= hits - 1;
-            }
-        }
-        false
-    }
-
-    /// Inserts `line` if absent. Returns `true` if it was newly added.
-    pub fn insert(&mut self, line: u64) -> bool {
-        if self.contains(line) {
-            return false;
-        }
-        let idx = self.lines.len();
-        self.lines.push(line);
-        if idx % 8 == 0 {
-            self.tags.push(0);
-        }
-        self.tags[idx / 8] |= u64::from(line_tag(line)) << (8 * (idx % 8));
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_lane_detection_is_byte_exact() {
-        // The lane above a zero byte must not be flagged (the classic
-        // presence-only formula would flag 0x01 here).
-        let x = 0x0100u64;
-        let lanes = zero_byte_lanes(x);
-        assert_eq!(lanes & 0x80, 0x80, "lane 0 is zero");
-        assert_eq!(lanes & (0x80 << 8), 0, "lane 1 is 0x01, not zero");
-    }
-
-    #[test]
-    fn tagset_matches_vec_membership() {
-        let mut set = TagSet::new();
-        let mut vec: Vec<u64> = Vec::new();
-        for line in [3u64, 77, 3, 0, 512, 77, 0x1_0000_0003, 0] {
-            let newly = !vec.contains(&line);
-            if newly {
-                vec.push(line);
-            }
-            assert_eq!(set.insert(line), newly, "line {line}");
-            assert_eq!(set.len(), vec.len());
-        }
-        for line in 0..600u64 {
-            assert_eq!(set.contains(line), vec.contains(&line), "line {line}");
-        }
-    }
+    use ms_ir::SplitMix64;
 
     #[test]
     fn set_bits_ascends() {
         let mask = (1u64 << 3) | (1 << 17) | (1 << 63);
         assert_eq!(set_bits(mask).collect::<Vec<_>>(), vec![3, 17, 63]);
         assert_eq!(set_bits(0).count(), 0);
+    }
+
+    /// Scalar twin of [`set_bits`]: test all 64 positions in order.
+    fn set_bits_ref(mask: u64) -> Vec<usize> {
+        (0..64).filter(|&b| mask & (1u64 << b) != 0).collect()
+    }
+
+    #[test]
+    fn set_bits_matches_scalar_reference() {
+        let mut rng = SplitMix64::seed_from_u64(0x5a_0005);
+        for case in 0..4_000 {
+            let mask = match case % 4 {
+                0 => rng.next_u64(),
+                1 => rng.next_u64() & rng.next_u64(), // sparse
+                2 => rng.next_u64() | rng.next_u64(), // dense
+                _ => 1u64.checked_shl((rng.next_u64() % 64) as u32).unwrap(),
+            };
+            assert_eq!(
+                set_bits(mask).collect::<Vec<_>>(),
+                set_bits_ref(mask),
+                "case {case}: mask {mask:#018x}"
+            );
+        }
+        assert_eq!(set_bits(0).count(), 0);
+        assert_eq!(set_bits(u64::MAX).count(), 64);
     }
 }

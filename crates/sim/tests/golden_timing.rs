@@ -1,6 +1,7 @@
 //! Golden timing tests: tiny programs whose steady-state cost can be
 //! reasoned out by hand pin down the PU model's arithmetic (issue width,
-//! functional unit latencies, dependence chains, ring forwarding).
+//! functional unit latencies, dependence chains, ring forwarding, and
+//! the ARB's capacity and store forwarding at their boundaries).
 //!
 //! Cold-start effects (instruction cache fills, predictor warmup) are
 //! cancelled by measuring *marginal* cycles: the same loop at two trip
@@ -8,9 +9,10 @@
 
 use ms_analysis::ProgramContext;
 use ms_ir::{
-    BranchBehavior, FunctionBuilder, Inst, Opcode, Program, ProgramBuilder, Reg, Terminator,
+    AddrSpec, BranchBehavior, FunctionBuilder, Inst, Opcode, Program, ProgramBuilder, Reg,
+    Terminator,
 };
-use ms_sim::{EventLog, SimConfig, Simulator};
+use ms_sim::{EventLog, SimConfig, SimStats, Simulator};
 use ms_tasksel::{SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
 
@@ -99,6 +101,100 @@ fn unpipelined_divides_serialise_per_unit() {
         six >= two + 2.0 * 12.0 - 4.0,
         "6 divides ({six:.1}) vs 2 divides ({two:.1}): two more rounds of 12 cycles each"
     );
+}
+
+/// `entry → head → task → exit`, run once as basic-block tasks on four
+/// PUs with `arb_entries_per_pu` ARB entries. `head` is a 200-multiply
+/// chain, so `task` issues all its memory accesses while `head` is
+/// still in flight; `pb` holds their address generators.
+fn behind_a_long_task(
+    mut pb: ProgramBuilder,
+    task: Vec<Inst>,
+    arb_entries_per_pu: u32,
+) -> (SimStats, EventLog) {
+    let m = pb.declare_function("main");
+    let mut fb = FunctionBuilder::new("main");
+    let entry = fb.add_block();
+    let head = fb.add_block();
+    let body = fb.add_block();
+    let exit = fb.add_block();
+    fb.push_inst(head, Opcode::IMov.inst().dst(Reg::int(9)));
+    for _ in 0..200 {
+        fb.push_inst(head, Opcode::IMul.inst().dst(Reg::int(9)).src(Reg::int(9)));
+    }
+    for i in task {
+        fb.push_inst(body, i);
+    }
+    fb.set_terminator(entry, Terminator::Jump { target: head });
+    fb.set_terminator(head, Terminator::Jump { target: body });
+    fb.set_terminator(body, Terminator::Jump { target: exit });
+    fb.set_terminator(exit, Terminator::Halt);
+    pb.define_function(m, fb.finish(entry).unwrap());
+    let p = pb.finish(m).unwrap();
+
+    let sel = SelectorBuilder::new(Strategy::BasicBlock).build().select(&ProgramContext::new(p));
+    let trace = TraceGenerator::new(&sel.program, 1).generate_once(10_000);
+    let cfg = SimConfig { arb_entries_per_pu, ..SimConfig::four_pu() };
+    let mut log = EventLog::new();
+    let stats = Simulator::new(cfg, &sel.program, &sel.partition).run_with_sink(&trace, &mut log);
+    (stats, log)
+}
+
+/// ARB capacity at its boundary: a task loading exactly as many
+/// distinct lines as the PU has ARB entries does not overflow; one more
+/// line does.
+#[test]
+fn arb_capacity_overflows_one_line_past_its_entries() {
+    for entries in [1u32, 8, 32] {
+        for lines in [entries, entries + 1] {
+            let mut pb = ProgramBuilder::new();
+            let g = pb.add_addr_gen(AddrSpec::Stride { base: 0x10_0000, stride: 32, len: 1 << 14 });
+            let task = (0..lines)
+                .map(|i| Opcode::Load.inst().dst(Reg::int(10 + (i % 8) as u8)).mem(g))
+                .collect();
+            let (stats, _) = behind_a_long_task(pb, task, entries);
+            assert_eq!(stats.l1d, (0, u64::from(lines)), "every load misses a distinct cold line");
+            assert_eq!(
+                stats.arb_overflows,
+                u64::from(lines > entries),
+                "{lines} lines, {entries} entries"
+            );
+        }
+    }
+}
+
+/// Intra-task store forwarding takes the *last* earlier store to the
+/// address. The memory unit is reserved in program order, so a load
+/// issues after every earlier store has completed and waits for none of
+/// them, except when an ARB overflow holds the stores back to the
+/// predecessor's retire. This pins that case with one ARB entry: the
+/// task behind the long one stores to X (one line, no stall), to Y on
+/// the next line (two lines, overflow: issue moves to `head_free`, the
+/// predecessor's retire + 1, completing at `head_free + 1`), to X again
+/// (held the same way), then loads X and runs a `K`-multiply chain on
+/// the loaded value. Loading from the second store to X, the load
+/// issues at `head_free + 1` and completes at `head_free + 2`, so the
+/// task completes at `head_free + 2 + 3K`; loading from the first, it
+/// would complete a cycle earlier.
+#[test]
+fn a_load_waits_for_the_last_store_to_its_address() {
+    const K: u64 = 4;
+    let mut pb = ProgramBuilder::new();
+    let x = pb.add_addr_gen(AddrSpec::Global { addr: 0x4000 });
+    let y = pb.add_addr_gen(AddrSpec::Global { addr: 0x4020 });
+    let mut task: Vec<Inst> =
+        [x, y, x].map(|g| Opcode::Store.inst().src(Reg::int(20)).mem(g)).into();
+    task.push(Opcode::Load.inst().dst(Reg::int(10)).mem(x));
+    for _ in 0..K {
+        task.push(Opcode::IMul.inst().dst(Reg::int(10)).src(Reg::int(10)));
+    }
+    let (stats, log) = behind_a_long_task(pb, task, 1);
+    assert_eq!(stats.arb_overflows, 1, "only the store task overflows");
+    let spans = log.spans();
+    // The store task: three stores, the load, K multiplies and the jump.
+    let i = spans.iter().position(|t| t.insts == K + 5).expect("the store task");
+    let head_free = spans[i - 1].retire + 1;
+    assert_eq!(spans[i].complete, head_free + 2 + 3 * K, "the load forwards the second store");
 }
 
 /// Inter-task register forwarding: a consumer whose chain *starts* from

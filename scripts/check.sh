@@ -18,8 +18,10 @@
 #    tests/api_snapshot.txt (MS_BLESS=1 to re-bless deliberately),
 # 7. docs gate: the metric tables in EXPERIMENTS.md / docs/METRICS.md /
 #    docs/PROFILING.md must only name fields that still exist in the
-#    source; every relative markdown link must resolve; every docs/*.md
-#    must be routed from docs/INDEX.md,
+#    source; every relative markdown link must resolve; every
+#    backticked repository path (`crates/...`, `docs/...`, ...) in a
+#    document that describes the current tree must exist; every
+#    docs/*.md must be routed from docs/INDEX.md,
 # 8. profiler smoke: one small `run -- perf` must exit 0 and write its
 #    Chrome pipeline view (docs/PROFILING.md; comparing timings is the
 #    repository benchmark's job, see BENCHMARK.json),
@@ -103,6 +105,28 @@ for doc in $(git ls-files '*.md'); do
             docs_fail=1
         fi
     done
+done
+# Backticked repository paths must exist: a deleted or renamed file
+# must take every `crates/...`-style mention of it along. A trailing
+# `:line` is dropped, a glob must match something, and a git-ignored
+# path (an output that building or running writes) counts as present.
+# Checked are the root documents that describe the current tree and
+# every markdown file below the root; the other root files are history,
+# plans or reference text and may name paths that are gone.
+for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md $(git ls-files '*/*.md'); do
+    paths=$(grep -o '`\(crates\|tests\|scripts\|docs\|examples\|src\|benchmark\)/[^` ]*`' "$doc" \
+        | tr -d '`' | sed 's/:[0-9]*$//' | sort -u || true)
+    while IFS= read -r path; do
+        [ -n "$path" ] || continue
+        # Unquoted on purpose: a glob expands to its matches.
+        set -- $path
+        if [ ! -e "$1" ] && ! git check-ignore -q "$path"; then
+            echo "$doc names \`$path\` but it does not exist"
+            docs_fail=1
+        fi
+    done <<PATHS
+$paths
+PATHS
 done
 # Every docs/*.md must be reachable from the index's routing table.
 for doc in docs/*.md; do
