@@ -7,7 +7,7 @@ use ms_analysis::ProgramContext;
 use ms_conform::{check_selection, fuzz_seed, strategies, FuzzCase, FuzzFailure, FuzzParams};
 use ms_ir::gen::ProgSpec;
 use ms_sim::SimConfig;
-use ms_tasksel::TaskSelector;
+use ms_tasksel::{Strategy, TaskSelector};
 use ms_trace::TraceGenerator;
 
 /// Workload sweep size: enough trace to exercise squash/replay paths,
@@ -49,6 +49,34 @@ fn workloads_conform_on_one_pu_and_eight_pus() {
     for cfg in [SimConfig::single_pu(), SimConfig::eight_pu()] {
         let run = check_selection(&sel, cfg, WORKLOAD_INSTS, 7);
         assert!(run.errors.is_empty(), "first: {}", run.errors[0]);
+    }
+}
+
+/// In-order PUs conform too: every workload under the basic block,
+/// control flow and data dependence heuristics, on 4- and 8-PU
+/// in-order machines, with the event-log invariants and the reference
+/// diff both clean.
+#[test]
+fn workloads_conform_on_in_order_machines() {
+    const INSTS: usize = 3_000;
+    for w in ms_workloads::suite() {
+        let ctx = ProgramContext::new(w.build());
+        for strategy in [Strategy::BasicBlock, Strategy::ControlFlow, Strategy::DataDependence] {
+            let sel = strategy.selector(4).select(&ctx);
+            for cfg in [SimConfig::four_pu().in_order(), SimConfig::eight_pu().in_order()] {
+                let pus = cfg.num_pus;
+                let run = check_selection(&sel, cfg, INSTS, 0x5eed);
+                assert!(
+                    run.errors.is_empty(),
+                    "{}/{} on {pus} in-order PUs: {} violations, first: {}",
+                    w.name,
+                    strategy.label(),
+                    run.errors.len(),
+                    run.errors[0]
+                );
+                assert!(run.stats.num_dyn_tasks > 0);
+            }
+        }
     }
 }
 

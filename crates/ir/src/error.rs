@@ -29,6 +29,15 @@ pub enum BuildError {
         /// Block whose terminator is malformed.
         block: BlockId,
     },
+    /// A `Branch` or `Switch` terminator reads more than
+    /// [`MAX_SRCS`](crate::MAX_SRCS) condition registers, which an
+    /// instruction cannot.
+    TooManyCondRegs {
+        /// Function containing the terminator.
+        func: String,
+        /// Block whose terminator is malformed.
+        block: BlockId,
+    },
     /// A branch probability was outside `[0, 1]`.
     BadProbability {
         /// Function containing the branch.
@@ -77,6 +86,11 @@ impl fmt::Display for BuildError {
             BuildError::BadSwitch { func, block } => {
                 write!(f, "function `{func}` block {block} has a malformed switch")
             }
+            BuildError::TooManyCondRegs { func, block } => write!(
+                f,
+                "function `{func}` block {block} reads more than {} condition registers",
+                crate::MAX_SRCS
+            ),
             BuildError::BadProbability { func, block } => {
                 write!(f, "function `{func}` block {block} has a branch probability outside [0, 1]")
             }
@@ -108,6 +122,7 @@ mod tests {
             BuildError::BadBlockId { func: "f".into(), block: BlockId::new(1) },
             BuildError::BadFuncId { func: FuncId::new(2) },
             BuildError::BadSwitch { func: "f".into(), block: BlockId::new(1) },
+            BuildError::TooManyCondRegs { func: "f".into(), block: BlockId::new(1) },
             BuildError::BadProbability { func: "f".into(), block: BlockId::new(1) },
             BuildError::MissingTerminator { func: "f".into(), block: BlockId::new(1) },
             BuildError::BadAddrGen {

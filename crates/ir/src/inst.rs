@@ -147,6 +147,10 @@ impl fmt::Display for Opcode {
     }
 }
 
+/// The most registers an instruction, or a terminator's condition,
+/// reads.
+pub const MAX_SRCS: usize = 3;
+
 /// A static IR instruction.
 ///
 /// Instructions have at most one destination register and up to three
@@ -190,7 +194,7 @@ impl Inst {
     /// Panics if more than three sources are added.
     #[must_use]
     pub fn src(mut self, reg: Reg) -> Self {
-        assert!(self.srcs.len() < 3, "instructions have at most three sources");
+        assert!(self.srcs.len() < MAX_SRCS, "instructions have at most three sources");
         self.srcs.push(reg);
         self
     }

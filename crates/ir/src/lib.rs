@@ -59,7 +59,7 @@ pub use block::{BasicBlock, BranchBehavior, Terminator};
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use error::BuildError;
 pub use fxhash::{FxHasher, FxMap};
-pub use inst::{FuClass, Inst, Opcode};
+pub use inst::{FuClass, Inst, Opcode, MAX_SRCS};
 pub use mem::{AddrGenId, AddrSpec};
 pub use program::{BlockId, BlockRef, FuncId, Function, Program};
 pub use reg::{Reg, RegClass, NUM_FP_REGS, NUM_INT_REGS, NUM_REGS};

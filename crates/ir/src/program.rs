@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::block::{BasicBlock, BranchBehavior, Terminator};
 use crate::error::BuildError;
+use crate::inst::MAX_SRCS;
 use crate::mem::AddrSpec;
 
 /// Identifier of a basic block within a [`Function`].
@@ -91,7 +92,8 @@ impl Function {
     /// # Errors
     ///
     /// Returns [`BuildError`] if the entry or any edge target is out of
-    /// range, or if a `Switch` has mismatched target/weight lists.
+    /// range, if a `Switch` has mismatched target/weight lists, or if a
+    /// terminator reads more than [`MAX_SRCS`] condition registers.
     pub fn from_parts(
         name: impl Into<String>,
         blocks: Vec<BasicBlock>,
@@ -111,6 +113,12 @@ impl Function {
                         block: BlockId::new(i as u32),
                     });
                 }
+            }
+            if blk.terminator().cond_regs().len() > MAX_SRCS {
+                return Err(BuildError::TooManyCondRegs {
+                    func: name,
+                    block: BlockId::new(i as u32),
+                });
             }
             if let Terminator::Branch { behavior: BranchBehavior::Taken(p), .. } = blk.terminator()
             {
@@ -387,6 +395,49 @@ mod tests {
         );
         let err = Function::from_parts("bad", vec![blk], BlockId::new(0)).unwrap_err();
         assert!(matches!(err, BuildError::BadProbability { .. }));
+    }
+
+    /// A branch or switch reads at most three registers, as an
+    /// instruction does: a fourth is a typed error, never a panic.
+    #[test]
+    fn terminators_read_at_most_three_registers() {
+        let regs = |n: u8| (1..=n).map(Reg::int).collect::<Vec<_>>();
+        let terminators = |cond: Vec<Reg>| {
+            [
+                Terminator::Branch {
+                    taken: BlockId::new(1),
+                    fall: BlockId::new(1),
+                    cond: cond.clone(),
+                    behavior: BranchBehavior::Taken(0.5),
+                },
+                Terminator::Switch { targets: vec![BlockId::new(1)], weights: vec![1], cond },
+            ]
+        };
+        for (n, ok) in [(3, true), (4, false)] {
+            for term in terminators(regs(n)) {
+                let mut fb = FunctionBuilder::new("main");
+                let b0 = fb.add_block();
+                let b1 = fb.add_block();
+                fb.set_terminator(b0, term.clone());
+                fb.set_terminator(b1, Terminator::Halt);
+                match fb.finish(b0) {
+                    Ok(f) => {
+                        assert!(ok, "{n} registers accepted: {term:?}");
+                        let mut pb = ProgramBuilder::new();
+                        let m = pb.declare_function("main");
+                        pb.define_function(m, f);
+                        pb.finish(m).unwrap();
+                    }
+                    Err(e) => {
+                        assert!(!ok, "{n} registers rejected: {e}");
+                        assert_eq!(
+                            e,
+                            BuildError::TooManyCondRegs { func: "main".into(), block: b0 }
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

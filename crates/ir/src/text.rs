@@ -40,7 +40,7 @@ use std::fmt::Write as _;
 
 use crate::block::{BranchBehavior, Terminator};
 use crate::builder::{FunctionBuilder, ProgramBuilder};
-use crate::inst::{Inst, Opcode};
+use crate::inst::{Inst, Opcode, MAX_SRCS};
 use crate::mem::AddrSpec;
 use crate::program::{BlockId, FuncId, Program};
 use crate::reg::{Reg, RegClass, NUM_FP_REGS, NUM_INT_REGS};
@@ -525,6 +525,9 @@ fn parse_block_line(
                 i += 2;
             }
             while i < toks.len() && (toks[i].starts_with('r') || toks[i].starts_with('f')) {
+                if inst.srcs().len() == MAX_SRCS {
+                    return err(ln, format!("an instruction reads at most {MAX_SRCS} registers"));
+                }
                 inst = inst.src(parse_reg(toks[i], ln)?);
                 i += 1;
             }
@@ -663,6 +666,30 @@ fn leaf {
         for inst in ["iadd r31 <- r0, r31", "fadd f31 <- f0, f31"] {
             parse_program(&program(inst)).unwrap_or_else(|e| panic!("{inst}: {e}"));
         }
+    }
+
+    /// A fourth register on a `cond` list or an instruction is a parse
+    /// error, not a panic (the instruction's carries its line); three
+    /// parse.
+    #[test]
+    fn a_fourth_register_is_an_error() {
+        let program = |line: &str| {
+            format!("program entry @main\n\nfn main {{\n  entry b0\n  block b0 {{\n    {line}\n  }}\n  block b1 {{\n    halt\n  }}\n}}\n")
+        };
+        let three = ["branch b1 b1 cond r1 r2 r3 taken 0.5", "switch b1 weights 1 cond r1 r2 f3"];
+        for line in three {
+            parse_program(&program(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        let four =
+            ["branch b1 b1 cond r1 r2 r3 r4 taken 0.5", "switch b1 weights 1 cond r1 r2 f3 r4"];
+        for line in four {
+            let e = parse_program(&program(line)).unwrap_err();
+            assert!(e.message.contains("more than 3 condition registers"), "{line}: {e}");
+        }
+        let e = parse_program(&program("iadd r1 <- r1, r2, r3, r4\n    jump b1")).unwrap_err();
+        assert_eq!(e.line, 6, "{e}");
+        assert!(e.message.contains("at most 3"), "{e}");
+        parse_program(&program("iadd r1 <- r1, r2, r3\n    jump b1")).unwrap();
     }
 
     #[test]

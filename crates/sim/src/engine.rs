@@ -25,11 +25,15 @@
 //!   tasks wait for their predecessor (load imbalance).
 //!
 //! The engine is data-oriented: instructions are decoded once per
-//! (program, trace) into a struct-of-arrays [`crate::table::DynInstTable`]
-//! held by a [`crate::ProgramImage`], register write sets travel as
-//! single-`u64` SWAR masks ([`crate::swar`]), and per-PU mutable state
-//! is cache-line aligned. An attempt's memory state is two plain lists:
-//! its stores in program order, which its loads scan from the back
+//! (program, trace) into a [`crate::table::DynInstTable`] of packed
+//! [`crate::table::Row`]s, one per static instruction, held by a
+//! [`crate::ProgramImage`], so an attempt reads each instruction with one
+//! load; register write sets travel as single-`u64` SWAR masks
+//! ([`crate::swar`]), and per-PU mutable state is cache-line aligned. An
+//! in-order PU keeps no issue-slot table: its reserved issue cycles never
+//! decrease, so the latest one and its count are all it reads. An
+//! attempt's memory state is two plain lists: its stores in program
+//! order, which its loads scan from the back
 //! ([`last_store`], the rule [`inflight_store`] applies to the other
 //! PUs' lists), and the distinct cache lines it touched, kept only up
 //! to one past the ARB's capacity ([`arb_touch`]). Run state is sized
@@ -76,7 +80,9 @@ use crate::event::{NullSink, SimEvent, SquashCause, TraceSink};
 use crate::predictor::{Gshare, TaskPredictor};
 use crate::stats::{CycleBreakdown, SimStats};
 use crate::swar;
-use crate::table::{DynInstTable, CLASS_MASK, F_CT, F_LOAD, F_STORE, F_UNPIPELINED, NO_DST};
+use crate::table::{
+    DecodedBlock, DynInstTable, Row, CLASS_MASK, F_CT, F_LOAD, F_STORE, F_UNPIPELINED, NO_DST,
+};
 
 /// Maximum squash-and-re-execute attempts per task before the engine
 /// forces full memory synchronisation (livelock guard).
@@ -213,8 +219,8 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// A decoded chunk of trace: its dynamic task split plus the
-/// struct-of-arrays instruction table, built once and shared by every
+/// A decoded chunk of trace: its dynamic task split plus the packed
+/// instruction table, built once and shared by every
 /// squash re-attempt of a run, and by every run over the same chunk
 /// ([`Simulator::run_image`], [`Engine::step`]).
 ///
@@ -698,8 +704,9 @@ struct Scratch {
     /// Completion of the task's last write per dense register; only
     /// entries whose bit is set in the attempt's write mask are live.
     local_reg: Vec<u64>,
-    /// Issue-slot usage, indexed by cycle − fetch base.
-    issue_slots: Vec<u32>,
+    /// Out-of-order issue-slot usage, indexed by cycle − fetch base
+    /// (in-order PUs keep no table: see `exec_task`).
+    issue_slots: Vec<u8>,
     /// (issue cycle, running maximum of completion cycles) of the last
     /// [`ROB_SIZE`] instructions, instruction `i` at `i % ROB_SIZE`. The
     /// ROB and issue-list window constraints read the two halves at
@@ -718,6 +725,8 @@ struct Scratch {
 // two functional units (`exec_task`'s `fu_free`).
 const _: () = assert!(ISSUE_LIST <= ROB_SIZE);
 const _: () = assert!(matches!(FU_COUNTS, [1..=2, 1..=2, 1..=2, 1..=2]));
+// An issue slot's count is a `u8` (`Scratch::issue_slots`).
+const _: () = assert!(ISSUE_WIDTH <= u8::MAX as u32);
 
 /// An engine's machine-sized state: about 0.43 MiB of predictor tables,
 /// cache ways and store filter at four PUs, plus the ring-slot windows,
@@ -949,7 +958,12 @@ impl<'e> Engine<'e> {
         loop {
             attempts += 1;
             let force_sync = attempts > MAX_ATTEMPTS;
-            self.exec_task(img, k, dt, dispatch, pu, head_free, force_sync, sink.enabled());
+            let collect = sink.enabled();
+            if self.sim.config.in_order {
+                self.exec_task::<true>(img, k, dt, dispatch, pu, head_free, force_sync, collect);
+            } else {
+                self.exec_task::<false>(img, k, dt, dispatch, pu, head_free, force_sync, collect);
+            }
             self.mem.add(&self.machine.scratch.attempt.mem);
             match self.machine.scratch.attempt.violation {
                 Some(v) if !force_sync => {
@@ -1203,10 +1217,10 @@ impl<'e> Engine<'e> {
     }
 
     /// Executes one attempt of task `k` starting at `dispatch`, into
-    /// `self.machine.scratch.attempt`. `collect` enables per-arc stall
-    /// attribution (trace sink active).
+    /// `self.machine.scratch.attempt`, on an in-order PU if `IN_ORDER`.
+    /// `collect` enables per-arc stall attribution (trace sink active).
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn exec_task(
+    fn exec_task<const IN_ORDER: bool>(
         &mut self,
         img: &ProgramImage<'_>,
         k: usize,
@@ -1235,6 +1249,10 @@ impl<'e> Engine<'e> {
         let mut write_mask = 0u64; // SWAR mask of written dense regs
         let issue_slots = &mut scratch.issue_slots; // cycle − fetch_base → issued
         issue_slots.clear();
+        // In order, the latest reserved issue cycle and how many issued in
+        // it (see "Issue slot + FU" below).
+        let mut slot_cycle = 0u64;
+        let mut slot_used = 0u32;
         // Per-class functional unit free cycles.
         let mut fu_free = [[0u64; 2]; 4];
         let window = &mut scratch.window;
@@ -1273,19 +1291,9 @@ impl<'e> Engine<'e> {
             let outcome = trace.steps()[step_idx].outcome;
             let mem_addrs = trace.mem_addrs(step_idx);
             let is_last_step = step_idx + 1 == dt.end;
-            let b = t.step_block[step_idx] as usize;
-            let row0 = t.block_off[b] as usize;
-            let rows = t.block_len[b] as usize;
-            let pc0 = t.block_pc0[b];
-            // One bounds check per column per block; the per-row indexes
-            // below are all provably in range.
-            let flags_col = &t.flags[row0..][..rows];
-            let lat_col = &t.lat[row0..][..rows];
-            let dst_col = &t.dst[row0..][..rows];
-            let mem_col = &t.mem[row0..][..rows];
-            for i in 0..rows {
-                let r = row0 + i;
-                let flags = flags_col[i];
+            let DecodedBlock { off, len, pc0 } = t.blocks[t.step_block[step_idx] as usize];
+            for (i, row) in t.rows[off as usize..][..len as usize].iter().enumerate() {
+                let Row { flags, lat: base_lat, dst, mem: mem_slot, .. } = *row;
                 let pc = pc0 + 4 * i as u64;
                 // ---- Fetch ----
                 let line = pc >> l1_shift;
@@ -1316,7 +1324,7 @@ impl<'e> Engine<'e> {
                 // it), which the `arrival > inter_ready` tie-break
                 // depends on.
                 let mut inter_src: Option<(usize, usize)> = None;
-                for &src in t.srcs_of(r) {
+                for &src in row.srcs() {
                     let d = src as usize;
                     if write_mask & (1 << d) != 0 {
                         intra_ready = intra_ready.max(local_reg[d]);
@@ -1347,7 +1355,7 @@ impl<'e> Engine<'e> {
                 if i_row >= ROB {
                     ready = ready.max(window[i_row % ROB].1);
                 }
-                if cfg.in_order {
+                if IN_ORDER {
                     ready = ready.max(last_issue);
                 } else if i_row >= ISSUE_LIST as usize {
                     ready = ready.max(window[(i_row - ISSUE_LIST as usize) % ROB].0);
@@ -1359,7 +1367,21 @@ impl<'e> Engine<'e> {
                 // The first unit free soonest.
                 let unit = usize::from(FU_COUNTS[class_idx] == 2 && units[1] < units[0]);
                 let mut c = ready.max(units[unit]);
-                {
+                if IN_ORDER {
+                    // Reserved cycles never decrease in order: `c` is at
+                    // least `last_issue`, the previous instruction's issue
+                    // cycle, which is at or after the cycle it reserved. So
+                    // the only slot that can be taken at `c` is the latest.
+                    if c == slot_cycle && slot_used == ISSUE_WIDTH {
+                        c += 1;
+                    }
+                    if c == slot_cycle {
+                        slot_used += 1;
+                    } else {
+                        slot_cycle = c;
+                        slot_used = 1;
+                    }
+                } else {
                     // Issue cycles never precede the fetch base, so the
                     // slot table is a dense per-attempt offset vector.
                     let mut off = (c - fetch_base) as usize;
@@ -1367,7 +1389,7 @@ impl<'e> Engine<'e> {
                         if off >= issue_slots.len() {
                             issue_slots.resize(off + 8, 0);
                         }
-                        if issue_slots[off] < ISSUE_WIDTH {
+                        if u32::from(issue_slots[off]) < ISSUE_WIDTH {
                             issue_slots[off] += 1;
                             break;
                         }
@@ -1378,7 +1400,7 @@ impl<'e> Engine<'e> {
                 w_res_acc += c - ready;
                 // Reserve the unit: divides are unpipelined, everything
                 // else accepts a new operation every cycle.
-                let base_lat = lat_col[i] as u64;
+                let base_lat = u64::from(base_lat);
                 let occupancy = if flags & F_UNPIPELINED != 0 { base_lat } else { 1 };
                 units[unit] = c + occupancy;
 
@@ -1391,7 +1413,7 @@ impl<'e> Engine<'e> {
                     // only when someone waits; handled via
                     // operand waits of consumers.
                 } else if flags & F_CT == 0 {
-                    let addr = mem_addrs[mem_col[i] as usize];
+                    let addr = mem_addrs[usize::from(mem_slot)];
                     // ARB capacity.
                     let line = addr >> l1_shift;
                     if arb_touch(mem_lines, line, arb_entries) && c < head_free {
@@ -1496,7 +1518,6 @@ impl<'e> Engine<'e> {
                     }
                 }
 
-                let dst = dst_col[i];
                 if dst != NO_DST {
                     local_reg[dst as usize] = complete;
                     write_mask |= 1 << dst;

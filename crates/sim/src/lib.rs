@@ -50,9 +50,10 @@
 //! # Execution
 //!
 //! The hot loop is data-oriented: instructions are decoded once per
-//! (program, trace chunk) into a struct-of-arrays table held by a
-//! [`ProgramImage`], register write sets travel as single-`u64` SWAR
-//! masks, and an attempt's stores and ARB lines are plain lists.
+//! (program, trace chunk) into one packed row per static instruction,
+//! held by a [`ProgramImage`], register write sets travel as
+//! single-`u64` SWAR masks, and an attempt's stores and ARB lines are
+//! plain lists.
 //! [`Simulator`] is the one driver: each `run*` call simulates
 //! one configuration through an [`Engine`] built by
 //! [`Simulator::start`]. [`Simulator::run_streamed`] streams the trace

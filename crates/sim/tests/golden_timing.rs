@@ -1,7 +1,8 @@
 //! Golden timing tests: tiny programs whose steady-state cost can be
-//! reasoned out by hand pin down the PU model's arithmetic (issue width,
-//! functional unit latencies, dependence chains, ring forwarding, and
-//! the ARB's capacity and store forwarding at their boundaries).
+//! reasoned out by hand pin down the PU model's arithmetic (issue width
+//! on in-order and out-of-order PUs, functional unit latencies,
+//! dependence chains, ring forwarding, and the ARB's capacity and store
+//! forwarding at their boundaries).
 //!
 //! Cold-start effects (instruction cache fills, predictor warmup) are
 //! cancelled by measuring *marginal* cycles: the same loop at two trip
@@ -18,7 +19,11 @@ use ms_trace::TraceGenerator;
 
 /// Builds `entry → body(loop, exact trips) → exit` with the given body.
 fn loop_program(body_insts: &[Inst], trips: u32) -> Program {
-    let mut pb = ProgramBuilder::new();
+    loop_program_with(ProgramBuilder::new(), body_insts, trips)
+}
+
+/// [`loop_program`] with the address generators `pb` holds.
+fn loop_program_with(mut pb: ProgramBuilder, body_insts: &[Inst], trips: u32) -> Program {
     let m = pb.declare_function("main");
     let mut fb = FunctionBuilder::new("main");
     let entry = fb.add_block();
@@ -51,8 +56,13 @@ fn cycles(p: &Program, cfg: SimConfig) -> u64 {
 
 /// Marginal cycles per loop iteration on one PU, cold effects cancelled.
 fn per_iteration(body: &[Inst]) -> f64 {
-    let lo = cycles(&loop_program(body, 4), SimConfig::single_pu());
-    let hi = cycles(&loop_program(body, 20), SimConfig::single_pu());
+    per_iteration_on(body, SimConfig::single_pu())
+}
+
+/// [`per_iteration`] on the one-PU machine `cfg`.
+fn per_iteration_on(body: &[Inst], cfg: SimConfig) -> f64 {
+    let lo = cycles(&loop_program(body, 4), cfg.clone());
+    let hi = cycles(&loop_program(body, 20), cfg);
     (hi - lo) as f64 / 16.0
 }
 
@@ -71,17 +81,82 @@ fn serial_multiply_chain_runs_at_latency() {
 }
 
 /// Independent single-cycle adds are bounded by 2-wide issue.
-#[test]
-fn independent_adds_run_at_issue_width() {
+fn independent_adds_run_at_issue_width_on(cfg: SimConfig) {
     const K: usize = 60;
     let mut body = vec![Opcode::IMov.inst().dst(Reg::int(9))];
     for i in 0..K {
         body.push(Opcode::IAdd.inst().dst(Reg::int(10 + (i % 20) as u8)).src(Reg::int(9)));
     }
-    let per = per_iteration(&body);
+    let per = per_iteration_on(&body, cfg);
     let lower = (K / 2) as f64;
     assert!(per >= lower, "2-wide issue bounds {K} adds below {per:.1}");
     assert!(per <= lower + 20.0, "got {per:.1}, expected ≈{lower} + overheads");
+}
+
+#[test]
+fn independent_adds_run_at_issue_width() {
+    independent_adds_run_at_issue_width_on(SimConfig::single_pu());
+}
+
+#[test]
+fn independent_adds_run_at_issue_width_in_order() {
+    independent_adds_run_at_issue_width_on(SimConfig::single_pu().in_order());
+}
+
+/// In-order issue slots, hand-timed on one PU. A multiply issued at
+/// cycle `f + 1` (`f` the fetch cycle of the task's first instruction)
+/// makes `r9` ready at `T = f + 4`. Three single-cycle ops on `r9`, an
+/// add, a move on the FP unit and a second add, are then ready at `T`
+/// with a free unit each: two issue at `T` and the third at `T + 1`. An
+/// op after them issues no earlier than `T + 1`, even when its own
+/// operands were ready long before. Each case ends in a `K`-multiply
+/// chain on the result it times, so the per-iteration cycles differ by
+/// exactly the timed op's shift.
+#[test]
+fn in_order_issue_holds_two_ops_a_cycle_in_program_order() {
+    const K: usize = 4;
+    let ready_at_t = [
+        Opcode::IAdd.inst().dst(Reg::int(10)).src(Reg::int(9)),
+        Opcode::FMov.inst().dst(Reg::fp(12)).src(Reg::int(9)),
+        Opcode::IAdd.inst().dst(Reg::int(11)).src(Reg::int(9)),
+    ];
+    // A builder holding the load's address generator, `g`.
+    let with_gen = || {
+        let mut pb = ProgramBuilder::new();
+        let g = pb.add_addr_gen(AddrSpec::Global { addr: 0x4000 });
+        (pb, g)
+    };
+    let load = Opcode::Load.inst().dst(Reg::int(13)).mem(with_gen().1);
+    // `ops` after the multiply, then the chain seeded from `from`.
+    let per = |ops: &[Inst], from: Reg, cfg: &SimConfig| {
+        let mut body = vec![Opcode::IMul.inst().dst(Reg::int(9)).src(Reg::int(9))];
+        body.extend_from_slice(ops);
+        body.push(Opcode::IMul.inst().dst(Reg::int(14)).src(from));
+        for _ in 1..K {
+            body.push(Opcode::IMul.inst().dst(Reg::int(14)).src(Reg::int(14)));
+        }
+        let lo = cycles(&loop_program_with(with_gen().0, &body, 4), cfg.clone());
+        let hi = cycles(&loop_program_with(with_gen().0, &body, 20), cfg.clone());
+        (hi - lo) as f64 / 16.0
+    };
+    let in_order = &SimConfig::single_pu().in_order();
+    // The second op issues at T, the third at T + 1.
+    let two = per(&ready_at_t[..2], Reg::fp(12), in_order);
+    let three = per(&ready_at_t, Reg::int(11), in_order);
+    assert_eq!(three, two + 1.0, "the third op ready at T issues at T + 1");
+    // A load ready at its decode: alone it issues beside the multiply,
+    // at f + 1; behind the three ops, with the third at T + 1 = f + 5.
+    let alone = per(std::slice::from_ref(&load), Reg::int(13), in_order);
+    let mut behind = ready_at_t.to_vec();
+    behind.push(load.clone());
+    let after = per(&behind, Reg::int(13), in_order);
+    assert_eq!(after, alone + 4.0, "the op after the third issues no earlier than T + 1");
+    // Out of order the same load issues at its own decode, f + 3, ahead
+    // of the third op; its chain then waits for an integer unit until
+    // f + 5, where the in-order chain starts at f + 6.
+    let ooo = &SimConfig::single_pu();
+    assert_eq!(per(std::slice::from_ref(&load), Reg::int(13), ooo), alone);
+    assert_eq!(per(&behind, Reg::int(13), ooo), after - 1.0, "out of order the load issues early");
 }
 
 /// Unpipelined divides occupy their unit for the full 12 cycles: with
