@@ -12,8 +12,9 @@
 //!
 //! A case pays its fixed costs once ([`FuzzCase`]): it builds the
 //! seed's program and one analysis context, selects every policy from
-//! that context, and generates one trace, which every policy that does
-//! not transform the program shares. Only a failure's shrink loop
+//! that context, and generates and walks one trace, which every policy
+//! that does not transform the program shares: each folds the shared
+//! reference walk over its own tasks. Only a failure's shrink loop
 //! builds candidate programs afresh.
 
 use std::borrow::Cow;
@@ -26,7 +27,8 @@ use ms_sim::SimConfig;
 use ms_tasksel::{Selection, Strategy, TaskSelector};
 use ms_trace::{Trace, TraceGenerator};
 
-use crate::{check_selection, check_trace};
+use crate::reference::TraceFacts;
+use crate::{check_selection, check_trace, check_walked, CheckRun};
 
 /// Decorrelates fuzz-program derivation from other uses of the seed.
 const FUZZ_SALT: u64 = 0x5eed_f0dd_5eed_f0dd;
@@ -77,7 +79,7 @@ pub fn strategies() -> [(&'static str, TaskSelector); 6] {
 
 /// One seed's fixed costs, paid once for all six policies: the seed's
 /// program, the analysis context every policy selects from, and the
-/// trace of that program.
+/// trace of that program with its reference walk.
 #[derive(Debug)]
 pub struct FuzzCase {
     /// The seed's program, as the spec the shrinker reduces.
@@ -87,20 +89,23 @@ pub struct FuzzCase {
     /// The trace of the context's program, shared by every policy that
     /// does not transform it.
     pub trace: Trace,
+    /// The reference walk of `trace`.
+    facts: TraceFacts,
     seed: u64,
     insts: usize,
 }
 
 impl FuzzCase {
-    /// Derives the seed's program, builds its context and generates its
-    /// trace (`params.insts` instructions from `seed`).
+    /// Derives the seed's program, builds its context, and generates
+    /// and walks its trace (`params.insts` instructions from `seed`).
     pub fn new(seed: u64, params: &FuzzParams) -> Self {
         let mut rng = SplitMix64::seed_from_u64(seed ^ FUZZ_SALT);
         let gen = GenParams { max_blocks: params.max_blocks, ..GenParams::default() };
         let spec = ProgSpec::random(&mut rng, &gen);
         let ctx = ProgramContext::new(spec.build());
         let trace = TraceGenerator::new(ctx.program(), seed).generate(params.insts);
-        FuzzCase { spec, ctx, trace, seed, insts: params.insts }
+        let facts = TraceFacts::walk(ctx.program(), &trace);
+        FuzzCase { spec, ctx, trace, facts, seed, insts: params.insts }
     }
 
     /// The trace to check `sel` on: the shared one when `sel`'s program
@@ -111,6 +116,17 @@ impl FuzzCase {
             Cow::Borrowed(&self.trace)
         } else {
             Cow::Owned(TraceGenerator::new(&sel.program, self.seed).generate(self.insts))
+        }
+    }
+
+    /// The full conformance check of `sel` on its [`FuzzCase::trace_for`]
+    /// trace, reusing the shared trace's reference walk.
+    fn check(&self, sel: &Selection, cfg: SimConfig) -> CheckRun {
+        match self.trace_for(sel) {
+            Cow::Borrowed(trace) => {
+                check_walked(&sel.program, &sel.partition, trace, &self.facts, cfg)
+            }
+            Cow::Owned(trace) => check_trace(&sel.program, &sel.partition, &trace, cfg),
         }
     }
 }
@@ -124,8 +140,7 @@ pub fn fuzz_seed(seed: u64, params: &FuzzParams) -> Vec<FuzzFailure> {
     let mut failures = Vec::new();
     for (label, selector) in strategies() {
         let sel = selector.select(&case.ctx);
-        let trace = case.trace_for(&sel);
-        if check_trace(&sel.program, &sel.partition, &trace, machine(params)).errors.is_empty() {
+        if case.check(&sel, machine(params)).errors.is_empty() {
             continue;
         }
         let min = shrink(&case.spec, &selector, params, seed);
@@ -183,6 +198,33 @@ fn machine(params: &FuzzParams) -> SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::walk_per_task;
+    use ms_trace::split_tasks;
+
+    /// For every policy of seeds 0..64, folding the case's one walk of
+    /// its shared trace (or, for `ts`, the walk of its own trace) gives
+    /// the reference a per-policy, per-task walk computes.
+    #[test]
+    fn shared_walk_folds_to_the_per_policy_walk() {
+        let params = FuzzParams::default();
+        let mut conflicts = 0;
+        for seed in 0..64 {
+            let case = FuzzCase::new(seed, &params);
+            for (label, selector) in strategies() {
+                let sel = selector.select(&case.ctx);
+                let trace = case.trace_for(&sel);
+                let tasks = split_tasks(&trace, &sel.program, &sel.partition);
+                let folded = match &trace {
+                    Cow::Borrowed(_) => case.facts.fold(&tasks),
+                    Cow::Owned(own) => TraceFacts::walk(&sel.program, own).fold(&tasks),
+                };
+                let fresh = walk_per_task(&sel.program, &trace, &tasks);
+                assert_eq!(folded, fresh, "seed {seed} {label}");
+                conflicts += fresh.mem_conflicts.len();
+            }
+        }
+        assert!(conflicts > 0, "no policy of any seed has a cross-task conflict");
+    }
 
     #[test]
     fn clean_seeds_produce_no_failures() {

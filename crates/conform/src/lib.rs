@@ -9,10 +9,10 @@
 //!    walk of the trace computing per-task instruction counts, register
 //!    write sets, task identities, and the cross-task memory conflict
 //!    set — with no timing model at all.
-//! 2. **Event-stream checker** ([`ms_sim::EventLog::check`]):
-//!    cycle-level invariants replayed over the run's recorded events, plus
+//! 2. **Event-stream checker** ([`ms_sim::EventChecker`]):
+//!    cycle-level invariants over the run's events, plus
 //!    reconciliation against the run's [`SimStats`].
-//! 3. **Differential diff** ([`diff`]): the engine's recorded outcome
+//! 3. **Differential diff** ([`diff`]): the engine's committed outcome
 //!    against the reference model — the only layer that catches
 //!    *self-consistent* engine bugs, where events and counters agree
 //!    with each other but not with sequential semantics.
@@ -46,11 +46,13 @@ pub mod fuzz;
 mod reference;
 
 pub use diff::diff;
+use diff::Diff;
 pub use fuzz::{fuzz_seed, strategies, FuzzCase, FuzzFailure, FuzzParams};
+use reference::TraceFacts;
 pub use reference::{reference, RefTask, Reference};
 
 use ms_ir::Program;
-use ms_sim::{EventLog, ProgramImage, SimConfig, SimStats, Simulator};
+use ms_sim::{EventChecker, ProgramImage, SimConfig, SimEvent, SimStats, Simulator, TraceSink};
 use ms_tasksel::{Selection, TaskPartition};
 use ms_trace::{Trace, TraceGenerator};
 
@@ -71,22 +73,53 @@ pub fn check_selection(sel: &Selection, cfg: SimConfig, insts: usize, seed: u64)
     check_trace(&sel.program, &sel.partition, &trace, cfg)
 }
 
-/// Runs `trace` through the engine into an [`EventLog`], checks the log,
-/// then diffs the recorded outcome against the sequential reference
-/// model. The trace is split into tasks once: the decoded
-/// [`ProgramImage`] the engine runs hands its tasks to the reference
-/// walk.
+/// Runs `trace` through the engine and checks it in one streamed pass:
+/// the engine's events go to the event-stream checker and the
+/// differential diff as they are emitted, with nothing recorded. The
+/// messages are those of [`EventLog::check`] followed by [`diff`] over a
+/// recorded log of the same run. The trace is split into tasks once:
+/// the decoded [`ProgramImage`] the engine runs hands its tasks to the
+/// reference fold.
+///
+/// [`EventLog::check`]: ms_sim::EventLog::check
 pub fn check_trace(
     program: &Program,
     partition: &TaskPartition,
     trace: &Trace,
     cfg: SimConfig,
 ) -> CheckRun {
+    check_walked(program, partition, trace, &TraceFacts::walk(program, trace), cfg)
+}
+
+/// [`check_trace`] with the reference walk of `trace` already done
+/// (`facts`), as a fuzz case shares it among the policies that check
+/// one trace.
+fn check_walked(
+    program: &Program,
+    partition: &TaskPartition,
+    trace: &Trace,
+    facts: &TraceFacts,
+    cfg: SimConfig,
+) -> CheckRun {
     let image = ProgramImage::new(program, partition, trace);
-    let oracle = reference::walk(program, trace, image.tasks());
-    let mut log = EventLog::new();
-    let stats = Simulator::new(cfg, program, partition).run_image(&image, &mut log);
-    let mut errors = log.check(&stats);
-    errors.extend(diff(&oracle, &log, &stats));
+    let oracle = facts.fold(image.tasks());
+    let mut sink = CheckSink { events: EventChecker::default(), diff: Diff::new(&oracle) };
+    let stats = Simulator::new(cfg, program, partition).run_image(&image, &mut sink);
+    let mut errors = sink.events.finish(&stats);
+    errors.extend(sink.diff.finish(&stats));
     CheckRun { stats, errors }
+}
+
+/// Both event-level checks of one run, fed each event as the engine
+/// emits it.
+struct CheckSink<'r> {
+    events: EventChecker,
+    diff: Diff<'r>,
+}
+
+impl TraceSink for CheckSink<'_> {
+    fn event(&mut self, ev: &SimEvent) {
+        self.events.event(ev);
+        self.diff.event(ev);
+    }
 }

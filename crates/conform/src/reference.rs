@@ -8,6 +8,12 @@
 //! engine's committed outcome (task identities, instruction counts,
 //! forwarded registers, blamed memory conflicts) disagrees with this
 //! model, the engine is wrong, however plausible its cycle counts look.
+//!
+//! Nothing the walk learns depends on where tasks begin, so it runs
+//! once per trace ([`TraceFacts`]) and each partition of that trace
+//! folds the per-step facts over its own task ranges
+//! ([`TraceFacts::fold`]). A load conflicts when the last store to its
+//! address lies in a step before its task's first.
 
 use std::collections::BTreeSet;
 
@@ -33,7 +39,7 @@ pub struct RefTask {
 
 /// The canonical outcome of a run: per-task facts, totals, and the
 /// memory conflict set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reference {
     /// Per-task outcomes in dynamic (sequential) order.
     pub tasks: Vec<RefTask>,
@@ -51,17 +57,125 @@ pub struct Reference {
 
 /// Walks `trace` in program order under `partition`'s task boundaries.
 pub fn reference(program: &Program, partition: &TaskPartition, trace: &Trace) -> Reference {
-    walk(program, trace, &split_tasks(trace, program, partition))
+    TraceFacts::walk(program, trace).fold(&split_tasks(trace, program, partition))
 }
 
-/// [`reference`] over `trace`'s dynamic tasks, already split.
-pub(crate) fn walk(program: &Program, trace: &Trace, dyn_tasks: &[DynTask]) -> Reference {
+/// One trace step's share of its task's [`RefTask`] counts.
+#[derive(Debug, Clone, Copy)]
+struct StepFacts {
+    insts: u32,
+    ct_insts: u32,
+    writes: u64,
+}
+
+/// A load whose most recent program-order store to its address lies in
+/// an earlier step.
+#[derive(Debug, Clone, Copy)]
+struct LoadFacts {
+    step: usize,
+    store_step: usize,
+    store_pc: u64,
+    load_pc: u64,
+}
+
+/// The program-order walk of one trace, before any task boundary: what
+/// each step counts and writes, and every load whose last store came
+/// from an earlier step (a load fed within its own step can never
+/// conflict).
+#[derive(Debug, Clone)]
+pub(crate) struct TraceFacts {
+    steps: Vec<StepFacts>,
+    /// In step order.
+    loads: Vec<LoadFacts>,
+}
+
+impl TraceFacts {
+    /// Walks every step of `trace` in program order.
+    pub(crate) fn walk(program: &Program, trace: &Trace) -> Self {
+        let mut steps = Vec::with_capacity(trace.steps().len());
+        let mut loads = Vec::new();
+        // addr → (step, store pc) of the last store, in program order.
+        let mut last_store: FxMap<u64, (usize, u64)> = FxMap::default();
+        for idx in 0..trace.steps().len() {
+            let mut s = StepFacts { insts: 0, ct_insts: 0, writes: 0 };
+            for inst in trace.inst_refs(idx, program) {
+                s.insts += 1;
+                if inst.is_ct() {
+                    s.ct_insts += 1;
+                }
+                if let Some(dst) = inst.dst {
+                    s.writes |= 1u64 << dst.dense();
+                }
+                let (Some(addr), DynInstKind::Op(op)) = (inst.addr, inst.kind) else { continue };
+                if op.is_load() {
+                    if let Some(&(store_step, store_pc)) = last_store.get(&addr) {
+                        if store_step != idx {
+                            loads.push(LoadFacts {
+                                step: idx,
+                                store_step,
+                                store_pc,
+                                load_pc: inst.pc,
+                            });
+                        }
+                    }
+                } else if op.is_store() {
+                    last_store.insert(addr, (idx, inst.pc));
+                }
+            }
+            steps.push(s);
+        }
+        TraceFacts { steps, loads }
+    }
+
+    /// The [`Reference`] of the walked trace split into `dyn_tasks`,
+    /// which must tile its steps in order (as `split_tasks` and
+    /// [`ms_sim::ProgramImage`] do).
+    pub(crate) fn fold(&self, dyn_tasks: &[DynTask]) -> Reference {
+        debug_assert!(
+            dyn_tasks.windows(2).all(|w| w[0].end == w[1].start)
+                && dyn_tasks.first().map_or(0, |t| t.start) == 0
+                && dyn_tasks.last().map_or(0, |t| t.end) == self.steps.len(),
+            "dynamic tasks do not tile the walked trace"
+        );
+        let mut tasks = Vec::with_capacity(dyn_tasks.len());
+        let mut mem_conflicts = BTreeSet::new();
+        let mut loads = self.loads.iter().peekable();
+        let mut total_insts = 0u64;
+        let mut total_ct_insts = 0u64;
+        for dt in dyn_tasks {
+            let mut t = RefTask {
+                func: dt.func.index(),
+                static_task: dt.task.index(),
+                insts: 0,
+                ct_insts: 0,
+                writes: 0,
+            };
+            for s in &self.steps[dt.start..dt.end] {
+                t.insts += u64::from(s.insts);
+                t.ct_insts += u64::from(s.ct_insts);
+                t.writes |= s.writes;
+            }
+            while let Some(l) = loads.next_if(|l| l.step < dt.end) {
+                if l.store_step < dt.start {
+                    mem_conflicts.insert((l.store_pc, l.load_pc));
+                }
+            }
+            total_insts += t.insts;
+            total_ct_insts += t.ct_insts;
+            tasks.push(t);
+        }
+        Reference { tasks, total_insts, total_ct_insts, mem_conflicts }
+    }
+}
+
+/// The walk [`TraceFacts`] replaces, kept as its oracle: one pass over
+/// `dyn_tasks` in order, conflicts judged by dynamic task.
+#[cfg(test)]
+pub(crate) fn walk_per_task(program: &Program, trace: &Trace, dyn_tasks: &[DynTask]) -> Reference {
     let mut tasks = Vec::with_capacity(dyn_tasks.len());
     let mut mem_conflicts = BTreeSet::new();
     // addr → (dynamic task, store pc) of the last store, in program order.
     let mut last_store: FxMap<u64, (usize, u64)> = FxMap::default();
-    let mut total_insts = 0u64;
-    let mut total_ct_insts = 0u64;
     for (k, dt) in dyn_tasks.iter().enumerate() {
         let mut t = RefTask {
             func: dt.func.index(),
@@ -91,10 +205,10 @@ pub(crate) fn walk(program: &Program, trace: &Trace, dyn_tasks: &[DynTask]) -> R
                 }
             }
         }
-        total_insts += t.insts;
-        total_ct_insts += t.ct_insts;
         tasks.push(t);
     }
+    let total_insts = tasks.iter().map(|t| t.insts).sum();
+    let total_ct_insts = tasks.iter().map(|t| t.ct_insts).sum();
     Reference { tasks, total_insts, total_ct_insts, mem_conflicts }
 }
 

@@ -4,9 +4,12 @@
 use std::ops::Range;
 
 use ms_analysis::ProgramContext;
-use ms_conform::{check_selection, fuzz_seed, strategies, FuzzCase, FuzzFailure, FuzzParams};
+use ms_conform::{
+    check_selection, check_trace, diff, fuzz_seed, reference, strategies, FuzzCase, FuzzFailure,
+    FuzzParams,
+};
 use ms_ir::gen::ProgSpec;
-use ms_sim::SimConfig;
+use ms_sim::{EventLog, SimConfig, Simulator};
 use ms_tasksel::{Strategy, TaskSelector};
 use ms_trace::TraceGenerator;
 
@@ -180,4 +183,40 @@ fn shared_fuzz_case_fails_like_fresh_checks_seeds_0_to_16() {
 #[test]
 fn shared_fuzz_case_fails_like_fresh_checks_seeds_16_to_32() {
     shared_fuzz_case_equals_fresh_per_policy_checks(INJECTED, 16..32);
+}
+
+/// `check_trace` checks each event as the engine emits it; that must
+/// report exactly what checking a recorded log does: `EventLog::check`,
+/// then `diff` against the reference, message for message, cap and
+/// "dropped" lines included. Clean seeds, and the injected fault, whose
+/// miscounts overflow the diff's cap.
+#[test]
+fn streamed_checks_equal_recorded_checks() {
+    let mut capped = 0;
+    for params in [FuzzParams::default(), INJECTED] {
+        let cfg = if params.inject {
+            SimConfig::four_pu().with_injected_commit_undercount()
+        } else {
+            SimConfig::four_pu()
+        };
+        for seed in 0..16 {
+            let case = FuzzCase::new(seed, &params);
+            for (label, selector) in strategies() {
+                let sel = selector.select(&case.ctx);
+                let trace = case.trace_for(&sel);
+                let streamed = check_trace(&sel.program, &sel.partition, &trace, cfg.clone());
+                let mut log = EventLog::new();
+                let stats = Simulator::new(cfg.clone(), &sel.program, &sel.partition)
+                    .run_with_sink(&trace, &mut log);
+                let mut recorded = log.check(&stats);
+                let oracle = reference(&sel.program, &sel.partition, &trace);
+                recorded.extend(diff(&oracle, &log, &stats));
+                assert_eq!(streamed.errors, recorded, "seed {seed} {label}");
+                assert_eq!(streamed.stats.to_json(), stats.to_json(), "seed {seed} {label}");
+                assert!(params.inject || streamed.errors.is_empty(), "seed {seed} {label}");
+                capped += streamed.errors.iter().any(|e| e.contains("further differences")) as u32;
+            }
+        }
+    }
+    assert!(capped > 0, "no injected run overflowed the diff's cap");
 }

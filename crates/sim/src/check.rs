@@ -1,10 +1,12 @@
-//! The simulator's self-check, read from an [`EventLog`]: the
-//! event-level invariants every run must satisfy, replayed in event
-//! order, plus end-of-run reconciliation against the aggregate
-//! [`SimStats`] counters.
+//! The simulator's self-check: the event-level invariants every run
+//! must satisfy, checked in event order, plus end-of-run reconciliation
+//! against the aggregate [`SimStats`] counters.
 //!
-//! The replay validates what can be judged from the event stream and
-//! the engine's contract alone:
+//! [`EventChecker`] is a [`TraceSink`]: it checks a run as the engine
+//! emits its events, with nothing recorded, and
+//! [`EventLog::check`] replays a recorded log through the same checker.
+//! It validates what can be judged from the event stream and the
+//! engine's contract alone:
 //!
 //! * tasks dispatch and commit in sequential (dynamic index) order;
 //! * per-task timing is sane (`dispatch ≤ complete ≤ retire`) and the
@@ -24,16 +26,17 @@
 //! the stream *cannot* judge — whether a memory squash corresponds to a
 //! real address conflict, whether per-task instruction counts match a
 //! program-order walk of the trace — is the job of the sequential
-//! reference model in the `ms-conform` crate, which reads the same log.
+//! reference model in the `ms-conform` crate, which reads the same
+//! events.
 //!
 //! Checking is strictly opt-in: the plain [`crate::Simulator::run`] path
 //! uses the [`crate::NullSink`] and stays allocation-free (pinned by the
-//! counting-allocator tests); recording a log never changes the
-//! simulated outcome, only observes it.
+//! counting-allocator tests); checking never changes the simulated
+//! outcome, only observes it.
 
 use ms_ir::NUM_REGS;
 
-use crate::event::{SimEvent, SquashCause};
+use crate::event::{SimEvent, SquashCause, TraceSink};
 use crate::sink::EventLog;
 use crate::stats::SimStats;
 
@@ -43,9 +46,10 @@ const MAX_ERRORS: usize = 64;
 
 impl EventLog {
     /// Checks the recorded run (see the module docs for the invariant
-    /// list): every streaming violation in event order, then the
-    /// event/counter reconciliation failures against `stats`. An empty
-    /// vector means the run passed all checks.
+    /// list) by replaying it through an [`EventChecker`]: every
+    /// streaming violation in event order, then the event/counter
+    /// reconciliation failures against `stats`. An empty vector means
+    /// the run passed all checks.
     ///
     /// ```
     /// use ms_sim::{EventLog, SimConfig, Simulator};
@@ -63,17 +67,35 @@ impl EventLog {
     /// assert_eq!(log.check(&stats), Vec::<String>::new());
     /// ```
     pub fn check(&self, stats: &SimStats) -> Vec<String> {
-        let mut replay = Replay::default();
+        let mut checker = EventChecker::default();
         for ev in self.events() {
-            replay.event(ev);
+            checker.event(ev);
         }
-        replay.finish(stats)
+        checker.finish(stats)
     }
 }
 
-/// The checker's running state while it replays a log.
-#[derive(Default)]
-struct Replay {
+/// The event-stream checker as a [`TraceSink`] (see the module docs for
+/// the invariant list): pass it to a run, then [`EventChecker::finish`]
+/// it with the run's statistics.
+///
+/// ```
+/// use ms_sim::{EventChecker, SimConfig, Simulator};
+/// # use ms_analysis::ProgramContext;
+/// # use ms_tasksel::{SelectorBuilder, Strategy};
+/// # use ms_trace::TraceGenerator;
+/// # let program = ms_workloads::by_name("compress").unwrap().build();
+/// # let sel = SelectorBuilder::new(Strategy::ControlFlow)
+/// #     .build()
+/// #     .select(&ProgramContext::new(program));
+/// # let trace = TraceGenerator::new(&sel.program, 1).generate(2_000);
+/// let mut checker = EventChecker::default();
+/// let stats = Simulator::new(SimConfig::four_pu(), &sel.program, &sel.partition)
+///     .run_with_sink(&trace, &mut checker);
+/// assert_eq!(checker.finish(&stats), Vec::<String>::new());
+/// ```
+#[derive(Debug, Default)]
+pub struct EventChecker {
     errors: Vec<String>,
     dropped_errors: u64,
     /// First-attempt dispatch cycle of every dispatch seen, in order.
@@ -92,7 +114,7 @@ struct Replay {
     pus: Vec<(u64, u64, Option<u64>)>,
 }
 
-impl Replay {
+impl EventChecker {
     fn err(&mut self, msg: String) {
         if self.errors.len() < MAX_ERRORS {
             self.errors.push(msg);
@@ -113,7 +135,92 @@ impl Replay {
         }
         &mut self.pus[pu]
     }
+    /// Ends the check of a run whose statistics are `stats`: every
+    /// streaming violation in event order (the first 64, then a count
+    /// of the rest), then the event/counter reconciliation failures. An
+    /// empty vector means the run passed all checks.
+    pub fn finish(self, stats: &SimStats) -> Vec<String> {
+        let mut out = self.errors;
+        if self.dropped_errors > 0 {
+            out.push(format!("… {} further violations dropped", self.dropped_errors));
+        }
+        let mut check = |ok: bool, msg: String| {
+            if !ok {
+                out.push(msg);
+            }
+        };
+        let dispatches = self.dispatch_cycles.len();
+        check(
+            dispatches == stats.num_dyn_tasks,
+            format!("dispatch events {dispatches} != num_dyn_tasks {}", stats.num_dyn_tasks),
+        );
+        check(
+            self.commits == stats.num_dyn_tasks,
+            format!("commit events {} != num_dyn_tasks {}", self.commits, stats.num_dyn_tasks),
+        );
+        check(
+            self.ctrl_squashes == stats.ctrl_squashes,
+            format!(
+                "ctrl squash events {} != ctrl_squashes {}",
+                self.ctrl_squashes, stats.ctrl_squashes
+            ),
+        );
+        check(
+            self.mem_squashes == stats.violations,
+            format!(
+                "mem+cascade squash events {} != violations {}",
+                self.mem_squashes, stats.violations
+            ),
+        );
+        check(
+            self.committed_insts == stats.total_insts,
+            format!(
+                "committed insts {} != total_insts {}",
+                self.committed_insts, stats.total_insts
+            ),
+        );
+        check(
+            self.sends == stats.reg_forwards,
+            format!("fwd_send events {} != reg_forwards {}", self.sends, stats.reg_forwards),
+        );
+        check(
+            self.fwd_stall_cycles == stats.fwd_stall_cycles,
+            format!(
+                "fwd_stall event cycles {} != fwd_stall_cycles {}",
+                self.fwd_stall_cycles, stats.fwd_stall_cycles
+            ),
+        );
+        let idle_total: u64 = self.pus.iter().map(|&(_, idle, _)| idle).sum();
+        check(
+            idle_total == stats.pu_idle_cycles,
+            format!("idle event cycles {idle_total} != pu_idle_cycles {}", stats.pu_idle_cycles),
+        );
+        check(
+            self.arb_conflicts == stats.arb_overflows,
+            format!("arb events {} != arb_overflows {}", self.arb_conflicts, stats.arb_overflows),
+        );
+        if let Some(last) = self.last_retire {
+            check(
+                last == stats.total_cycles,
+                format!("last retire {last} != total_cycles {}", stats.total_cycles),
+            );
+        }
+        // Busy + idle tile each PU's timeline exactly.
+        for pu in 0..stats.num_pus {
+            let (busy, idle, _) = self.pus.get(pu).copied().unwrap_or_default();
+            check(
+                busy + idle == stats.total_cycles,
+                format!(
+                    "pu {pu}: busy {busy} + idle {idle} != total_cycles {}",
+                    stats.total_cycles
+                ),
+            );
+        }
+        out
+    }
+}
 
+impl TraceSink for EventChecker {
     fn event(&mut self, ev: &SimEvent) {
         match *ev {
             SimEvent::TaskDispatch { task, cycle, .. } => {
@@ -235,86 +342,6 @@ impl Replay {
                 self.arb_conflicts += 1;
             }
         }
-    }
-
-    fn finish(self, stats: &SimStats) -> Vec<String> {
-        let mut out = self.errors;
-        if self.dropped_errors > 0 {
-            out.push(format!("… {} further violations dropped", self.dropped_errors));
-        }
-        let mut check = |ok: bool, msg: String| {
-            if !ok {
-                out.push(msg);
-            }
-        };
-        let dispatches = self.dispatch_cycles.len();
-        check(
-            dispatches == stats.num_dyn_tasks,
-            format!("dispatch events {dispatches} != num_dyn_tasks {}", stats.num_dyn_tasks),
-        );
-        check(
-            self.commits == stats.num_dyn_tasks,
-            format!("commit events {} != num_dyn_tasks {}", self.commits, stats.num_dyn_tasks),
-        );
-        check(
-            self.ctrl_squashes == stats.ctrl_squashes,
-            format!(
-                "ctrl squash events {} != ctrl_squashes {}",
-                self.ctrl_squashes, stats.ctrl_squashes
-            ),
-        );
-        check(
-            self.mem_squashes == stats.violations,
-            format!(
-                "mem+cascade squash events {} != violations {}",
-                self.mem_squashes, stats.violations
-            ),
-        );
-        check(
-            self.committed_insts == stats.total_insts,
-            format!(
-                "committed insts {} != total_insts {}",
-                self.committed_insts, stats.total_insts
-            ),
-        );
-        check(
-            self.sends == stats.reg_forwards,
-            format!("fwd_send events {} != reg_forwards {}", self.sends, stats.reg_forwards),
-        );
-        check(
-            self.fwd_stall_cycles == stats.fwd_stall_cycles,
-            format!(
-                "fwd_stall event cycles {} != fwd_stall_cycles {}",
-                self.fwd_stall_cycles, stats.fwd_stall_cycles
-            ),
-        );
-        let idle_total: u64 = self.pus.iter().map(|&(_, idle, _)| idle).sum();
-        check(
-            idle_total == stats.pu_idle_cycles,
-            format!("idle event cycles {idle_total} != pu_idle_cycles {}", stats.pu_idle_cycles),
-        );
-        check(
-            self.arb_conflicts == stats.arb_overflows,
-            format!("arb events {} != arb_overflows {}", self.arb_conflicts, stats.arb_overflows),
-        );
-        if let Some(last) = self.last_retire {
-            check(
-                last == stats.total_cycles,
-                format!("last retire {last} != total_cycles {}", stats.total_cycles),
-            );
-        }
-        // Busy + idle tile each PU's timeline exactly.
-        for pu in 0..stats.num_pus {
-            let (busy, idle, _) = self.pus.get(pu).copied().unwrap_or_default();
-            check(
-                busy + idle == stats.total_cycles,
-                format!(
-                    "pu {pu}: busy {busy} + idle {idle} != total_cycles {}",
-                    stats.total_cycles
-                ),
-            );
-        }
-        out
     }
 }
 

@@ -796,11 +796,11 @@ impl Machine {
         stores.clear();
     }
 
-    /// The task on PU `pu` commits `stores`: they become the PU's list
-    /// (no copy; `stores` takes the emptied list back) and enter the
-    /// filter.
-    fn commit_stores(&mut self, pu: usize, stores: &mut Stores) {
-        std::mem::swap(&mut self.pus[pu].stores, stores);
+    /// The task on PU `pu` commits its finished attempt's stores: they
+    /// become the PU's list (no copy; the attempt takes the emptied
+    /// list back) and enter the filter.
+    fn commit_stores(&mut self, pu: usize) {
+        std::mem::swap(&mut self.pus[pu].stores, &mut self.scratch.attempt.stores);
         self.store_filter.add(&self.pus[pu].stores);
     }
 }
@@ -1006,14 +1006,16 @@ impl<'e> Engine<'e> {
                 _ => break,
             }
         }
-        let mut attempt = std::mem::take(&mut self.machine.scratch.attempt);
+        // The finished attempt is read in place in `Scratch`.
         if self.sim.config.inject_commit_undercount && k % 3 == 2 {
             // Test-only fault (see `SimConfig::inject_commit_undercount`):
             // a self-consistent miscount — commit event and counters
             // agree with each other but not with the trace — that only
             // the differential reference model can detect.
-            attempt.insts = attempt.insts.saturating_sub(1);
+            let insts = &mut self.machine.scratch.attempt.insts;
+            *insts = insts.saturating_sub(1);
         }
+        let attempt = &self.machine.scratch.attempt;
 
         // Retirement: commit work (end overhead) happens on the
         // task's own PU and overlaps across PUs; the retire token
@@ -1061,8 +1063,9 @@ impl<'e> Engine<'e> {
         let filter = self.sim.config.dead_reg_analysis && img.task_live_filter[i];
         let mask =
             if filter { attempt.write_mask & img.task_live_mask[i] } else { attempt.write_mask };
+        let resolve = attempt.resolve;
         self.commit_regs(k, pu, dispatch, retire, mask, sink);
-        self.machine.commit_stores(pu, &mut attempt.stores);
+        self.machine.commit_stores(pu);
 
         // Inter-task prediction for this task's exit (consulted when
         // the successor was speculatively dispatched).
@@ -1086,10 +1089,11 @@ impl<'e> Engine<'e> {
                 self.prev_mispredicted = true;
             }
         }
-        self.prev_resolve = attempt.resolve;
+        self.prev_resolve = resolve;
         self.prev_dispatch = dispatch;
 
         // Accounting.
+        let attempt = &self.machine.scratch.attempt;
         self.stats.total_insts += attempt.insts;
         self.stats.ct_insts += attempt.ct_insts;
         self.stats.br_preds += attempt.br_preds;
@@ -1101,9 +1105,7 @@ impl<'e> Engine<'e> {
         }
         self.inflight_span += attempt.insts * (retire - dispatch);
         self.residency += retire - dispatch;
-        account(&self.sim.config, &mut self.stats.breakdown, &attempt, dispatch, imbalance);
-        // Return the attempt's buffers for the next task.
-        self.machine.scratch.attempt = attempt;
+        account(&self.sim.config, &mut self.stats.breakdown, attempt, dispatch, imbalance);
     }
 
     /// Final accounting after the run's last chunk stepped. The
@@ -1649,11 +1651,11 @@ mod tests {
         m.reset(&SimConfig::with_pus(p));
         for (k, addrs) in stores.iter().enumerate() {
             m.start_stores(k % p);
-            let mut list: Stores = (0..addrs.len())
+            m.scratch.attempt.stores = (0..addrs.len())
                 .map(|i| (addrs[i], (100 + 10 * k + i) as u64, 4 * addrs[i]))
                 .collect();
             m.pus[k % p].free = 10 * (k as u64 + 1);
-            m.commit_stores(k % p, &mut list);
+            m.commit_stores(k % p);
         }
         m.start_stores(stores.len() % p);
         m

@@ -36,14 +36,15 @@
 //! * **events** — an optional [`SimEvent`] stream with squash/stall
 //!   *attribution* (which task boundary, which def-use arc), emitted
 //!   through a [`TraceSink`] passed to [`Simulator::run_with_sink`].
-//!   There are two sinks. [`NullSink`] turns tracing off (the default,
-//!   zero cost). [`EventLog`] records the stream, and every view is
-//!   read from that one record: the schema-versioned JSONL
-//!   ([`EventLog::to_jsonl`]), the per-task time line
-//!   ([`EventLog::spans`]), the attribution tables
-//!   ([`EventLog::render`]) and the invariant checker with stats
-//!   reconciliation ([`EventLog::check`] — the engine half of the
-//!   `ms-conform` differential harness, see `docs/CONFORMANCE.md`).
+//!   [`NullSink`] turns tracing off (the default, zero cost).
+//!   [`EventLog`] records the stream, and every view is read from that
+//!   one record: the schema-versioned JSONL ([`EventLog::to_jsonl`]),
+//!   the per-task time line ([`EventLog::spans`]), the attribution
+//!   tables ([`EventLog::render`]) and the invariant checker with stats
+//!   reconciliation ([`EventLog::check`]). That checker is also a sink
+//!   of its own, [`EventChecker`], which judges each event as it is
+//!   emitted — the engine half of the `ms-conform` differential
+//!   harness, see `docs/CONFORMANCE.md`.
 //!   Event semantics and the reconciliation invariants against
 //!   [`SimStats`] are documented in `docs/TRACING.md`.
 //!
@@ -92,6 +93,7 @@ pub use engine::{ChunkStream, Engine, ProgramImage, Simulator};
 /// shared decoded images) — statistics are bit-identical to version 1, but the
 /// bump conservatively invalidates cached cells across the rewrite.
 pub const ENGINE_VERSION: u32 = 2;
+pub use check::EventChecker;
 pub use event::{NullSink, SimEvent, SquashCause, TraceSink, TRACE_SCHEMA_VERSION};
 pub use sink::{CauseCounts, EventLog, TaskSpan};
 pub use stats::{CycleBreakdown, SimStats, TaskSizeHist};

@@ -1,12 +1,59 @@
 //! Control flow predictors: intra-task gshare and the inter-task
 //! path-based task predictor (Jacobson et al., cited as \[9\]).
+//!
+//! Both re-initialise in place for each run. A short run moves only a
+//! few hundred of a table's 64K entries off their initial value, so
+//! each table keeps a bounded [`TouchLog`] of those entries and a reset
+//! restores just them; a run that touches more re-fills the table.
+
+/// Entries a [`TouchLog`] records before it gives up (4 KiB of
+/// indices): past it, a reset re-fills the whole table.
+const TOUCH_LOG_CAP: usize = 1024;
+
+/// The indices of the table entries a run moved off their initial
+/// value, up to [`TOUCH_LOG_CAP`] of them.
+#[derive(Debug, Clone, Default)]
+struct TouchLog {
+    idx: Vec<u32>,
+    /// More entries moved than the log holds.
+    full: bool,
+}
+
+impl TouchLog {
+    /// Entry `idx` is about to leave its initial value.
+    #[inline]
+    fn note(&mut self, idx: usize) {
+        if self.idx.len() < TOUCH_LOG_CAP {
+            self.idx.push(idx as u32);
+        } else {
+            self.full = true;
+        }
+    }
+
+    /// Leaves `table` as `len` copies of `init`: the logged entries are
+    /// restored when the log holds every moved entry of a table of that
+    /// length, else the table is re-filled. The log keeps its capacity.
+    fn restore<T: Copy>(&mut self, table: &mut Vec<T>, len: usize, init: T) {
+        if self.full || table.len() != len {
+            table.clear();
+            table.resize(len, init);
+        } else {
+            for &i in &self.idx {
+                table[i as usize] = init;
+            }
+        }
+        self.idx.clear();
+        self.idx.reserve(TOUCH_LOG_CAP);
+        self.full = false;
+    }
+}
 
 /// A 2-bit saturating counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Counter2(u8);
 
 impl Counter2 {
-    fn new() -> Self {
+    const fn new() -> Self {
         Counter2(1) // weakly not-taken
     }
     fn taken(&self) -> bool {
@@ -27,6 +74,7 @@ impl Counter2 {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Gshare {
     table: Vec<Counter2>,
+    touched: TouchLog,
     history: u64,
     history_mask: u64,
     index_mask: u64,
@@ -43,15 +91,15 @@ impl Gshare {
     /// Re-initialises the predictor in place with `history_bits` of
     /// global history and a `2^table_bits`-entry counter table (every
     /// counter weakly not-taken, empty history), reusing the table's
-    /// allocation.
+    /// allocation and restoring only the entries the last run moved
+    /// ([`TouchLog`]).
     ///
     /// # Panics
     ///
     /// Panics if `table_bits` is 0 or greater than 28.
     pub(crate) fn reset(&mut self, history_bits: u32, table_bits: u32) {
         assert!(table_bits > 0 && table_bits <= 28, "unreasonable gshare table size");
-        self.table.clear();
-        self.table.resize(1 << table_bits, Counter2::new());
+        self.touched.restore(&mut self.table, 1 << table_bits, Counter2::new());
         self.history = 0;
         self.history_mask = (1u64 << history_bits.min(63)) - 1;
         self.index_mask = (1u64 << table_bits) - 1;
@@ -65,8 +113,12 @@ impl Gshare {
     /// prediction was correct.
     pub(crate) fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
         let idx = self.index(pc);
-        let correct = self.table[idx].taken() == taken;
-        self.table[idx].update(taken);
+        let counter = &mut self.table[idx];
+        if *counter == Counter2::new() {
+            self.touched.note(idx);
+        }
+        let correct = counter.taken() == taken;
+        counter.update(taken);
         self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
         correct
     }
@@ -75,10 +127,15 @@ impl Gshare {
 /// One task predictor entry: a predicted target index with a 2-bit
 /// confidence counter (the paper's "2-bit counters and 2-bit target
 /// numbers").
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TaskEntry {
     target: u8,
     conf: Counter2,
+}
+
+impl TaskEntry {
+    /// Target 0, weakly not confident.
+    const INIT: TaskEntry = TaskEntry { target: 0, conf: Counter2::new() };
 }
 
 /// Path-based inter-task target predictor: a hash of the recent task
@@ -88,6 +145,7 @@ struct TaskEntry {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TaskPredictor {
     table: Vec<TaskEntry>,
+    touched: TouchLog,
     /// Folded path history of task entry PCs.
     path: u64,
     history_mask: u64,
@@ -105,15 +163,15 @@ impl TaskPredictor {
     /// Re-initialises the predictor in place with `history_bits` of
     /// folded path history and a `2^table_bits`-entry table (every entry
     /// target 0, weakly not confident, empty path), reusing the table's
-    /// allocation.
+    /// allocation and restoring only the entries the last run moved
+    /// ([`TouchLog`]).
     ///
     /// # Panics
     ///
     /// Panics if `table_bits` is 0 or greater than 28.
     pub(crate) fn reset(&mut self, history_bits: u32, table_bits: u32) {
         assert!(table_bits > 0 && table_bits <= 28, "unreasonable task predictor size");
-        self.table.clear();
-        self.table.resize(1 << table_bits, TaskEntry { target: 0, conf: Counter2::new() });
+        self.touched.restore(&mut self.table, 1 << table_bits, TaskEntry::INIT);
         self.path = 0;
         self.history_mask = (1u64 << history_bits.min(63)) - 1;
         self.index_mask = (1u64 << table_bits) - 1;
@@ -141,6 +199,9 @@ impl TaskPredictor {
         const HW_TARGETS: usize = 4; // 2-bit target number
         let idx = self.index(task_pc);
         let entry = &mut self.table[idx];
+        if *entry == TaskEntry::INIT {
+            self.touched.note(idx);
+        }
         let predicted = entry.target as usize;
         let correct = num_targets <= 1 || (actual < HW_TARGETS && predicted == actual);
         if correct {
@@ -220,6 +281,35 @@ mod tests {
         let mut t = TaskPredictor::new(16, 16);
         for _ in 0..10 {
             assert!(t.predict_and_update(0x4000, 0, 1));
+        }
+    }
+
+    /// A reset after a run that overflowed the touch logs (a full
+    /// re-fill) and after a short run (the logged entries only) leaves
+    /// both tables as freshly built ones, and the logs keep their
+    /// capacity.
+    #[test]
+    fn reset_restores_fresh_tables_after_long_and_short_runs() {
+        let fresh_g = Gshare::new(16, 16);
+        let fresh_t = TaskPredictor::new(16, 16);
+        let mut g = Gshare::new(16, 16);
+        let mut t = TaskPredictor::new(16, 16);
+        for updates in [4 * TOUCH_LOG_CAP as u64, 100] {
+            for i in 0..updates {
+                g.predict_and_update(i * 28, i % 3 == 0);
+                t.predict_and_update(i * 20, (i % 4) as usize, 4);
+            }
+            let long = updates > TOUCH_LOG_CAP as u64;
+            assert_eq!((g.touched.full, t.touched.full), (long, long));
+            assert!(g.table != fresh_g.table && t.table != fresh_t.table);
+            g.reset(16, 16);
+            t.reset(16, 16);
+            assert!(g.table == fresh_g.table && g.history == 0);
+            assert!(t.table == fresh_t.table && t.path == 0);
+            for log in [&g.touched, &t.touched] {
+                assert!(log.idx.is_empty() && !log.full);
+                assert!(log.idx.capacity() >= TOUCH_LOG_CAP);
+            }
         }
     }
 

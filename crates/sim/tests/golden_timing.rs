@@ -103,6 +103,34 @@ fn independent_adds_run_at_issue_width_in_order() {
     independent_adds_run_at_issue_width_on(SimConfig::single_pu().in_order());
 }
 
+/// Out-of-order issue width, hand-timed on one PU with fetch ahead of
+/// issue. A divide issued at `f + 1` (`f` the fetch cycle of the task's
+/// first instruction) makes `r9` ready at `T = f + 13`. `n` ops on `r9`
+/// follow, two adds and an FP move in turn, so the two integer units
+/// and the FP unit could take three a cycle. Fetch brings in two a
+/// cycle and has all of them (`n ≤ 24`) decoded by `T`; they then issue
+/// two a cycle from `T`, the `n`-th at `T + (n - 1) / 2`, so twelve more
+/// ops take six more cycles. Without the divide no test could see the
+/// issue width: fetch is two wide too, and ops would issue as they
+/// arrive.
+#[test]
+fn ops_fetched_ahead_issue_at_issue_width() {
+    let body = |n: usize| {
+        let mut body = vec![Opcode::IDiv.inst().dst(Reg::int(9)).src(Reg::int(20))];
+        for i in 0..n {
+            let dst = 10 + (i % 8) as u8;
+            body.push(if i % 3 == 2 {
+                Opcode::FMov.inst().dst(Reg::fp(dst)).src(Reg::int(9))
+            } else {
+                Opcode::IAdd.inst().dst(Reg::int(dst)).src(Reg::int(9))
+            });
+        }
+        body
+    };
+    let twelve = per_iteration(&body(12));
+    assert_eq!(per_iteration(&body(24)), twelve + 6.0, "twelve more ops issue in six cycles");
+}
+
 /// In-order issue slots, hand-timed on one PU. A multiply issued at
 /// cycle `f + 1` (`f` the fetch cycle of the task's first instruction)
 /// makes `r9` ready at `T = f + 4`. Three single-cycle ops on `r9`, an

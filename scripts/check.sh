@@ -32,7 +32,10 @@
 # 10. conformance fuzz smoke: 25 random programs x every selection
 #    strategy must match the sequential reference model, and an 8-seed
 #    `--inject` sweep must exit 1 with `FAIL seed` lines, so the CLI's
-#    fuzz path is shown to catch a real engine fault (docs/CONFORMANCE.md),
+#    fuzz path is shown to catch a real engine fault (docs/CONFORMANCE.md);
+#    that sweep runs at `--jobs 1` and `--jobs 2` and must print
+#    byte-identical output, so the streamed checker stays deterministic
+#    on worker threads that reuse engine state,
 # 11. cached-rerun smoke: a small sweep run twice with one `--cache-dir`
 #    must write artifacts byte-identical to the same sweep run uncached,
 #    and the second run must serve every cell from the content-addressed
@@ -160,14 +163,23 @@ echo "==> conformance fuzz smoke (run -- fuzz --seeds 25)"
 # random programs under every selection policy; failures shrink to
 # .msir repros.
 cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 25 --out target/fuzz-smoke
-# The same loop with the engine's test-only fault switched on must fail.
-inject_status=0
-inject_out=$(cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 8 --inject \
-    --out target/fuzz-inject-smoke) || inject_status=$?
-[ "$inject_status" -eq 1 ] \
-    || { echo "fuzz --inject exited $inject_status, expected 1"; exit 1; }
-echo "$inject_out" | grep -q "^FAIL seed" \
-    || { echo "fuzz --inject printed no FAIL seed line"; exit 1; }
+# The same loop with the engine's test-only fault switched on must fail,
+# serially and on two worker threads alike.
+for jobs in 1 2; do
+    inject_status=0
+    inject_out=$(cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 8 --inject \
+        --jobs "$jobs" --out target/fuzz-inject-smoke) || inject_status=$?
+    [ "$inject_status" -eq 1 ] \
+        || { echo "fuzz --inject --jobs $jobs exited $inject_status, expected 1"; exit 1; }
+    echo "$inject_out" | grep -q "^FAIL seed" \
+        || { echo "fuzz --inject --jobs $jobs printed no FAIL seed line"; exit 1; }
+    if [ "$jobs" -eq 1 ]; then
+        serial_out=$inject_out
+    elif [ "$inject_out" != "$serial_out" ]; then
+        echo "fuzz --inject printed different output at --jobs 1 and --jobs 2"
+        exit 1
+    fi
+done
 
 echo "==> cached-rerun smoke (run -- forwarding --cache-dir, EXPERIMENTS.md)"
 # The same grid three times: uncached for the reference tree, then
