@@ -13,8 +13,12 @@
 //! A case pays its fixed costs once ([`FuzzCase`]): it builds the
 //! seed's program and one analysis context, selects every policy from
 //! that context, and generates and walks one trace, which every policy
-//! that does not transform the program shares: each folds the shared
-//! reference walk over its own tasks. Only a failure's shrink loop
+//! whose selection keeps the context's program shares (all but `ts`
+//! when it unrolls a loop): each folds the shared reference walk over
+//! its own tasks. Policies often pick the same tasks, and a check is a
+//! pure function of program, partition, trace and machine, so a
+//! partition of the shared program is checked once and its result
+//! serves every policy that selected it. Only a failure's shrink loop
 //! builds candidate programs afresh.
 
 use std::borrow::Cow;
@@ -24,7 +28,7 @@ use ms_analysis::ProgramContext;
 use ms_ir::gen::{GenParams, ProgSpec};
 use ms_ir::SplitMix64;
 use ms_sim::SimConfig;
-use ms_tasksel::{Selection, Strategy, TaskSelector};
+use ms_tasksel::{Selection, Strategy, TaskPartition, TaskSelector};
 use ms_trace::{Trace, TraceGenerator};
 
 use crate::reference::TraceFacts;
@@ -78,19 +82,24 @@ pub fn strategies() -> [(&'static str, TaskSelector); 6] {
 }
 
 /// One seed's fixed costs, paid once for all six policies: the seed's
-/// program, the analysis context every policy selects from, and the
-/// trace of that program with its reference walk.
+/// program, the analysis context every policy selects from, the trace
+/// of that program with its reference walk, and the result of each
+/// distinct partition of that program checked so far.
 #[derive(Debug)]
 pub struct FuzzCase {
     /// The seed's program, as the spec the shrinker reduces.
     pub spec: ProgSpec,
     /// The analysis context of `spec`'s program.
     pub ctx: ProgramContext,
-    /// The trace of the context's program, shared by every policy that
-    /// does not transform it.
+    /// The trace of the context's program, shared by every selection
+    /// that keeps that program.
     pub trace: Trace,
     /// The reference walk of `trace`.
     facts: TraceFacts,
+    /// The partitions of the context's program checked so far, each
+    /// with its result.
+    checked: Vec<(TaskPartition, CheckRun)>,
+    cfg: SimConfig,
     seed: u64,
     insts: usize,
 }
@@ -105,14 +114,23 @@ impl FuzzCase {
         let ctx = ProgramContext::new(spec.build());
         let trace = TraceGenerator::new(ctx.program(), seed).generate(params.insts);
         let facts = TraceFacts::walk(ctx.program(), &trace);
-        FuzzCase { spec, ctx, trace, facts, seed, insts: params.insts }
+        FuzzCase {
+            spec,
+            ctx,
+            trace,
+            facts,
+            checked: Vec::new(),
+            cfg: machine(params),
+            seed,
+            insts: params.insts,
+        }
     }
 
     /// The trace to check `sel` on: the shared one when `sel`'s program
-    /// is the context's, else (`ts` transforms its program) a trace of
-    /// its own program from the same seed.
+    /// is the context's (every policy but a `ts` that unrolled a loop),
+    /// else a trace of its own program from the same seed.
     pub fn trace_for(&self, sel: &Selection) -> Cow<'_, Trace> {
-        if Arc::ptr_eq(&sel.program, self.ctx.program_arc()) {
+        if self.shares_program(sel) {
             Cow::Borrowed(&self.trace)
         } else {
             Cow::Owned(TraceGenerator::new(&sel.program, self.seed).generate(self.insts))
@@ -120,14 +138,34 @@ impl FuzzCase {
     }
 
     /// The full conformance check of `sel` on its [`FuzzCase::trace_for`]
-    /// trace, reusing the shared trace's reference walk.
-    fn check(&self, sel: &Selection, cfg: SimConfig) -> CheckRun {
-        match self.trace_for(sel) {
-            Cow::Borrowed(trace) => {
-                check_walked(&sel.program, &sel.partition, trace, &self.facts, cfg)
-            }
-            Cow::Owned(trace) => check_trace(&sel.program, &sel.partition, &trace, cfg),
+    /// trace, on the fuzz machine. On the shared program it reuses the
+    /// shared reference walk, and a partition with the same tasks as
+    /// one already checked ([`TaskPartition::same_tasks`]) takes that
+    /// check's result without running again.
+    fn check(&mut self, sel: &Selection) -> Cow<'_, CheckRun> {
+        if !self.shares_program(sel) {
+            let trace = TraceGenerator::new(&sel.program, self.seed).generate(self.insts);
+            return Cow::Owned(check_trace(&sel.program, &sel.partition, &trace, self.cfg.clone()));
         }
+        let i = match self.checked.iter().position(|(p, _)| p.same_tasks(&sel.partition)) {
+            Some(i) => i,
+            None => {
+                let run = check_walked(
+                    &sel.program,
+                    &sel.partition,
+                    &self.trace,
+                    &self.facts,
+                    self.cfg.clone(),
+                );
+                self.checked.push((sel.partition.clone(), run));
+                self.checked.len() - 1
+            }
+        };
+        Cow::Borrowed(&self.checked[i].1)
+    }
+
+    fn shares_program(&self, sel: &Selection) -> bool {
+        Arc::ptr_eq(&sel.program, self.ctx.program_arc())
     }
 }
 
@@ -136,11 +174,11 @@ impl FuzzCase {
 /// failure. Returns one [`FuzzFailure`] per failing policy (empty =
 /// the seed conforms).
 pub fn fuzz_seed(seed: u64, params: &FuzzParams) -> Vec<FuzzFailure> {
-    let case = FuzzCase::new(seed, params);
+    let mut case = FuzzCase::new(seed, params);
     let mut failures = Vec::new();
     for (label, selector) in strategies() {
         let sel = selector.select(&case.ctx);
-        if case.check(&sel, machine(params)).errors.is_empty() {
+        if case.check(&sel).errors.is_empty() {
             continue;
         }
         let min = shrink(&case.spec, &selector, params, seed);
@@ -224,6 +262,42 @@ mod tests {
             }
         }
         assert!(conflicts > 0, "no policy of any seed has a cross-task conflict");
+    }
+
+    /// A case's check equals a fresh `check_trace` of the same
+    /// selection, stats and errors, and keeps one result per distinct
+    /// partition of the shared program.
+    #[test]
+    fn a_repeated_partition_runs_the_engine_once() {
+        let mut served = 0;
+        for params in [FuzzParams::default(), FuzzParams { inject: true, ..FuzzParams::default() }]
+        {
+            for seed in 0..24 {
+                let mut case = FuzzCase::new(seed, &params);
+                let mut distinct: Vec<TaskPartition> = Vec::new();
+                for (label, selector) in strategies() {
+                    let sel = selector.select(&case.ctx);
+                    let fresh = check_trace(
+                        &sel.program,
+                        &sel.partition,
+                        &case.trace_for(&sel),
+                        machine(&params),
+                    );
+                    if case.shares_program(&sel) {
+                        if distinct.iter().any(|p| p.same_tasks(&sel.partition)) {
+                            served += 1;
+                        } else {
+                            distinct.push(sel.partition.clone());
+                        }
+                    }
+                    let run = case.check(&sel);
+                    assert_eq!(run.errors, fresh.errors, "seed {seed} {label}");
+                    assert_eq!(run.stats.to_json(), fresh.stats.to_json(), "seed {seed} {label}");
+                }
+                assert_eq!(case.checked.len(), distinct.len(), "seed {seed}");
+            }
+        }
+        assert!(served > 0, "no check was served from an earlier one");
     }
 
     #[test]

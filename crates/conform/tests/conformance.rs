@@ -2,6 +2,7 @@
 //! programs, every selection policy, full three-layer check.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use ms_analysis::ProgramContext;
 use ms_conform::{
@@ -10,7 +11,7 @@ use ms_conform::{
 };
 use ms_ir::gen::ProgSpec;
 use ms_sim::{EventLog, SimConfig, Simulator};
-use ms_tasksel::{Strategy, TaskSelector};
+use ms_tasksel::{Strategy, TaskPartition, TaskSelector};
 use ms_trace::TraceGenerator;
 
 /// Workload sweep size: enough trace to exercise squash/replay paths,
@@ -143,26 +144,53 @@ fn unshared_fuzz_seed(spec: &ProgSpec, seed: u64, params: &FuzzParams) -> Vec<Fu
 }
 
 /// Checks `seeds` both ways: a fuzz case selects every policy from one
-/// context and shares one trace, and that must report exactly what
-/// checking each policy from scratch reports, failures (errors, repro,
-/// block counts) included.
+/// context, shares one trace and checks each distinct partition once,
+/// and that must report exactly what checking each policy from scratch
+/// reports, failures (errors, repro, block counts) included. The range
+/// must exercise the sharing: some policy repeats an earlier policy's
+/// partition of the shared program, and some `ts` selection unrolls
+/// nothing and keeps the case's program. Under the injected fault, a
+/// policy that repeats a failing partition reports its own failure.
 fn shared_fuzz_case_equals_fresh_per_policy_checks(params: FuzzParams, seeds: Range<u64>) {
+    let (mut repeated, mut repeated_failures, mut ts_shared) = (0, 0, 0);
     for seed in seeds {
         let case = FuzzCase::new(seed, &params);
+        // Each distinct partition of the shared program, with the label
+        // of the first policy that selected it; each repeat, with the
+        // label it repeats.
+        let mut checked: Vec<(TaskPartition, &str)> = Vec::new();
+        let mut repeats: Vec<(&str, &str)> = Vec::new();
         for (label, selector) in strategies() {
             let sel = selector.select(&case.ctx);
-            if label != "ts" {
-                let own = TraceGenerator::new(&sel.program, seed).generate(params.insts);
-                assert!(*case.trace_for(&sel) == own, "seed {seed} {label}: shared trace differs");
+            if !Arc::ptr_eq(&sel.program, case.ctx.program_arc()) {
+                assert_eq!(label, "ts", "seed {seed}: {label} transformed the program");
+                continue;
+            }
+            ts_shared += (label == "ts") as u32;
+            let own = TraceGenerator::new(&sel.program, seed).generate(params.insts);
+            assert!(*case.trace_for(&sel) == own, "seed {seed} {label}: shared trace differs");
+            match checked.iter().find(|(p, _)| p.same_tasks(&sel.partition)) {
+                Some(&(_, first)) => repeats.push((label, first)),
+                None => checked.push((sel.partition, label)),
             }
         }
+        let failures = fuzz_seed(seed, &params);
+        let failed = |label: &str| failures.iter().any(|f| f.strategy == label);
+        for &(label, first) in &repeats {
+            assert_eq!(failed(label), failed(first), "seed {seed}: {label} repeats {first}");
+            repeated += 1;
+            repeated_failures += failed(label) as u32;
+        }
         assert_eq!(
-            fuzz_seed(seed, &params),
+            failures,
             unshared_fuzz_seed(&case.spec, seed, &params),
             "seed {seed}, inject {}",
             params.inject
         );
     }
+    assert!(repeated > 0, "no policy repeated a partition");
+    assert!(!params.inject || repeated_failures > 0, "no repeated partition failed");
+    assert!(ts_shared > 0, "no ts selection kept the case's program");
 }
 
 #[test]

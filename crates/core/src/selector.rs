@@ -20,14 +20,14 @@ use crate::transform::{apply_task_size, TaskSizeParams};
 /// simulated, since loop unrolling changes the CFG.
 #[derive(Debug, Clone)]
 pub struct Selection {
-    /// The program the partition refers to (unrolled if the task-size
-    /// heuristic ran; otherwise the very program the input context
-    /// wraps, shared by `Arc`).
+    /// The program the partition refers to: a new program when the
+    /// task-size heuristic unrolled a loop, otherwise the very program
+    /// the input context wraps, shared by `Arc`.
     pub program: Arc<Program>,
     /// The task partition.
     pub partition: TaskPartition,
-    /// The analysis context of `program` (the input context when the
-    /// program was not transformed, a fresh one otherwise).
+    /// The analysis context of `program` (the input context when no
+    /// loop was unrolled, a fresh one otherwise).
     ctx: ProgramContext,
 }
 
@@ -183,13 +183,13 @@ impl TaskSelector {
     ///
     /// The returned [`Selection`] carries the program the partition is
     /// valid for — the context's own program (shared, not cloned) unless
-    /// the task-size heuristic transformed it.
+    /// the task-size heuristic unrolled a loop.
     pub fn select(&self, ctx: &ProgramContext) -> Selection {
         let prof = ms_prof::span("select");
         let (ctx, included_calls) = match &self.task_size {
             Some(p) => {
-                let (transformed, included) = apply_task_size(ctx.program(), p);
-                (ProgramContext::new(transformed), included)
+                let (unrolled, included) = apply_task_size(ctx.program(), p);
+                (unrolled.map_or_else(|| ctx.clone(), ProgramContext::new), included)
             }
             None => (ctx.clone(), BTreeSet::new()),
         };
@@ -460,14 +460,46 @@ mod tests {
         );
         fb.set_terminator(exit, Terminator::Halt);
         let p = build(fb, entry);
+        let input = ctx(&p);
         let sel = SelectorBuilder::new(Strategy::ControlFlow)
             .max_targets(4)
             .task_size(TaskSizeParams::default())
             .build()
-            .select(&ctx(&p));
+            .select(&input);
+        assert!(!Arc::ptr_eq(&sel.program, input.program_arc()));
         assert!(sel.program.function(p.entry()).num_blocks() > 3);
         assert!(sel.partition.validate(&sel.program).is_ok());
         assert_eq!(sel.partition.strategy(), "cf+ts");
+    }
+
+    /// With no loop to unroll, `ts` keeps the input context's program
+    /// (and so its context) and selects what it selects from a fresh
+    /// context of the same program, included calls and all.
+    #[test]
+    fn task_size_shares_the_program_when_nothing_unrolls() {
+        let mut pb = ProgramBuilder::new();
+        let m = pb.declare_function("main");
+        let leaf = pb.declare_function("leaf");
+        let mut fb = FunctionBuilder::new("main");
+        let b0 = fb.add_block();
+        let b1 = fb.add_block();
+        fb.set_terminator(b0, Terminator::Call { callee: leaf, ret_to: b1 });
+        fb.set_terminator(b1, Terminator::Halt);
+        pb.define_function(m, fb.finish(b0).unwrap());
+        let mut fb = FunctionBuilder::new("leaf");
+        let l0 = fb.add_block();
+        fb.set_terminator(l0, Terminator::Return);
+        pb.define_function(leaf, fb.finish(l0).unwrap());
+        let p = pb.finish(m).unwrap();
+
+        let ts = selector(Strategy::TaskSize);
+        let input = ctx(&p);
+        let sel = ts.select(&input);
+        assert!(Arc::ptr_eq(&sel.program, input.program_arc()));
+        assert!(sel.partition.is_included_call(m, b0), "the tiny call is included");
+        let fresh = ts.select(&ctx(&p));
+        assert!(sel.partition.same_tasks(&fresh.partition));
+        assert_eq!(sel.partition.strategy(), fresh.partition.strategy());
     }
 
     #[test]

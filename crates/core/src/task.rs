@@ -148,7 +148,7 @@ impl Task {
 }
 
 /// The partition of one function into tasks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncPartition {
     func: FuncId,
     tasks: Vec<Task>,
@@ -262,6 +262,14 @@ impl TaskPartition {
     /// Name of the heuristic that produced this partition (for reports).
     pub fn strategy(&self) -> &str {
         &self.strategy
+    }
+
+    /// Whether `other` selects the same tasks: equal per-function tasks
+    /// in the same order, equal block-to-task maps and equal included
+    /// calls. The [`strategy`](Self::strategy) label is not compared, so
+    /// two heuristics that pick the same tasks give equal partitions.
+    pub fn same_tasks(&self, other: &TaskPartition) -> bool {
+        self.funcs == other.funcs && self.included_calls == other.included_calls
     }
 
     /// Included call blocks of `f` (helper for [`Task::targets`]).
@@ -411,6 +419,29 @@ mod tests {
         let part = TaskPartition::new(vec![fp], BTreeSet::new(), "bb");
         assert!(part.validate(&p).is_ok());
         assert_eq!(part.num_tasks(), 2);
+    }
+
+    /// `same_tasks` ignores the label and nothing else: a reordered
+    /// task list, a different block-to-task map and a different
+    /// included-call set each tell two partitions apart.
+    #[test]
+    fn same_tasks_ignores_only_the_label() {
+        let (b0, b1) = (BlockId::new(0), BlockId::new(1));
+        let m = FuncId::new(0);
+        let part = |tasks: Vec<Task>, blocks: usize, calls: &[(FuncId, BlockId)], label: &str| {
+            let fp = FuncPartition::new(m, tasks, blocks);
+            TaskPartition::new(vec![fp], calls.iter().copied().collect(), label)
+        };
+        let singles = || vec![Task::singleton(b0), Task::singleton(b1)];
+        let base = part(singles(), 2, &[], "bb");
+        assert!(base.same_tasks(&part(singles(), 2, &[], "dd+ts")));
+        let reordered = part(vec![Task::singleton(b1), Task::singleton(b0)], 2, &[], "bb");
+        assert!(!base.same_tasks(&reordered));
+        // Same tasks in the same order, one more (unassigned) block.
+        let wider = part(singles(), 3, &[], "bb");
+        assert_eq!(wider.funcs()[0].tasks(), base.funcs()[0].tasks());
+        assert!(!base.same_tasks(&wider));
+        assert!(!base.same_tasks(&part(singles(), 2, &[(m, b0)], "bb")));
     }
 
     #[test]

@@ -37,35 +37,43 @@ impl Default for TaskSizeParams {
 
 /// Applies the task-size heuristic to a whole program.
 ///
-/// Returns the transformed program (loops unrolled) and the set of call
-/// sites marked for inclusion.
+/// Returns the transformed program, `None` when no loop was unrolled
+/// (the input program stands as it is), and the set of call sites
+/// marked for inclusion.
 pub fn apply_task_size(
     program: &Program,
     params: &TaskSizeParams,
-) -> (Program, BTreeSet<(FuncId, BlockId)>) {
+) -> (Option<Program>, BTreeSet<(FuncId, BlockId)>) {
     let _prof = ms_prof::span("select.task_size");
-    // 1. Unroll small loops, function by function.
-    let mut pb = ProgramBuilder::new();
-    for g in program.addr_gens() {
-        pb.add_addr_gen(g.clone());
-    }
-    let ids: Vec<FuncId> =
-        program.func_ids().map(|f| pb.declare_function(program.function(f).name())).collect();
-    for (i, fid) in program.func_ids().enumerate() {
-        let f = unroll_small_loops(program.function(fid), params.loop_thresh);
-        pb.define_function(ids[i], f);
-    }
-    let transformed = pb.finish(program.entry()).expect("unrolling preserves validity");
+    // 1. Unroll small loops, function by function; rebuild the program
+    //    only if some function changed.
+    let unrolled: Vec<Option<Function>> = program
+        .func_ids()
+        .map(|f| unroll_small_loops(program.function(f), params.loop_thresh))
+        .collect();
+    let transformed = unrolled.iter().any(Option::is_some).then(|| {
+        let mut pb = ProgramBuilder::new();
+        for g in program.addr_gens() {
+            pb.add_addr_gen(g.clone());
+        }
+        let ids: Vec<FuncId> =
+            program.func_ids().map(|f| pb.declare_function(program.function(f).name())).collect();
+        for ((fid, f), id) in program.func_ids().zip(unrolled).zip(ids) {
+            pb.define_function(id, f.unwrap_or_else(|| program.function(fid).clone()));
+        }
+        pb.finish(program.entry()).expect("unrolling preserves validity")
+    });
+    let target = transformed.as_ref().unwrap_or(program);
 
     // 2. Mark small calls for inclusion, using a fresh profile of the
     //    transformed program. Callees on any call-graph cycle (direct or
     //    mutual recursion) are never included: the inlined region would
     //    be unbounded.
-    let profile = Profile::estimate(&transformed);
-    let callgraph = ms_analysis::CallGraph::compute(&transformed);
+    let profile = Profile::estimate(target);
+    let callgraph = ms_analysis::CallGraph::compute(target);
     let mut included = BTreeSet::new();
-    for fid in transformed.func_ids() {
-        let f = transformed.function(fid);
+    for fid in target.func_ids() {
+        let f = target.function(fid);
         for b in f.block_ids() {
             if let Terminator::Call { callee, .. } = f.block(b).terminator() {
                 if *callee != fid
@@ -81,23 +89,25 @@ pub fn apply_task_size(
 }
 
 /// Unrolls every candidate loop of `func` until none is smaller than
-/// `loop_thresh` static instructions.
-pub fn unroll_small_loops(func: &Function, loop_thresh: usize) -> Function {
-    let mut current = func.clone();
+/// `loop_thresh` static instructions. Returns `None` when `func` has no
+/// candidate loop.
+pub fn unroll_small_loops(func: &Function, loop_thresh: usize) -> Option<Function> {
+    let mut current: Option<Function> = None;
     // Each unroll pushes the loop's size to >= loop_thresh, so this
     // terminates; cap defensively anyway.
     for _ in 0..32 {
-        let dom = Dominators::compute(&current);
-        let loops = LoopForest::compute(&current, &dom);
+        let f = current.as_ref().unwrap_or(func);
+        let dom = Dominators::compute(f);
+        let loops = LoopForest::compute(f, &dom);
         let candidate = loops
             .loops()
             .iter()
             .filter(|l| l.static_size < loop_thresh && l.static_size > 0)
-            .filter(|l| is_simple_unrollable(&current, &loops, l))
+            .filter(|l| is_simple_unrollable(f, &loops, l))
             .min_by_key(|l| l.header);
         let Some(l) = candidate else { break };
         let factor = loop_thresh.div_ceil(l.static_size).max(2);
-        current = unroll_once(&current, l, factor);
+        current = Some(unroll_once(f, l, factor));
     }
     current
 }
@@ -290,7 +300,7 @@ mod tests {
     fn unrolling_reaches_the_threshold() {
         let f = small_loop_fn(40);
         // Body = 3 instructions (2 + branch); threshold 12 → factor 4.
-        let u = unroll_small_loops(&f, 12);
+        let u = unroll_small_loops(&f, 12).expect("the loop is below the threshold");
         let dom = Dominators::compute(&u);
         let loops = LoopForest::compute(&u, &dom);
         assert_eq!(loops.loops().len(), 1);
@@ -309,8 +319,7 @@ mod tests {
     #[test]
     fn large_loops_are_untouched() {
         let f = small_loop_fn(10);
-        let u = unroll_small_loops(&f, 3); // body is already 3
-        assert_eq!(u.num_blocks(), f.num_blocks());
+        assert!(unroll_small_loops(&f, 3).is_none()); // body is already 3
     }
 
     #[test]
@@ -325,7 +334,7 @@ mod tests {
 
         let mut pb = ProgramBuilder::new();
         let m2 = pb.declare_function("f");
-        pb.define_function(m2, unroll_small_loops(&f, 12));
+        pb.define_function(m2, unroll_small_loops(&f, 12).unwrap());
         let after = Profile::estimate(&pb.finish(m2).unwrap());
 
         let b = before.func_dynamic_size(m);
