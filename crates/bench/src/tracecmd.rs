@@ -11,9 +11,7 @@
 //! See `docs/TRACING.md` for a worked walkthrough and a triage recipe.
 
 use ms_ir::FuncId;
-use ms_sim::{
-    EventLog, SimConfig, SimEvent, SimStats, Simulator, SquashCause, TRACE_SCHEMA_VERSION,
-};
+use ms_sim::{EventLog, SimConfig, SimEvent, SimStats, Simulator, TRACE_SCHEMA_VERSION};
 use ms_tasksel::{Selection, TaskId, TaskPartition};
 
 use crate::json::JsonObj;
@@ -113,16 +111,12 @@ pub fn chrome_trace(log: &EventLog, label: &dyn Fn(usize, usize) -> String) -> S
         events.push(o.finish());
     }
     for ev in log.events() {
-        let SimEvent::TaskSquash { task, pu, cycle, cause, .. } = *ev else { continue };
-        let name = match cause {
-            SquashCause::Control { .. } => "squash:ctrl",
-            SquashCause::Memory { .. } => "squash:mem",
-            SquashCause::Cascade { .. } => "squash:cascade",
-        };
+        let SimEvent::TaskSquash { task, pu, cycle, attempt, cause } = *ev else { continue };
+        let name = format!("squash:{}", cause.label(attempt));
         let mut args = JsonObj::new();
         args.num_u64("task", task as u64);
         let mut o = JsonObj::new();
-        o.str("name", name)
+        o.str("name", &name)
             .str("cat", "squash")
             .str("ph", "i")
             .num_u64("ts", cycle)

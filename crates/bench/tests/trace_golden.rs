@@ -86,7 +86,12 @@ fn attribution_totals_are_the_stats_counters() {
         .log
         .events()
         .iter()
-        .filter(|ev| matches!(ev, SimEvent::TaskSquash { cause: SquashCause::Cascade { .. }, .. }))
+        .filter(|ev| {
+            matches!(
+                ev,
+                SimEvent::TaskSquash { attempt: 2.., cause: SquashCause::Memory { .. }, .. }
+            )
+        })
         .count() as u64;
     assert!(art.tables.contains(&format!(
         "squash attribution (totals: ctrl {}, mem {}, cascade {cascades}):",

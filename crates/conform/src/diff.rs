@@ -154,14 +154,9 @@ impl TraceSink for Diff<'_> {
             // Every memory squash must blame a (store_pc, load_pc) pair
             // the sequential walk identifies as a real cross-task
             // conflict.
-            SimEvent::TaskSquash { task, cause, .. } => {
-                let (label, store_pc, load_pc) = match cause {
-                    SquashCause::Control { .. } => return,
-                    SquashCause::Memory { store_pc, load_pc, .. } => ("mem", store_pc, load_pc),
-                    SquashCause::Cascade { store_pc, load_pc, .. } => {
-                        ("cascade", store_pc, load_pc)
-                    }
-                };
+            SimEvent::TaskSquash { task, attempt, cause, .. } => {
+                let SquashCause::Memory { store_pc, load_pc, .. } = cause else { return };
+                let label = cause.label(attempt);
                 if !self.reference.mem_conflicts.contains(&(store_pc, load_pc)) {
                     self.push(SQUASH, || {
                         format!(

@@ -181,12 +181,11 @@ pub fn fuzz_seed(seed: u64, params: &FuzzParams) -> Vec<FuzzFailure> {
         if case.check(&sel).errors.is_empty() {
             continue;
         }
-        let min = shrink(&case.spec, &selector, params, seed);
-        let min_errors = check_spec(&min, &selector, params, seed);
+        let (min, errors) = shrink(&case.spec, &selector, params, seed);
         failures.push(FuzzFailure {
             seed,
             strategy: label,
-            errors: min_errors,
+            errors,
             repro: ms_ir::write_program(&min.build()),
             repro_blocks: min.num_blocks(),
             original_blocks: case.spec.num_blocks(),
@@ -196,17 +195,29 @@ pub fn fuzz_seed(seed: u64, params: &FuzzParams) -> Vec<FuzzFailure> {
 }
 
 /// Greedy delta debugging: take the first reduction that still fails,
-/// repeat until no reduction fails.
-fn shrink(spec: &ProgSpec, selector: &TaskSelector, params: &FuzzParams, seed: u64) -> ProgSpec {
+/// repeat until no reduction fails. Returns the spec it settles on with
+/// that spec's errors from a fresh check.
+fn shrink(
+    spec: &ProgSpec,
+    selector: &TaskSelector,
+    params: &FuzzParams,
+    seed: u64,
+) -> (ProgSpec, Vec<String>) {
     let mut cur = spec.clone();
+    let mut errors = None;
     'outer: loop {
         for cand in cur.reductions() {
-            if !check_spec(&cand, selector, params, seed).is_empty() {
+            let cand_errors = check_spec(&cand, selector, params, seed);
+            if !cand_errors.is_empty() {
                 cur = cand;
+                errors = Some(cand_errors);
                 continue 'outer;
             }
         }
-        return cur;
+        // A spec that did not shrink has been checked only on the case's
+        // shared path so far.
+        let errors = errors.unwrap_or_else(|| check_spec(&cur, selector, params, seed));
+        return (cur, errors);
     }
 }
 

@@ -245,21 +245,13 @@ impl TraceSink for EventChecker {
                         format!("ctrl squash hit dispatched task {task} (next dispatch {next})")
                     });
                 }
-                SquashCause::Memory { store_task, .. }
-                | SquashCause::Cascade { store_task, .. } => {
-                    let cascade = matches!(cause, SquashCause::Cascade { .. });
+                SquashCause::Memory { store_task, .. } => {
                     let current = self.dispatch_cycles.len().wrapping_sub(1);
                     self.check(task == current, || {
                         format!("mem squash of task {task} but task {current} is executing")
                     });
                     self.check(store_task < task, || {
                         format!("mem squash of task {task} blames store in task {store_task}")
-                    });
-                    self.check(cascade == (attempt >= 2), || {
-                        format!(
-                            "squash of task {task}: attempt {attempt} mislabelled as {}",
-                            if cascade { "cascade" } else { "mem" }
-                        )
                     });
                     self.cur_mem_squashes += 1;
                     self.mem_squashes += 1;

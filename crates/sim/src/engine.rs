@@ -974,23 +974,12 @@ impl<'e> Engine<'e> {
                     let lost = restart.saturating_sub(dispatch);
                     self.stats.breakdown.mem_misspec += lost;
                     if sink.enabled() {
-                        let detail = (v.store_task, v.store_pc, v.load_pc, insts, lost);
-                        let cause = if attempts == 1 {
-                            SquashCause::Memory {
-                                store_task: detail.0,
-                                store_pc: detail.1,
-                                load_pc: detail.2,
-                                lost_insts: detail.3,
-                                lost_cycles: detail.4,
-                            }
-                        } else {
-                            SquashCause::Cascade {
-                                store_task: detail.0,
-                                store_pc: detail.1,
-                                load_pc: detail.2,
-                                lost_insts: detail.3,
-                                lost_cycles: detail.4,
-                            }
+                        let cause = SquashCause::Memory {
+                            store_task: v.store_task,
+                            store_pc: v.store_pc,
+                            load_pc: v.load_pc,
+                            lost_insts: insts,
+                            lost_cycles: lost,
                         };
                         sink.event(&SimEvent::TaskSquash {
                             task: k,

@@ -8,8 +8,8 @@
 //!
 //! * `TaskSquash` with [`SquashCause::Control`] count =
 //!   `SimStats::ctrl_squashes`,
-//! * `TaskSquash` with [`SquashCause::Memory`] + [`SquashCause::Cascade`]
-//!   count = `SimStats::violations`,
+//! * `TaskSquash` with [`SquashCause::Memory`] count =
+//!   `SimStats::violations`,
 //! * `FwdStall` cycle sum = `SimStats::fwd_stall_cycles`,
 //! * `PuIdle` length sum = `SimStats::pu_idle_cycles`,
 //! * `FwdSend` count = `SimStats::reg_forwards`,
@@ -42,9 +42,11 @@ pub enum SquashCause {
         lost_cycles: u64,
     },
     /// A load executed before an earlier in-flight task's store to the
-    /// same address (ARB violation) on the task's *first* attempt.
-    /// Attributed to the producing store's task and the def-use arc
-    /// `store_pc → load_pc`.
+    /// same address (ARB violation). Attributed to the producing store's
+    /// task and the def-use arc `store_pc → load_pc`. On a re-execution
+    /// (attempt ≥ 2) the squash is labelled a cascade
+    /// ([`SquashCause::label`]): the damage follows an earlier squash of
+    /// the same task rather than a fresh scheduling decision.
     Memory {
         /// Dynamic index of the task whose store was violated.
         store_task: usize,
@@ -57,21 +59,19 @@ pub enum SquashCause {
         /// Dispatch-to-restart cycles charged (`mem_misspec` share).
         lost_cycles: u64,
     },
-    /// A memory violation on a re-execution attempt (attempt ≥ 2): the
-    /// damage cascades from an earlier squash of the same task rather
-    /// than from a fresh scheduling decision.
-    Cascade {
-        /// Dynamic index of the task whose store was violated.
-        store_task: usize,
-        /// PC of the violated store.
-        store_pc: u64,
-        /// PC of the premature load.
-        load_pc: u64,
-        /// Instructions of the squashed attempt (re-executed work).
-        lost_insts: u64,
-        /// Dispatch-to-restart cycles charged (`mem_misspec` share).
-        lost_cycles: u64,
-    },
+}
+
+impl SquashCause {
+    /// The cause's name in every view of the event stream (JSONL,
+    /// Chrome view, attribution tables): `ctrl`, `mem`, or `cascade` for
+    /// a memory squash of a re-execution, `attempt` ≥ 2.
+    pub fn label(&self, attempt: u32) -> &'static str {
+        match self {
+            SquashCause::Control { .. } => "ctrl",
+            SquashCause::Memory { .. } if attempt >= 2 => "cascade",
+            SquashCause::Memory { .. } => "mem",
+        }
+    }
 }
 
 /// One attributable occurrence inside a simulation run.
@@ -214,14 +214,14 @@ impl SimEvent {
                 let _ = write!(
                     s,
                     "{{\"ev\":\"squash\",\"task\":{task},\"pu\":{pu},\"cycle\":{cycle},\
-                     \"attempt\":{attempt},"
+                     \"attempt\":{attempt},\"cause\":\"{}\",",
+                    cause.label(attempt)
                 );
                 match cause {
                     SquashCause::Control { predecessor, lost_cycles } => {
                         let _ = write!(
                             s,
-                            "\"cause\":\"ctrl\",\"predecessor\":{predecessor},\
-                             \"lost_cycles\":{lost_cycles}}}"
+                            "\"predecessor\":{predecessor},\"lost_cycles\":{lost_cycles}}}"
                         );
                     }
                     SquashCause::Memory {
@@ -230,24 +230,12 @@ impl SimEvent {
                         load_pc,
                         lost_insts,
                         lost_cycles,
-                    }
-                    | SquashCause::Cascade {
-                        store_task,
-                        store_pc,
-                        load_pc,
-                        lost_insts,
-                        lost_cycles,
                     } => {
-                        let label = if matches!(cause, SquashCause::Memory { .. }) {
-                            "mem"
-                        } else {
-                            "cascade"
-                        };
                         let _ = write!(
                             s,
-                            "\"cause\":\"{label}\",\"store_task\":{store_task},\
-                             \"store_pc\":{store_pc},\"load_pc\":{load_pc},\
-                             \"lost_insts\":{lost_insts},\"lost_cycles\":{lost_cycles}}}"
+                            "\"store_task\":{store_task},\"store_pc\":{store_pc},\
+                             \"load_pc\":{load_pc},\"lost_insts\":{lost_insts},\
+                             \"lost_cycles\":{lost_cycles}}}"
                         );
                     }
                 }
@@ -385,16 +373,11 @@ mod tests {
         assert!(events[2].to_json().contains("\"cause\":\"mem\""));
     }
 
+    /// A memory squash is labelled by its attempt: `mem` on the first,
+    /// `cascade` on a re-execution.
     #[test]
     fn cascade_and_memory_share_fields_but_not_labels() {
-        let mem = SquashCause::Memory {
-            store_task: 1,
-            store_pc: 2,
-            load_pc: 3,
-            lost_insts: 4,
-            lost_cycles: 5,
-        };
-        let cas = SquashCause::Cascade {
+        let cause = SquashCause::Memory {
             store_task: 1,
             store_pc: 2,
             load_pc: 3,
@@ -402,8 +385,12 @@ mod tests {
             lost_cycles: 5,
         };
         let j =
-            |c| SimEvent::TaskSquash { task: 0, pu: 0, cycle: 0, attempt: 1, cause: c }.to_json();
-        assert!(j(mem).contains("\"cause\":\"mem\""));
-        assert!(j(cas).contains("\"cause\":\"cascade\""));
+            |attempt| SimEvent::TaskSquash { task: 0, pu: 0, cycle: 0, attempt, cause }.to_json();
+        assert!(j(1).contains("\"cause\":\"mem\""));
+        assert!(j(2).contains("\"cause\":\"cascade\""));
+        assert_eq!(
+            j(1).replace("\"mem\"", "\"cascade\"").replace("\"attempt\":1", "\"attempt\":2"),
+            j(2)
+        );
     }
 }

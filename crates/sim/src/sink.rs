@@ -142,20 +142,19 @@ impl EventLog {
         let static_of = self.static_of();
         let mut by_boundary: HashMap<(usize, usize), CauseCounts> = HashMap::new();
         for ev in &self.events {
-            let SimEvent::TaskSquash { cause, .. } = *ev else { continue };
+            let SimEvent::TaskSquash { attempt, cause, .. } = *ev else { continue };
             match cause {
                 SquashCause::Control { predecessor, lost_cycles } => {
                     let c = by_boundary.entry(static_of(predecessor)).or_default();
                     c.ctrl += 1;
                     c.lost_cycles += lost_cycles;
                 }
-                SquashCause::Memory { store_task, lost_insts, lost_cycles, .. }
-                | SquashCause::Cascade { store_task, lost_insts, lost_cycles, .. } => {
+                SquashCause::Memory { store_task, lost_insts, lost_cycles, .. } => {
                     let c = by_boundary.entry(static_of(store_task)).or_default();
-                    if matches!(cause, SquashCause::Memory { .. }) {
-                        c.mem += 1;
-                    } else {
+                    if cause.label(attempt) == "cascade" {
                         c.cascade += 1;
+                    } else {
+                        c.mem += 1;
                     }
                     c.lost_insts += lost_insts;
                     c.lost_cycles += lost_cycles;
@@ -324,28 +323,14 @@ mod tests {
             cause: SquashCause::Control { predecessor: 0, lost_cycles: 7 },
         });
         // A memory violation against task 0's store, then a cascade.
-        for (attempt, cause) in [
-            (
-                1,
-                SquashCause::Memory {
-                    store_task: 0,
-                    store_pc: 8,
-                    load_pc: 16,
-                    lost_insts: 5,
-                    lost_cycles: 9,
-                },
-            ),
-            (
-                2,
-                SquashCause::Cascade {
-                    store_task: 0,
-                    store_pc: 8,
-                    load_pc: 16,
-                    lost_insts: 5,
-                    lost_cycles: 9,
-                },
-            ),
-        ] {
+        let cause = SquashCause::Memory {
+            store_task: 0,
+            store_pc: 8,
+            load_pc: 16,
+            lost_insts: 5,
+            lost_cycles: 9,
+        };
+        for attempt in [1, 2] {
             log.event(&SimEvent::TaskSquash { task: 1, pu: 1, cycle: 20, attempt, cause });
         }
         log.event(&SimEvent::FwdStall { task: 1, producer: 0, reg: 4, cycles: 11 });

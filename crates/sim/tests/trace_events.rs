@@ -133,6 +133,17 @@ fn attribution_tables_sum_to_counters() {
         let cascade: u64 = rows.iter().map(|(_, c)| c.cascade).sum();
         assert_eq!(ctrl, stats.ctrl_squashes, "{workload}: boundary table ctrl column");
         assert_eq!(mem + cascade, stats.violations, "{workload}: boundary table mem+cascade");
+        let reexecuted = log
+            .events()
+            .iter()
+            .filter(|ev| {
+                matches!(
+                    ev,
+                    SimEvent::TaskSquash { attempt: 2.., cause: SquashCause::Memory { .. }, .. }
+                )
+            })
+            .count();
+        assert_eq!(cascade, reexecuted as u64, "{workload}: cascades are attempt >= 2 squashes");
         let arcs = log.top_stall_arcs(usize::MAX);
         let stall: u64 = arcs.iter().map(|(_, c)| c).sum();
         assert_eq!(stall, stats.fwd_stall_cycles, "{workload}: stall arc table total");

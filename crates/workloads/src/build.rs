@@ -261,6 +261,39 @@ pub fn push_induction(fb: &mut FunctionBuilder, blk: BlockId) {
     fb.push_inst(blk, Opcode::IAdd.inst().dst(r1).src(r1));
 }
 
+/// Opens a `main` with an `entry → head` driver loop; returns
+/// `(builder, entry, head)`. Close with [`close_driver`].
+pub fn open_driver() -> (FunctionBuilder, BlockId, BlockId) {
+    let mut fb = FunctionBuilder::new("main");
+    let entry = fb.add_block();
+    let head = fb.add_block();
+    push_induction(&mut fb, head);
+    fb.set_terminator(entry, Terminator::Jump { target: head });
+    (fb, entry, head)
+}
+
+/// Closes the driver loop: `latch` loops back to `head` about `trips`
+/// times, with a jitter of `trips / jitter_div`, then halts.
+pub fn close_driver(
+    fb: &mut FunctionBuilder,
+    head: BlockId,
+    latch: BlockId,
+    trips: u32,
+    jitter_div: u32,
+) {
+    let exit = fb.add_block();
+    fb.set_terminator(
+        latch,
+        Terminator::Branch {
+            taken: head,
+            fall: exit,
+            cond: vec![Reg::int(1)],
+            behavior: BranchBehavior::Loop { avg_trips: trips, jitter: trips / jitter_div },
+        },
+    );
+    fb.set_terminator(exit, Terminator::Halt);
+}
+
 /// Appends a two-way diamond after `from`: `from` branches (taken with
 /// probability `p_taken`) to two filled arms that reconverge at a fresh
 /// empty join block, which is returned. `from` must not have a

@@ -9,39 +9,22 @@
 //! with tiny utility calls, responding to the task-size heuristic.
 
 use ms_ir::{
-    AddrGenId, AddrSpec, BlockId, BranchBehavior, FunctionBuilder, Program, ProgramBuilder, Reg,
-    SplitMix64, Terminator,
+    AddrGenId, AddrSpec, BranchBehavior, FunctionBuilder, Program, ProgramBuilder, Reg, SplitMix64,
+    Terminator,
 };
 
-use crate::build::{branchy_loop, call, diamond, fill_block, leaf_function, OpMix, RegPool};
+use crate::build::{
+    branchy_loop, call, close_driver, diamond, fill_block, leaf_function, open_driver, OpMix,
+    RegPool,
+};
 
 fn pool() -> RegPool {
     // FP kernels enjoy a wide register window (compiler-scheduled ILP).
     RegPool { int_lo: 2, int_hi: 28, fp_lo: 2, fp_hi: 28 }
 }
 
-fn open_driver() -> (FunctionBuilder, BlockId, BlockId) {
-    let mut fb = FunctionBuilder::new("main");
-    let entry = fb.add_block();
-    let head = fb.add_block();
-    crate::build::push_induction(&mut fb, head);
-    fb.set_terminator(entry, Terminator::Jump { target: head });
-    (fb, entry, head)
-}
-
-fn close_driver(fb: &mut FunctionBuilder, head: BlockId, latch: BlockId, trips: u32) {
-    let exit = fb.add_block();
-    fb.set_terminator(
-        latch,
-        Terminator::Branch {
-            taken: head,
-            fall: exit,
-            cond: vec![Reg::int(1)],
-            behavior: BranchBehavior::Loop { avg_trips: trips, jitter: trips / 10 },
-        },
-    );
-    fb.set_terminator(exit, Terminator::Halt);
-}
+/// The driver loop's trip-count jitter is `trips / DRIVER_JITTER`.
+const DRIVER_JITTER: u32 = 10;
 
 /// Declares `n` disjoint strided array streams.
 fn streams(pb: &mut ProgramBuilder, n: usize, elems: u64) -> Vec<AddrGenId> {
@@ -105,7 +88,7 @@ fn mesh_kernel(
     if let Some(p) = p_diamond {
         cur = diamond(&mut fb, &mut rng, cur, p, (6, 6), mix, &mems, pool());
     }
-    close_driver(&mut fb, head, cur, outer_trips);
+    close_driver(&mut fb, head, cur, outer_trips, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("mesh kernel builds a valid program")
 }
@@ -168,7 +151,7 @@ pub fn su2cor(seed: u64) -> Program {
         &[mems[3], mems[4]],
         pool(),
     );
-    close_driver(&mut fb, head, cur, 90);
+    close_driver(&mut fb, head, cur, 90, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("su2cor builds a valid program")
 }
@@ -218,7 +201,7 @@ pub fn mgrid(seed: u64) -> Program {
         },
     );
     fill_block(&mut fb, mid_exit, &mut rng, 3, mix, &[mems[3]], pool());
-    close_driver(&mut fb, head, mid_exit, 40);
+    close_driver(&mut fb, head, mid_exit, 40, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("mgrid builds a valid program")
 }
@@ -272,7 +255,7 @@ pub fn applu(seed: u64) -> Program {
         pool(),
     );
     cur = diamond(&mut fb, &mut rng, cur, 0.98, (6, 6), mix, &mems, pool());
-    close_driver(&mut fb, head, cur, 120);
+    close_driver(&mut fb, head, cur, 120, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("applu builds a valid program")
 }
@@ -326,7 +309,7 @@ pub fn turb3d(seed: u64) -> Program {
         &[mems[2], mems[3]],
         pool(),
     );
-    close_driver(&mut fb, head, cur, 80);
+    close_driver(&mut fb, head, cur, 80, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("turb3d builds a valid program")
 }
@@ -371,7 +354,7 @@ pub fn apsi(seed: u64) -> Program {
     }
     cur = call(&mut fb, cur, radiation);
     cur = diamond(&mut fb, &mut rng, cur, 0.97, (6, 6), mix, &mems, pool());
-    close_driver(&mut fb, head, cur, 80);
+    close_driver(&mut fb, head, cur, 80, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("apsi builds a valid program")
 }
@@ -405,7 +388,7 @@ pub fn fpppp(seed: u64) -> Program {
         cur = call(&mut fb, cur, utils[seg % utils.len()]);
         fill_block(&mut fb, cur, &mut rng, 14, mix, &mems, pool());
     }
-    close_driver(&mut fb, head, cur, 60);
+    close_driver(&mut fb, head, cur, 60, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("fpppp builds a valid program")
 }
@@ -452,7 +435,7 @@ pub fn wave5(seed: u64) -> Program {
         &[mems[2], grid],
         pool(),
     );
-    close_driver(&mut fb, head, cur, 90);
+    close_driver(&mut fb, head, cur, 90, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("wave5 builds a valid program")
 }

@@ -7,45 +7,20 @@
 //! the task-selection heuristics respond to.
 
 use ms_ir::{
-    AddrSpec, BlockId, BranchBehavior, FunctionBuilder, Program, ProgramBuilder, Reg, SplitMix64,
-    Terminator,
+    AddrSpec, BranchBehavior, FunctionBuilder, Program, ProgramBuilder, Reg, SplitMix64, Terminator,
 };
 
 use crate::build::{
-    call, counted_loop, diamond, dispatch, fill_block, leaf_function, tangle, OpMix, RegPool,
+    call, close_driver, counted_loop, diamond, dispatch, fill_block, leaf_function, open_driver,
+    tangle, OpMix, RegPool,
 };
 
 fn pool() -> RegPool {
     RegPool::default_window()
 }
 
-/// Opens a `main` with an `entry → head` driver loop; returns
-/// `(builder, entry, head)`. Close with [`close_driver`].
-fn open_driver() -> (FunctionBuilder, BlockId, BlockId) {
-    let mut fb = FunctionBuilder::new("main");
-    let entry = fb.add_block();
-    let head = fb.add_block();
-    crate::build::push_induction(&mut fb, head);
-    fb.set_terminator(entry, Terminator::Jump { target: head });
-    (fb, entry, head)
-}
-
-/// Closes the driver loop: `latch` loops back to `head` `trips` times,
-/// then halts.
-fn close_driver(fb: &mut FunctionBuilder, head: BlockId, latch: BlockId, trips: u32) -> BlockId {
-    let exit = fb.add_block();
-    fb.set_terminator(
-        latch,
-        Terminator::Branch {
-            taken: head,
-            fall: exit,
-            cond: vec![Reg::int(1)],
-            behavior: BranchBehavior::Loop { avg_trips: trips, jitter: trips / 8 },
-        },
-    );
-    fb.set_terminator(exit, Terminator::Halt);
-    exit
-}
+/// The driver loop's trip-count jitter is `trips / DRIVER_JITTER`.
+const DRIVER_JITTER: u32 = 8;
 
 /// 099.go — game tree search: small blocks, hard-to-predict branches,
 /// board state in a shared table, mid-sized evaluation calls.
@@ -121,7 +96,7 @@ pub fn go(seed: u64) -> Program {
     }
     cur = tangle(&mut fb, &mut rng, cur, 4, (3, 6), (0.58, 0.78), mix, &mems, pool());
     fill_block(&mut fb, cur, &mut rng, 3, mix, &mems, pool());
-    close_driver(&mut fb, head, cur, 300);
+    close_driver(&mut fb, head, cur, 300, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("go builds a valid program")
 }
@@ -195,7 +170,7 @@ pub fn m88ksim(seed: u64) -> Program {
     cur = call(&mut fb, cur, helper);
     cur = call(&mut fb, cur, intr);
     fill_block(&mut fb, cur, &mut rng, 2, mix, &[state], pool());
-    close_driver(&mut fb, head, cur, 500);
+    close_driver(&mut fb, head, cur, 500, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("m88ksim builds a valid program")
 }
@@ -267,7 +242,7 @@ pub fn gcc(seed: u64) -> Program {
         fill_block(&mut fb, cur, &mut rng, 3, mix, &mems, pool());
     }
     cur = diamond(&mut fb, &mut rng, cur, 0.85, (4, 5), mix, &mems, pool());
-    close_driver(&mut fb, head, cur, 150);
+    close_driver(&mut fb, head, cur, 150, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("gcc builds a valid program")
 }
@@ -319,7 +294,7 @@ pub fn compress(seed: u64) -> Program {
     fill_block(&mut fb, cur, &mut rng, 4, mix, &[htab], pool());
     cur = diamond(&mut fb, &mut rng, cur, 0.86, (4, 3), mix, &[output, counters], pool());
     fill_block(&mut fb, cur, &mut rng, 3, mix, &[output], pool());
-    close_driver(&mut fb, head, cur, 500);
+    close_driver(&mut fb, head, cur, 500, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("compress builds a valid program")
 }
@@ -418,7 +393,7 @@ pub fn li(seed: u64) -> Program {
         cur = skip;
     }
     cur = diamond(&mut fb, &mut rng, cur, 0.88, (3, 3), mix, &[heap], pool());
-    close_driver(&mut fb, head, cur, 450);
+    close_driver(&mut fb, head, cur, 450, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("li builds a valid program")
 }
@@ -495,7 +470,7 @@ pub fn ijpeg(seed: u64) -> Program {
     );
     cur = call(&mut fb, cur, huff);
     cur = diamond(&mut fb, &mut rng, cur, 0.95, (4, 4), mix, &[out], pool());
-    close_driver(&mut fb, head, cur, 250);
+    close_driver(&mut fb, head, cur, 250, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("ijpeg builds a valid program")
 }
@@ -578,7 +553,7 @@ pub fn perl(seed: u64) -> Program {
         cur = skip;
     }
     cur = tangle(&mut fb, &mut rng, cur, 4, (3, 5), (0.68, 0.85), mix, &[sv], pool());
-    close_driver(&mut fb, head, cur, 350);
+    close_driver(&mut fb, head, cur, 350, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("perl builds a valid program")
 }
@@ -639,7 +614,7 @@ pub fn vortex(seed: u64) -> Program {
     }
     cur = call(&mut fb, cur, commit);
     cur = diamond(&mut fb, &mut rng, cur, 0.97, (3, 3), mix, &[log], pool());
-    close_driver(&mut fb, head, cur, 220);
+    close_driver(&mut fb, head, cur, 220, DRIVER_JITTER);
     pb.define_function(main, fb.finish(entry).unwrap());
     pb.finish(main).expect("vortex builds a valid program")
 }

@@ -17,8 +17,10 @@
 # 6. public-API snapshot: every `pub` declaration must match
 #    tests/api_snapshot.txt (MS_BLESS=1 to re-bless deliberately),
 # 7. docs gate: the metric tables in EXPERIMENTS.md / docs/METRICS.md /
-#    docs/PROFILING.md must only name fields that still exist in the
-#    source; every relative markdown link must resolve; every
+#    docs/PROFILING.md must only name fields and counters that still
+#    exist in the source; every PR that CHANGES.md tags `[perf_opt]`
+#    must have a row in PROFILING.md's accepted-speed-changes table;
+#    every relative markdown link must resolve; every
 #    backticked repository path (`crates/...`, `docs/...`, ...) in a
 #    document that describes the current tree must exist; every
 #    docs/*.md must be routed from docs/INDEX.md,
@@ -76,21 +78,34 @@ echo "==> public API snapshot (tests/api_snapshot.txt)"
 cargo test --release -q --test api_snapshot
 
 echo "==> docs gate (metric tables vs. source)"
-# Every backticked snake_case name opening a markdown table row in the
-# metric docs must appear somewhere in the crates' source: a renamed or
-# removed counter/field must take its documentation row with it.
+# Every backticked snake_case or dotted name opening a markdown table
+# row in the metric docs, indented rows (a table inside a list) included,
+# must appear somewhere in the crates' source: a renamed or removed
+# counter/field must take its documentation row with it.
 docs_fail=0
 for doc in EXPERIMENTS.md docs/METRICS.md docs/TRACING.md docs/PROFILING.md; do
     [ -f "$doc" ] || { echo "missing $doc"; docs_fail=1; continue; }
 done
 for doc in EXPERIMENTS.md docs/METRICS.md docs/PROFILING.md; do
-    fields=$(grep -o '^| `[a-z][a-z0-9_]*`' "$doc" | sed 's/^| `//; s/`$//' | sort -u)
+    fields=$(grep -o '^ *| `[a-z][a-z0-9_.]*`' "$doc" | sed 's/^ *| `//; s/`$//' | sort -u)
     for f in $fields; do
-        if ! grep -rq "$f" crates/*/src; then
+        if ! grep -rqF "$f" crates/*/src; then
             echo "$doc documents \`$f\` but it does not appear in crates/*/src"
             docs_fail=1
         fi
     done
+done
+# Every PR that CHANGES.md tags `[perf_opt]` (as `PR 15: [perf_opt]` or
+# `- PR 26 [perf_opt]`) must keep a `| PR <n> |` row in PROFILING.md's
+# accepted-speed-changes table: no accepted number without its row.
+accepted=$(awk '/^## /{f = ($0 == "## Accepted speed changes")} f' docs/PROFILING.md)
+[ -n "$accepted" ] || { echo "docs/PROFILING.md has no '## Accepted speed changes' section"; docs_fail=1; }
+for pr in $(grep -o '^\(- \)\{0,1\}PR [0-9][0-9]*:\{0,1\} \[perf_opt\]' CHANGES.md \
+    | sed 's/^- //; s/^PR //; s/[: ].*//'); do
+    if ! printf '%s\n' "$accepted" | grep -q "^| PR $pr |"; then
+        echo "CHANGES.md tags PR $pr [perf_opt] but docs/PROFILING.md's accepted speed changes table has no row for it"
+        docs_fail=1
+    fi
 done
 # Relative markdown links must resolve: a moved or renamed file must
 # take every `[text](path)` pointing at it along. External links
