@@ -16,23 +16,28 @@
 //! the grid-ordered results, and artifacts are written serially after
 //! the parallel phase — so `--jobs 1` and `--jobs N` produce
 //! byte-identical output. A cell that several grids name simulates once
-//! and serves each of them. Cells sharing a pre-selection program also
-//! share one [`ProgramContext`], so each CFG analysis is computed once
-//! per program per suite instead of once per cell; cached analyses are
-//! values a fresh computation would also produce, keeping artifacts
-//! byte-identical to a from-scratch run. Cells that differ only in
-//! machine configuration go one step further and share one selection
-//! and one streamed trace: each decoded chunk
-//! ([`ms_sim::ChunkStream`]) is simulated one cell after another.
+//! and serves each of them. Work is scheduled one pre-selection program
+//! at a time: its cells share one [`ProgramContext`], so each CFG
+//! analysis is computed once per program per suite instead of once per
+//! cell (cached analyses are values a fresh computation would also
+//! produce). Within a program, cells whose selections pick the same
+//! tasks — two heuristics that agree, or the same heuristic at another
+//! target limit — share one streamed trace: each decoded chunk
+//! ([`ms_sim::ChunkStream`]) is simulated once per distinct machine
+//! configuration, one after another.
 
+use std::cmp::Reverse;
 use std::fs;
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 use ms_analysis::ProgramContext;
 use ms_ir::Program;
 use ms_sim::{ChunkStream, Engine, NullSink, SimConfig, SimStats, Simulator};
-use ms_tasksel::{closest, if_convert, PartitionStats, SelectorBuilder, Strategy, TaskSizeParams};
+use ms_tasksel::{
+    closest, if_convert, FuncPartition, PartitionStats, Selection, SelectorBuilder, Strategy, Task,
+    TaskSelector, TaskSizeParams,
+};
 use ms_workloads::{by_name, fp_suite, integer_suite};
 
 use crate::cache::CellCache;
@@ -244,12 +249,25 @@ impl CellJob {
     /// identical to [`CellJob::run`]'s — the context only caches values
     /// a fresh computation would also produce.
     pub fn run_in(&self, ctx: &ProgramContext) -> CellOutput {
-        CellJob::run_group(&[self], ctx).pop().expect("one cell in, one out")
+        let mut images = ProgramRuns::select(&[vec![self]], ctx).simulate();
+        images.pop().and_then(|mut cells| cells.pop()).expect("one cell in, one out")
+    }
+
+    /// The selector the cell's heuristic, target limit and task-size
+    /// thresholds name.
+    fn selector(&self) -> TaskSelector {
+        match self.ts_thresh {
+            Some(t) => SelectorBuilder::new(Strategy::DataDependence)
+                .max_targets(self.targets)
+                .task_size(TaskSizeParams { call_thresh: t, loop_thresh: t as usize })
+                .build(),
+            None => self.heuristic.selector(self.targets),
+        }
     }
 
     /// The fields that determine a cell's selection, partition
     /// statistics and trace — everything but the machine configuration.
-    /// Cells with equal image keys share one streamed, decoded trace.
+    /// Cells with equal image keys select once.
     fn image_key(&self) -> ImageKey {
         (
             self.bench,
@@ -260,61 +278,6 @@ impl CellJob {
             self.insts,
             self.seed,
         )
-    }
-
-    /// Runs a group of cells sharing one [`CellJob::image_key`]: select,
-    /// partition statistics, trace and decode once, then simulate one
-    /// machine configuration after another over each shared chunk.
-    /// Outputs are in input order; each equals what the cell would
-    /// produce in a group of its own.
-    fn run_group(cells: &[&CellJob], ctx: &ProgramContext) -> Vec<CellOutput> {
-        let lead = cells[0];
-        debug_assert!(
-            cells.iter().all(|c| c.image_key() == lead.image_key()),
-            "a group shares selection, partition and trace"
-        );
-        let selector = match lead.ts_thresh {
-            Some(t) => SelectorBuilder::new(Strategy::DataDependence)
-                .max_targets(lead.targets)
-                .task_size(TaskSizeParams { call_thresh: t, loop_thresh: t as usize })
-                .build(),
-            None => lead.heuristic.selector(lead.targets),
-        };
-        let sel = selector.select(ctx);
-        let partition = PartitionStats::compute(
-            &sel.program,
-            &sel.partition,
-            sel.context().profile(),
-            lead.targets,
-        );
-        // The trace streams once; each cell's engine steps over every
-        // chunk, created at the first and finished at the last, so a
-        // one-chunk group holds one engine at a time.
-        let sims: Vec<Simulator> = cells
-            .iter()
-            .map(|c| Simulator::new(c.sim_config(), &sel.program, &sel.partition))
-            .collect();
-        let mut engines: Vec<Option<Engine>> = sims.iter().map(|_| None).collect();
-        let mut stats: Vec<Option<SimStats>> = vec![None; cells.len()];
-        let mut chunks = ChunkStream::new(&sel.program, &sel.partition, lead.seed, lead.insts);
-        while let Some(chunk) = chunks.next_chunk() {
-            for ((sim, engine), out) in sims.iter().zip(&mut engines).zip(&mut stats) {
-                let mut run = engine.take().unwrap_or_else(|| sim.start());
-                run.step(chunk, &mut NullSink);
-                if chunk.is_last() {
-                    *out = Some(run.finish(&mut NullSink));
-                } else {
-                    *engine = Some(run);
-                }
-            }
-        }
-        stats
-            .into_iter()
-            .map(|sim| CellOutput {
-                sim: sim.expect("every stream ends with a last chunk"),
-                partition: partition.clone(),
-            })
-            .collect()
     }
 
     /// The cell's parameters as a JSON object (stable key order).
@@ -349,6 +312,146 @@ impl CellJob {
 /// heuristic, target limit, task-size threshold bits, trace budget and
 /// seed.
 type ImageKey = (&'static str, Option<usize>, Strategy, usize, Option<u64>, usize, u64);
+
+/// Whether two selections pick the same tasks of the same program: the
+/// same program (one `Arc`, or equal programs where `ts` unrolled a
+/// loop), the same included calls, and in every function the same
+/// tasks by entry block, however they are numbered. The simulator does
+/// not see task numbering (pinned by `crates/sim/tests/simulator.rs`),
+/// so such selections simulate alike on equal traces.
+/// [`TaskPartition::same_tasks`](ms_tasksel::TaskPartition::same_tasks)
+/// stays strict about numbering: conformance errors name task ids.
+fn same_selection(a: &Selection, b: &Selection) -> bool {
+    fn by_entry(f: &FuncPartition) -> Vec<&Task> {
+        let mut tasks: Vec<&Task> = f.tasks().iter().collect();
+        tasks.sort_unstable_by_key(|t| t.entry());
+        tasks
+    }
+    let (fa, fb) = (a.partition.funcs(), b.partition.funcs());
+    (Arc::ptr_eq(&a.program, &b.program) || a.program == b.program)
+        && a.partition.included_calls() == b.partition.included_calls()
+        && fa.len() == fb.len()
+        && fa.iter().zip(fb).all(|(x, y)| by_entry(x) == by_entry(y))
+}
+
+/// One distinct selection of a pre-selection program, with its trace's
+/// seed and budget and the distinct machine configurations simulated
+/// over that trace.
+struct Run {
+    sel: Selection,
+    seed: u64,
+    insts: usize,
+    configs: Vec<SimConfig>,
+}
+
+impl Run {
+    /// The index of `config` among the run's configurations, added if new.
+    fn config_slot(&mut self, config: SimConfig) -> usize {
+        match self.configs.iter().position(|c| *c == config) {
+            Some(k) => k,
+            None => {
+                self.configs.push(config);
+                self.configs.len() - 1
+            }
+        }
+    }
+
+    /// Streams and decodes the trace once and simulates one
+    /// configuration after another over each chunk: each configuration's
+    /// engine is created at the first chunk and finished at the last, so
+    /// a one-chunk run holds one engine at a time. Statistics are in
+    /// configuration order.
+    fn simulate(&self) -> Vec<SimStats> {
+        let (program, partition) = (&*self.sel.program, &self.sel.partition);
+        let sims: Vec<Simulator> =
+            self.configs.iter().map(|c| Simulator::new(c.clone(), program, partition)).collect();
+        let mut engines: Vec<Option<Engine>> = sims.iter().map(|_| None).collect();
+        let mut stats: Vec<Option<SimStats>> = vec![None; sims.len()];
+        let mut chunks = ChunkStream::new(program, partition, self.seed, self.insts);
+        while let Some(chunk) = chunks.next_chunk() {
+            for ((sim, engine), out) in sims.iter().zip(&mut engines).zip(&mut stats) {
+                let mut run = engine.take().unwrap_or_else(|| sim.start());
+                run.step(chunk, &mut NullSink);
+                if chunk.is_last() {
+                    *out = Some(run.finish(&mut NullSink));
+                } else {
+                    *engine = Some(run);
+                }
+            }
+        }
+        stats.into_iter().map(|s| s.expect("every stream ends with a last chunk")).collect()
+    }
+}
+
+/// The cells of one pre-selection program, grouped by image key, and the
+/// runs that serve them. Each image key selects once; keys whose
+/// selections are equal ([`same_selection`]) with the same seed and
+/// budget share one [`Run`], and each distinct machine configuration
+/// simulates once per run. Partition statistics stay per image key,
+/// from the key's own selection: `over_limit` reads its `N`.
+struct ProgramRuns {
+    runs: Vec<Run>,
+    /// Per image key: its partition statistics and, per cell, the run
+    /// and configuration that serve it.
+    images: Vec<(PartitionStats, Vec<(usize, usize)>)>,
+}
+
+impl ProgramRuns {
+    /// Selects every image key of `images` (cells sharing one image key
+    /// each, all of `ctx`'s program) and merges equal selections. A
+    /// selection that repeats an earlier one is dropped once its
+    /// partition statistics are computed.
+    fn select(images: &[Vec<&CellJob>], ctx: &ProgramContext) -> ProgramRuns {
+        let mut runs: Vec<Run> = Vec::new();
+        let mut served = Vec::with_capacity(images.len());
+        for cells in images {
+            let lead = cells[0];
+            debug_assert!(
+                cells.iter().all(|c| c.image_key() == lead.image_key()),
+                "an image's cells share selection, partition and trace"
+            );
+            let sel = lead.selector().select(ctx);
+            let partition = PartitionStats::compute(
+                &sel.program,
+                &sel.partition,
+                sel.context().profile(),
+                lead.targets,
+            );
+            let same = |r: &Run| {
+                r.seed == lead.seed && r.insts == lead.insts && same_selection(&r.sel, &sel)
+            };
+            let r = match runs.iter().position(same) {
+                Some(r) => r,
+                None => {
+                    runs.push(Run { sel, seed: lead.seed, insts: lead.insts, configs: Vec::new() });
+                    runs.len() - 1
+                }
+            };
+            let slots = cells.iter().map(|c| (r, runs[r].config_slot(c.sim_config()))).collect();
+            served.push((partition, slots));
+        }
+        ProgramRuns { runs, images: served }
+    }
+
+    /// Simulates every run, dropping each selection after its run, and
+    /// returns the outputs per image key and cell, in input order. Each
+    /// equals what the cell would produce alone ([`CellJob::run`]).
+    fn simulate(self) -> Vec<Vec<CellOutput>> {
+        let stats: Vec<Vec<SimStats>> = self.runs.into_iter().map(|r| r.simulate()).collect();
+        self.images
+            .into_iter()
+            .map(|(partition, slots)| {
+                slots
+                    .into_iter()
+                    .map(|(r, k)| CellOutput {
+                        sim: stats[r][k].clone(),
+                        partition: partition.clone(),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+}
 
 /// The two halves of a cell's metrics: dynamic (simulator) and static
 /// (partition).
@@ -466,7 +569,38 @@ impl<'g> Plan<'g> {
         }
         plan
     }
+
+    /// The work items: the distinct cells `todo` keeps, grouped by image
+    /// key, and the image groups by pre-selection program `(bench,
+    /// if_convert_arms)`. Largest first (cells x instructions), so the
+    /// longest item does not start last; the stable sort keeps suite
+    /// order among equals.
+    fn items(&self, todo: impl Fn(usize) -> bool) -> Vec<Item> {
+        let program = |d: usize| (self.cells[d].bench, self.cells[d].if_convert_arms);
+        let mut items: Vec<Item> = Vec::new();
+        for ds in &self.images {
+            let cells: Vec<usize> = ds.iter().copied().filter(|&d| todo(d)).collect();
+            let Some(&lead) = cells.first() else { continue };
+            match items.iter_mut().find(|item| program(item[0][0]) == program(lead)) {
+                Some(item) => item.push(cells),
+                None => items.push(vec![cells]),
+            }
+        }
+        items.sort_by_key(|item| {
+            Reverse(item.iter().flatten().map(|&d| self.cells[d].insts).sum::<usize>())
+        });
+        items
+    }
+
+    /// An item's jobs, per image group.
+    fn jobs(&self, item: &Item) -> Vec<Vec<&'g CellJob>> {
+        item.iter().map(|ds| ds.iter().map(|&d| self.cells[d]).collect()).collect()
+    }
 }
+
+/// One parallel work item: the image groups (distinct cells sharing an
+/// image key) of one pre-selection program.
+type Item = Vec<Vec<usize>>;
 
 /// Runs `specs` as one suite with `jobs` worker threads, writing
 /// artifacts under `out_root` (one directory per sweep), and returns
@@ -486,13 +620,20 @@ impl<'g> Plan<'g> {
 /// field-identical, so artifacts stay byte-identical either way (pinned
 /// by `tests/context_equivalence.rs`).
 ///
-/// Misses sharing an image key form one group: one selection, trace and
-/// decoded image, simulated one machine configuration after another.
-/// The groups are the only parallel work items. Cells with equal
-/// `(bench, if_convert_arms)` share one [`ProgramContext`], built by the
-/// first group that needs it; each CFG analysis fills its once-only slot
-/// on first use, so it is computed once per program per suite.
-/// Artifacts are written serially afterwards, in spec and grid order.
+/// The misses are scheduled one work item per pre-selection program
+/// `(bench, if_convert_arms)`, largest first (cells x instructions).
+/// An item builds its program's [`ProgramContext`], so each CFG
+/// analysis is computed once per program per suite, and drops it when
+/// the item ends. It selects once per image key and merges the keys
+/// whose selections pick the same tasks (however numbered) with the
+/// same seed and budget: `dd` picks `cf`'s tasks wherever its steer
+/// changes nothing, and `N` = 2..8 often give one `cf` partition.
+/// Each distinct selection streams and decodes one trace, over which
+/// each distinct machine configuration simulates once; partition
+/// statistics stay per image key. The full suite makes 274 simulations
+/// over 80 traces for 329 distinct cells in 108 image keys. Artifacts
+/// are written serially afterwards, in spec and grid order, so the
+/// item order never shows in them.
 pub fn run_suite(
     specs: &[SweepSpec],
     jobs: usize,
@@ -515,33 +656,15 @@ pub fn run_suite(
             }
         }
     }
-    // Group the misses by image key, and name one context per distinct
-    // pre-selection program that still has work, in suite order.
-    let groups: Vec<Vec<usize>> = plan
-        .images
-        .iter()
-        .map(|ds| ds.iter().copied().filter(|&d| outputs[d].is_none()).collect::<Vec<_>>())
-        .filter(|g| !g.is_empty())
-        .collect();
-    let mut programs: Vec<(&'static str, Option<usize>)> = Vec::new();
-    for g in &groups {
-        let key = (plan.cells[g[0]].bench, plan.cells[g[0]].if_convert_arms);
-        if !programs.contains(&key) {
-            programs.push(key);
-        }
-    }
-    let pool: Vec<OnceLock<ProgramContext>> = programs.iter().map(|_| OnceLock::new()).collect();
-    let computed = run_parallel(jobs, groups.iter().collect(), |cells: &&Vec<usize>, _| {
-        let jobs: Vec<&CellJob> = cells.iter().map(|&d| plan.cells[d]).collect();
-        let key = (jobs[0].bench, jobs[0].if_convert_arms);
-        let p = programs.iter().position(|&k| k == key).expect("group program is pooled");
-        CellJob::run_group(&jobs, pool[p].get_or_init(|| jobs[0].context()))
+    let items = plan.items(|d| outputs[d].is_none());
+    let computed = run_parallel(jobs, items.iter().collect(), |item: &&Item, _| {
+        let images = plan.jobs(item);
+        ProgramRuns::select(&images, &images[0][0].context()).simulate()
     });
-    // Results come back in group order: zipping each group's cells
+    // Results come back in item order: zipping each image's cells
     // against its outputs fills every slot.
-    for (g, outs) in groups.iter().zip(computed) {
-        debug_assert_eq!(g.len(), outs.len());
-        for (&d, out) in g.iter().zip(outs) {
+    for (item, outs) in items.iter().zip(computed) {
+        for (&d, out) in item.iter().flatten().zip(outs.into_iter().flatten()) {
             if let (Some(cache), Some(key)) = (cache, &cell_keys[d]) {
                 cache.store(key, &out)?;
             }
@@ -1072,6 +1195,11 @@ fn hardware_report(results: &Results) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use ms_ir::{BlockId, FuncId};
+    use ms_tasksel::TaskPartition;
+
     use super::*;
 
     #[test]
@@ -1119,7 +1247,7 @@ mod tests {
             CellJob { arb_entries_per_pu: Some(8), sync_table_entries: Some(0), ..base.clone() },
         ];
         let group: Vec<&CellJob> = cells.iter().collect();
-        let outs = CellJob::run_group(&group, &base.context());
+        let outs = ProgramRuns::select(&[group], &base.context()).simulate().remove(0);
         assert_eq!(outs.len(), cells.len());
         for (cell, out) in cells.iter().zip(outs) {
             assert_eq!(out, cell.run(), "{cell:?}");
@@ -1134,7 +1262,7 @@ mod tests {
         let base = CellJob { insts, ..CellJob::new("compress", Strategy::ControlFlow) };
         let cells = [CellJob { pus: 1, ..base.clone() }, CellJob { pus: 8, ..base.clone() }];
         let ctx = base.context();
-        let outs = CellJob::run_group(&cells.iter().collect::<Vec<_>>(), &ctx);
+        let outs = ProgramRuns::select(&[cells.iter().collect()], &ctx).simulate().remove(0);
         let sel = base.heuristic.selector(base.targets).select(&ctx);
         let trace = ms_trace::TraceGenerator::new(&sel.program, base.seed).generate(insts);
         for (cell, out) in cells.iter().zip(outs) {
@@ -1148,13 +1276,8 @@ mod tests {
         let grids: Vec<Grid> = SweepSpec::ALL.iter().map(|s| s.grid()).collect();
         let plan = Plan::new(&grids);
         assert_eq!(plan.slots.iter().map(Vec::len).sum::<usize>(), 400, "grid cells");
-        assert_eq!(plan.cells.len(), 329, "distinct cells: simulations");
-        assert_eq!(plan.images.len(), 108, "distinct images: select/trace/decode builds");
-        let mut programs: Vec<_> =
-            plan.cells.iter().map(|j| (j.bench, j.if_convert_arms)).collect();
-        programs.sort_unstable();
-        programs.dedup();
-        assert_eq!(programs.len(), 30, "distinct programs: shared contexts");
+        assert_eq!(plan.cells.len(), 329, "distinct cells");
+        assert_eq!(plan.images.len(), 108, "distinct image keys: selections");
         // Every Table 1 cell is served by its Figure 5 twin.
         let table1 = SweepSpec::ALL.iter().position(|&s| s == SweepSpec::Table1).unwrap();
         let served = |d: usize| plan.slots.iter().flatten().filter(|&&s| s == d).count();
@@ -1166,6 +1289,116 @@ mod tests {
                 assert_eq!(job.sim_config(), plan.cells[d].sim_config(), "{id}");
             }
         }
+    }
+
+    #[test]
+    fn suite_simulates_each_distinct_selection_once() {
+        // One work item per pre-selection program; within it, image keys
+        // that select the same tasks share one streamed trace, and each
+        // distinct machine configuration simulates once over it.
+        let grids: Vec<Grid> = SweepSpec::ALL.iter().map(|s| s.grid()).collect();
+        let plan = Plan::new(&grids);
+        let items = plan.items(|_| true);
+        assert_eq!(items.len(), 30, "distinct programs: work items and contexts");
+        assert_eq!(items.iter().flatten().flatten().count(), 329, "every distinct cell");
+        let (mut images, mut sims) = (0, 0);
+        for item in &items {
+            let jobs = plan.jobs(item);
+            let runs = ProgramRuns::select(&jobs, &jobs[0][0].context()).runs;
+            images += runs.len();
+            sims += runs.iter().map(|r| r.configs.len()).sum::<usize>();
+        }
+        assert_eq!(images, 80, "distinct selections: streamed, decoded traces");
+        assert_eq!(sims, 274, "simulations");
+        // Largest first: no item has more cells x instructions than
+        // the one before it.
+        let size = |item: &Item| item.iter().flatten().map(|&d| plan.cells[d].insts).sum::<usize>();
+        assert!(items.windows(2).all(|w| size(&w[0]) >= size(&w[1])));
+    }
+
+    #[test]
+    fn cells_served_by_another_image_keys_run_match_standalone_runs() {
+        // Each workload's plain-program cells of the suite, with every
+        // budget cut fifty-fold (100,000 -> 2,000, 60,000 -> 1,200:
+        // distinct budgets stay distinct), form one work item. Its 8
+        // image keys make 3 runs.
+        let grids: Vec<Grid> = SweepSpec::ALL.iter().map(|s| s.grid()).collect();
+        let suite = Plan::new(&grids);
+        for bench in ["applu", "m88ksim"] {
+            let grid: Grid = suite
+                .cells
+                .iter()
+                .filter(|j| j.bench == bench && j.if_convert_arms.is_none())
+                .map(|j| (String::new(), CellJob { insts: j.insts / 50, ..(*j).clone() }))
+                .collect();
+            let grids = [grid];
+            let plan = Plan::new(&grids);
+            let items = plan.items(|_| true);
+            let images = plan.jobs(&items[0]);
+            assert_eq!((items.len(), images.len()), (1, 8), "{bench}: one item, 8 image keys");
+            let runs = ProgramRuns::select(&images, &images[0][0].context());
+            assert_eq!(runs.runs.len(), 3, "{bench}: distinct selections");
+            // The run each image key's cells simulate in.
+            let run: Vec<usize> = runs.images.iter().map(|(_, slots)| slots[0].0).collect();
+            // Figure 5's cf and dd cells at 4 out-of-order PUs pick the
+            // same tasks and share a run.
+            let fig5 = |h: Strategy| {
+                let c = |cells: &Vec<&CellJob>| {
+                    cells[0].heuristic == h && cells[0].insts == DEFAULT_TRACE_INSTS / 50
+                };
+                run[images.iter().position(c).unwrap()]
+            };
+            assert_eq!(fig5(Strategy::ControlFlow), fig5(Strategy::DataDependence), "{bench}");
+            // Every cell served by an earlier image key's run equals its
+            // standalone run.
+            let outs = runs.simulate();
+            for i in (0..images.len()).filter(|&i| run[..i].contains(&run[i])) {
+                for (cell, out) in images[i].iter().zip(&outs[i]) {
+                    assert_eq!(*out, cell.run(), "{cell:?}");
+                }
+            }
+        }
+    }
+
+    /// `sel` with every function's task list reversed: the same tasks,
+    /// numbered back to front.
+    fn renumbered(sel: &Selection, included_calls: BTreeSet<(FuncId, BlockId)>) -> TaskPartition {
+        let funcs = sel
+            .partition
+            .funcs()
+            .iter()
+            .map(|fp| {
+                let tasks = fp.tasks().iter().rev().cloned().collect();
+                FuncPartition::new(fp.func(), tasks, sel.program.function(fp.func()).num_blocks())
+            })
+            .collect();
+        TaskPartition::new(funcs, included_calls, sel.partition.strategy())
+    }
+
+    #[test]
+    fn same_selection_ignores_task_numbering_only() {
+        // A `ts` selection that includes a call: renumbering its tasks
+        // keeps it the same selection (though no longer `same_tasks`);
+        // dropping its included calls or changing program does not.
+        let (ctx, ts) = ms_workloads::suite()
+            .iter()
+            .find_map(|w| {
+                let ctx = ProgramContext::new(w.build());
+                let sel = Strategy::TaskSize.selector(4).select(&ctx);
+                (!sel.partition.included_calls().is_empty()).then_some((ctx, sel))
+            })
+            .expect("some workload's ts selection includes a call");
+        let select = || Strategy::TaskSize.selector(4).select(&ctx);
+        let mut reversed = select();
+        reversed.partition = renumbered(&ts, ts.partition.included_calls().clone());
+        assert!(!reversed.partition.same_tasks(&ts.partition));
+        assert!(same_selection(&ts, &reversed));
+        let mut no_calls = select();
+        no_calls.partition = renumbered(&ts, BTreeSet::new());
+        assert!(!same_selection(&ts, &no_calls));
+        let other = ms_workloads::suite().into_iter().find(|w| w.build() != *ts.program).unwrap();
+        let elsewhere = Strategy::TaskSize.selector(4).select(&ProgramContext::new(other.build()));
+        assert!(!same_selection(&ts, &elsewhere));
     }
 
     #[test]

@@ -126,3 +126,65 @@ fn trace_artifacts_are_parallel_deterministic() {
     let parallel = run_parallel(4, grid, run);
     assert_eq!(serial, parallel, "parallelism must not change any byte of any trace artifact");
 }
+
+/// A cell whose re-executed task is squashed again: `m88ksim` under
+/// `ts` on 8 PUs (`run -- trace m88ksim --strategy ts --pus 8 --insts
+/// 2000`). Each memory squash at attempt ≥ 2 is labelled a cascade in
+/// every view: one JSONL line, one Chrome instant at the same task, PU
+/// and cycle, and the tables' cascade column and total.
+#[test]
+fn a_cascade_squash_is_labelled_in_every_view() {
+    let art = trace_selection(
+        &select("m88ksim", Strategy::TaskSize),
+        SimConfig::with_pus(8),
+        2_000,
+        ms_bench::DEFAULT_SEED,
+    );
+    let cascades: Vec<(usize, usize, u64)> = art
+        .log
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            SimEvent::TaskSquash {
+                task,
+                pu,
+                cycle,
+                attempt: 2..,
+                cause: SquashCause::Memory { .. },
+            } => Some((task, pu, cycle)),
+            _ => None,
+        })
+        .collect();
+    assert!(!cascades.is_empty(), "the cell squashes a re-executed task");
+    let lines: Vec<&str> =
+        art.jsonl.lines().filter(|l| l.contains("\"cause\":\"cascade\"")).collect();
+    assert_eq!(lines.len(), cascades.len(), "one JSONL line per cascade");
+    assert_eq!(art.chrome.matches("\"name\":\"squash:cascade\"").count(), cascades.len());
+    for (&(task, pu, cycle), line) in cascades.iter().zip(&lines) {
+        let at = format!("\"task\":{task},\"pu\":{pu},\"cycle\":{cycle},\"attempt\":");
+        assert!(line.contains(&at), "JSONL `{line}` is not the squash of task {task}");
+        let instant = format!(
+            "\"name\":\"squash:cascade\",\"cat\":\"squash\",\"ph\":\"i\",\"ts\":{cycle},\
+             \"pid\":0,\"tid\":{pu},\"s\":\"t\",\"args\":{{\"task\":{task}}}"
+        );
+        assert!(art.chrome.contains(&instant), "no Chrome instant for the squash of task {task}");
+    }
+    // The squash table's cascade column (label, ctrl, mem, cascade, ...)
+    // and its header total both count the cascades.
+    let n = cascades.len() as u64;
+    let stats = &art.stats;
+    assert!(art.tables.contains(&format!(
+        "squash attribution (totals: ctrl {}, mem {}, cascade {n}):",
+        stats.ctrl_squashes,
+        stats.violations - n
+    )));
+    let column: u64 = art
+        .tables
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("task boundary"))
+        .skip(1)
+        .take_while(|l| l.starts_with("  ") && !l.contains("->"))
+        .map(|l| l.split_whitespace().nth(3).unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(column, n, "the tables' cascade column:\n{}", art.tables);
+}

@@ -5,7 +5,7 @@ use ms_ir::{
     AddrSpec, BranchBehavior, FunctionBuilder, Opcode, Program, ProgramBuilder, Reg, Terminator,
 };
 use ms_sim::{EventLog, SimConfig, SimStats, Simulator};
-use ms_tasksel::{SelectorBuilder, Strategy};
+use ms_tasksel::{FuncPartition, SelectorBuilder, Strategy, TaskPartition};
 use ms_trace::TraceGenerator;
 
 /// A loop whose iterations are data-independent (vector-add-like):
@@ -352,4 +352,49 @@ fn reused_engine_state_is_invisible() {
         assert_eq!(run.0, fresh.0, "{label}: statistics differ from a fresh engine's");
         assert!(run.1 == fresh.1, "{label}: events differ from a fresh engine's");
     }
+}
+
+/// `partition` with every function's task list reversed: the same
+/// tasks and included calls, numbered back to front.
+fn renumbered(program: &Program, partition: &TaskPartition) -> TaskPartition {
+    let funcs = partition
+        .funcs()
+        .iter()
+        .map(|fp| {
+            let tasks = fp.tasks().iter().rev().cloned().collect();
+            FuncPartition::new(fp.func(), tasks, program.function(fp.func()).num_blocks())
+        })
+        .collect();
+    TaskPartition::new(funcs, partition.included_calls().clone(), partition.strategy())
+}
+
+#[test]
+fn task_numbering_is_invisible_to_the_simulator() {
+    // The sweep scheduler simulates two selections that pick the same
+    // tasks, however numbered, once: renumbering every function's tasks
+    // must leave every statistic unchanged, on every workload, under
+    // every paper heuristic, on one to eight PUs and in-order.
+    let configs = [
+        SimConfig::single_pu(),
+        SimConfig::four_pu(),
+        SimConfig::eight_pu(),
+        SimConfig::four_pu().in_order(),
+    ];
+    let mut calls = 0;
+    for w in ms_workloads::suite() {
+        let ctx = ProgramContext::new(w.build());
+        for h in Strategy::all() {
+            let sel = h.selector(4).select(&ctx);
+            let reversed = renumbered(&sel.program, &sel.partition);
+            assert!(!reversed.same_tasks(&sel.partition) || sel.partition.num_tasks() <= 1);
+            calls += reversed.included_calls().len();
+            let trace = TraceGenerator::new(&sel.program, 11).generate(10_000);
+            for config in &configs {
+                let a = Simulator::new(config.clone(), &sel.program, &sel.partition).run(&trace);
+                let b = Simulator::new(config.clone(), &sel.program, &reversed).run(&trace);
+                assert_eq!(a.to_json(), b.to_json(), "{} {} {config:?}", w.name, h.label());
+            }
+        }
+    }
+    assert!(calls > 0, "some selection includes a call, and renumbering keeps it");
 }

@@ -49,7 +49,11 @@
 #    replay every workload with no differing output), so a timing-model
 #    change that moves a single cycle fails here, not only in the
 #    benchmark harness,
-# 13. long-trace digests: the 18 one-million-instruction `dd` runs on
+# 13. serial grids: `run sweeps` at `--jobs 1` must print the same
+#    stdout and write a tree byte-identical to `run sweeps --jobs 2`,
+#    the command step 12 pins, so the order work items run in (largest
+#    first, one per program) never leaks into an output,
+# 14. long-trace digests: the 18 one-million-instruction `dd` runs on
 #    8 PUs (the benchmark's `long_trace` workload, run once) must print
 #    stats lines identical to benchmark/expected/long_trace.txt, so the
 #    engine is pinned on a large working set too, not only on the
@@ -222,6 +226,18 @@ echo "$counts" | grep -q ', 0 misses$' \
 
 echo "==> grid digests (benchmark run --smoke vs benchmark/expected/grids.txt)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+
+echo "==> serial grids (run sweeps --jobs 1 vs --jobs 2)"
+# Both runs write to the same --out path, whose name the stdout echoes.
+grid_dir=target/sweeps-order
+rm -rf "$grid_dir"
+grids_parallel=$(cargo run -p ms-bench --release --bin run -q -- sweeps --jobs 2 --out "$grid_dir/out")
+mv "$grid_dir/out" "$grid_dir/jobs2"
+grids_serial=$(cargo run -p ms-bench --release --bin run -q -- sweeps --jobs 1 --out "$grid_dir/out")
+diff -r "$grid_dir/jobs2" "$grid_dir/out" \
+    || { echo "run sweeps wrote different trees at --jobs 1 and --jobs 2"; exit 1; }
+[ "$grids_serial" = "$grids_parallel" ] \
+    || { echo "run sweeps printed different output at --jobs 1 and --jobs 2"; exit 1; }
 
 echo "==> long-trace digests (benchmark measure long_trace vs benchmark/expected/long_trace.txt)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
